@@ -25,6 +25,10 @@ class QuadratureNoConvergence(PosDefWalksError):
     """Adaptive quadrature failed to meet the requested tolerance."""
 
 
+class NonFiniteIntegrand(PosDefWalksError):
+    """A fixed-node quadrature met a NaN or infinite integrand value."""
+
+
 class StepOverflow(PosDefWalksError):
     """A simulated state exceeded the representable range."""
 

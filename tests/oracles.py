@@ -102,3 +102,72 @@ def ks_critical_two_sample(n1, n2, p=1e-3):
 
     en = math.sqrt(n1 * n2 / (n1 + n2))
     return kolmogi(p) / en
+
+
+# ---------------------------------------------------------------------------
+# The d=1 eigenfunction phi(s) = int_0^inf x^(alpha-beta) (1+sx)^(-alpha)
+# e^(-1/x) dx/x. Frozen at 30 digits by mpmath (dps=45): adaptive quad of the
+# equivalent y = 1/x form, agreeing with Gamma(beta) s^(beta-alpha)
+# U(beta, beta-alpha+1, s) to 1e-40 at the integer parameters (where
+# scipy.special.hyperu returns NaN for small s) and to 1e-24 at (0.6, 0.55),
+# where the mass of y^(beta-1) near y = 0 matters for small s.
+PHI_S = (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+PHI_MP = {
+    (2.0, 5.0): (
+        1.999999999998000000000003,
+        1.99999800000299994804675023623,
+        1.99800297564216584462772260398,
+        1.01826318838402962829460750315,
+        0.0000237621400394478065152877282216,
+        2.39997600021599798402015978227e-11,
+    ),
+    (3.0, 4.0): (
+        0.999999999921338583646754131124,
+        0.999962785033390970976381820498,
+        0.983467860997875524442293153204,
+        0.1237421448992385167829897541,
+        0.00000000592871287476331177351521230939,
+        5.99992800071999280007559915329e-18,
+    ),
+    (0.6, 0.55): (
+        63.4894955589020213151992206359,
+        21.5300956134051676175658491017,
+        9.22281942329882848704776882397,
+        1.3309441685588948845187964778,
+        0.025605401406604864322703456893,
+        0.000405951928262506552239719548293,
+    ),
+}
+
+
+def phi_quad(alpha, beta, s):
+    """phi(s) by adaptive quadrature of its defining x-form in v = log x."""
+
+    def integrand(v):
+        return math.exp((alpha - beta) * v - alpha * math.log1p(s * math.exp(v)) - math.exp(-v))
+
+    # The integrand dies like exp(-e^-v) on the left and like e^(-beta v) on
+    # the right; v = log(1/s) marks where (1+sx) turns on.
+    pts = sorted({-3.0, 0.0, 3.0, -math.log(s)})
+    val, err = integrate.quad(integrand, -6.0, 80.0, points=pts, epsabs=0.0, epsrel=1e-12, limit=400)
+    assert err < 1e-11 * val
+    return val
+
+
+def eigen_lhs_nested(alpha, beta, s):
+    """int Q(s; t) phi(t) dt/t by nested adaptive quadrature, t = e^u.
+
+    Q(s; t) = (t/s)^alpha (1 + t/s)^-(alpha+beta) e^-t / B(alpha, beta); by the
+    f = 1 eigenfunction identity the result equals phi(s).
+    """
+    log_b = math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+
+    def outer(u):
+        ratio = math.exp(u) / s
+        q = math.exp(alpha * math.log(ratio) - (alpha + beta) * math.log1p(ratio) - math.exp(u) - log_b)
+        return q * phi_quad(alpha, beta, math.exp(u)) if q > 0.0 else 0.0
+
+    lo, hi = math.log(s) - 40.0, math.log(s) + 6.0
+    val, err = integrate.quad(outer, lo, hi, points=[math.log(s)], epsabs=0.0, epsrel=1e-11, limit=200)
+    assert err < 1e-10 * val
+    return val

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
 from posdefwalks import special
-from posdefwalks.errors import DomainError
+from posdefwalks.errors import DomainError, NonFiniteIntegrand
 from posdefwalks.special import (
     DEFAULT_QUAD,
     Law,
     ModelParams,
+    QuadratureCdf,
     QuadratureSpec,
     density_wrt_mu,
     digamma,
@@ -126,6 +128,80 @@ def test_phi_large_s_decay():
     s = 1e6
     ratio = phi_d1(p, s) * s**p.alpha / math.gamma(p.beta)
     assert abs(ratio - 1.0) < 0.01
+
+
+def test_phi_matches_frozen_mpmath_values():
+    for (a, b), expected in oracles.PHI_MP.items():
+        got = phi_d1(ModelParams(1, a, b), np.array(oracles.PHI_S))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_phi_scalar_and_array_calls_agree():
+    p = ModelParams(1, 1.3, 1.1)
+    ss = np.geomspace(1e-9, 1e5, 23)
+    many = phi_d1(p, ss.reshape(23, 1))
+    assert many.shape == (23, 1)
+    singles = [phi_d1(p, float(s)) for s in ss]
+    assert all(isinstance(v, float) for v in singles)
+    np.testing.assert_allclose(many[:, 0], singles, rtol=1e-15)
+
+
+def test_phi_against_plain_quadrature_oracle():
+    for a, b in ((2.0, 5.0), (0.6, 0.55), (2.5, 6.0)):
+        for s in (1e-6, 0.3, 1.0, 40.0):
+            expect = oracles.phi_quad(a, b, s)
+            assert abs(phi_d1(ModelParams(1, a, b), s) - expect) < 1e-9 * expect
+
+
+def test_eigenfunction_lhs_against_nested_quadrature_oracle():
+    # int Q(1; t) phi(t) dt/t on the engine's grid vs nested adaptive quad.
+    p = ModelParams(1, 2.0, 5.0)
+    t, w, x = special._log_grid()
+    engine = (kernel_densities_d1(p).q_density(1.0, x) * phi_d1(p, x)) @ w
+    nested = oracles.eigen_lhs_nested(2.0, 5.0, 1.0)
+    assert abs(engine - nested) < 1e-9 * nested
+    assert abs(engine - oracles.PHI_MP[(2.0, 5.0)][3]) < 1e-9 * nested
+
+
+def test_phi_rejects_bad_arguments():
+    p = ModelParams(1, 2.0, 5.0)
+    for s in (0.0, -1.0, math.nan, np.array([1.0, 0.0])):
+        with pytest.raises(DomainError):
+            phi_d1(p, s)
+
+
+def test_phi_overflow_is_a_typed_error():
+    # phi(s) grows like s^(beta - alpha) as s -> 0 and leaves double range here.
+    with pytest.raises(NonFiniteIntegrand, match=r"alpha=20\.0, beta=1\.0.*t = "):
+        phi_d1(ModelParams(1, 20.0, 1.0), 1e-300)
+
+
+def test_quadrature_cdf_of_gamma_law():
+    # x^2 e^-x against dx/x is the Gamma(2) density x e^-x dx.
+    seen = []
+
+    def dens(x):
+        seen.append(type(x))
+        return x * x * math.exp(-x)
+
+    cdf = QuadratureCdf(dens, 1e-4, 60.0, n_grid=120)
+    assert set(seen) == {float}
+    assert abs(cdf.total_mass - 1.0) < 1e-12
+    # Exact at the grid points after the first (where the CDF reads 0); the
+    # monotone interpolant fills in between.
+    xs = cdf.grid[1::7]
+    np.testing.assert_allclose(cdf(xs), sps.gammainc(2.0, xs), rtol=1e-10, atol=1e-13)
+    mid = np.sqrt(cdf.grid[1:] * cdf.grid[:-1])
+    np.testing.assert_allclose(cdf(mid), sps.gammainc(2.0, mid), atol=2e-5)
+
+
+def test_quadrature_cdf_non_finite_density_is_named():
+    def dens(x):
+        return math.nan if 1.0 < x < 2.0 else math.exp(-x)
+
+    with pytest.raises(NonFiniteIntegrand, match="QuadratureCdf density.*t = 0\\."):
+        QuadratureCdf(dens, 1e-3, 10.0, n_grid=50)
 
 
 def test_kernel_p_density_point():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from posdefwalks import verify
-from posdefwalks.errors import DomainError, EmptySample, InsufficientBinCount
+from posdefwalks import special, verify
+from posdefwalks.errors import DomainError, EmptySample, InsufficientBinCount, NonFiniteIntegrand
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream
 from posdefwalks.special import ModelParams
@@ -20,6 +20,7 @@ from posdefwalks.verify import (
     TRACE,
     Functional,
     FunctionalKind,
+    SubTest,
     TestReport,
     check_beta_gamma,
     check_construction_equivalence,
@@ -139,6 +140,30 @@ def test_report_json_round_trip():
     assert payload["seed"] == 42
 
 
+def test_report_fails_on_nan_after_a_finite_ratio():
+    # max() would skip this NaN because it is not first in the list.
+    rep = verify._make_report("x", [SubTest("a", 0.5), SubTest("b", float("nan"))], 0, 0, None)
+    assert rep.passed is False
+    assert not np.isfinite(rep.statistic)
+    assert "non-finite sub-tests: b" in rep.details
+
+
+def test_report_fails_on_any_non_finite_ratio():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        subs = [SubTest("ok", 0.1), SubTest("bad", bad), SubTest("ok2", 0.2)]
+        rep = verify._make_report("x", subs, 0, 0, None)
+        assert rep.passed is False
+        assert "non-finite sub-tests: bad" in rep.details
+
+
+def test_inv_wishart_cdf_d1_is_the_inverse_gamma_cdf():
+    xs = np.array([0.0, 1e-3, 0.05, 0.3, 1.0, 4.0, 250.0])
+    for nu in (0.7, 3.0, 8.5):
+        np.testing.assert_allclose(
+            verify._inv_wishart_cdf_d1(nu)(xs), stats.invgamma(nu).cdf(xs), rtol=1e-12, atol=1e-300
+        )
+
+
 # ------------------------------------------------------------ named checks
 
 
@@ -184,6 +209,24 @@ def test_check_intertwining_is_deterministic():
     rep1 = check_intertwining_d1(p, s_grid=(0.5,), test_fns=fns, seed=1)
     rep2 = check_intertwining_d1(p, s_grid=(0.5,), test_fns=fns, seed=1)
     assert rep1.to_json() == rep2.to_json()
+
+
+def test_check_intertwining_detects_a_wrong_kernel(monkeypatch):
+    # Scaling Q by 1 + 1e-4 breaks every identity that uses it by about 1e-4.
+    true_q = special.KernelBundleD1.q_density
+    monkeypatch.setattr(
+        special.KernelBundleD1, "q_density", lambda self, s, t: 1.0001 * true_q(self, s, t)
+    )
+    fns = {"exp(-a)": lambda r, a: np.exp(-a), "const_1": lambda r, a: 1.0}
+    rep = check_intertwining_d1(ModelParams(1, 2.0, 5.0), s_grid=(1.0,), test_fns=fns)
+    assert not rep.passed
+    assert 5e-5 < rep.statistic < 2e-4
+
+
+def test_check_intertwining_names_a_non_finite_node():
+    fns = {"bad": lambda r, a: np.where(a > 1e20, np.nan, 1.0)}
+    with pytest.raises(NonFiniteIntegrand, match=r"alpha=2\.0, beta=5\.0.*t = "):
+        check_intertwining_d1(ModelParams(1, 2.0, 5.0), s_grid=(1.0,), test_fns=fns)
 
 
 def test_check_intertwining_rejects_matrix_dims():
