@@ -41,12 +41,8 @@ _CASTS = {
     "method": str,
 }
 
-_SCALAR_FUNCTIONALS = (
-    ("trace", matcore.trace),
-    ("logdet", matcore.logdet),
-    ("lambda_min", matcore.lambda_min),
-    ("lambda_max", matcore.lambda_max),
-)
+# CSV columns, named after the functions.
+_SCALAR_FUNCTIONALS = (matcore.trace, matcore.logdet, matcore.lambda_min, matcore.lambda_max)
 
 
 def _add_common(sub):
@@ -175,7 +171,7 @@ def _csv_header(out, command, eff):
 
 
 def _functional_row(m):
-    return [repr(float(fn(m))) for _, fn in _SCALAR_FUNCTIONALS]
+    return [repr(float(fn(m))) for fn in _SCALAR_FUNCTIONALS]
 
 
 def _matrix_entries(m):
@@ -213,7 +209,7 @@ def cmd_sample(args):
         out.line(json.dumps(payload))
     else:
         _csv_header(out, "sample", eff)
-        cols = ["index"] + [name for name, _ in _SCALAR_FUNCTIONALS]
+        cols = ["index"] + [fn.__name__ for fn in _SCALAR_FUNCTIONALS]
         if eff["full"]:
             d = p.dim
             cols += [f"e_{i}_{j}" for i in range(d) for j in range(d)]
@@ -346,7 +342,7 @@ def cmd_dufresne(args):
         out.line(json.dumps(payload))
     else:
         _csv_header(out, "dufresne", eff)
-        out.line("index," + ",".join(name for name, _ in _SCALAR_FUNCTIONALS) + ",n_terms")
+        out.line("index," + ",".join(fn.__name__ for fn in _SCALAR_FUNCTIONALS) + ",n_terms")
         for idx in range(eff["n"]):
             row = [str(idx)] + _functional_row(draws[idx]) + [str(int(counts[idx]))]
             out.line(",".join(row))
@@ -411,7 +407,7 @@ def cmd_verify(args, parser):
         args,
         {"seed": 0, "threads": "auto", "format": "json", "out": args.out},
     )
-    known = list(verify.CHECK_NAMES) + ["beta_gamma"]
+    known = list(verify.FULL_CONFIG)
     names = list(args.checks)
     if names == ["all"]:
         names = list(verify.CHECK_NAMES)
@@ -422,14 +418,12 @@ def cmd_verify(args, parser):
     out = _Output(eff["out"])
     meta = _meta("verify", eff)
     meta["checks"] = names
-    config = dict(verify.FULL_CONFIG)
-    config["beta_gamma"] = dict(alpha=2.0, beta=3.0, dims=(1, 2, 3), n_samples=30_000)
+    config = verify.FULL_CONFIG
     meta["parameters"] = {name: {k: str(v) for k, v in config[name].items()} for name in names}
     out.line(json.dumps(meta))
     all_passed = True
     for name in names:
-        stream_id = known.index(name)
-        report = verify.run_check(name, eff["seed"], stream_id=stream_id, config=config)
+        report = verify.run_check(name, eff["seed"], stream_id=known.index(name))
         out.line(report.to_json())
         all_passed = all_passed and report.passed
     out.done()

@@ -158,7 +158,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    transform: str = "log"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -266,38 +265,39 @@ def phi_d1(p: ModelParams, s):
     return float(out) if out.ndim == 0 else out
 
 
+# Adaptive rule for the mass below and above a QuadratureCdf grid.
+_CDF_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+
+
 class QuadratureCdf:
     """CDF of a density against dx/x from the fixed rule on each grid cell.
 
     The grid is uniform in t = log x from x_lo to x_hi; ``density`` is called
     once per node with a float x, and the mass below and above the grid comes
     from ``integrate_mu_d1``. The cumulative values are joined by a monotone
-    interpolant in log x. ``total_mass`` records the full integral before
-    normalization so callers can assert it is a probability density.
+    interpolant in log x, which ``grid`` (x_lo to x_hi exactly) bounds; the
+    CDF reads 0 below it and 1 above. ``total_mass`` records the full integral
+    before normalization so callers can assert it is a probability density.
     """
 
-    def __init__(self, density, x_lo, x_hi, n_grid=400, spec=None):
-        spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+    def __init__(self, density, x_lo, x_hi, n_grid=400):
         ts = np.linspace(math.log(x_lo), math.log(x_hi), n_grid)
-        head = integrate_mu_d1(density, spec, hi=math.exp(ts[0]))
+        head = integrate_mu_d1(density, _CDF_QUAD, hi=math.exp(ts[0]))
         nodes, half, w = _gauss_legendre(ts)
         vals = np.array([density(math.exp(t)) for t in nodes.flat]).reshape(nodes.shape)
         segs = half * _rule_sums(vals, w, nodes, "QuadratureCdf density")
-        tail = integrate_mu_d1(density, spec, lo=math.exp(ts[-1]))
+        tail = integrate_mu_d1(density, _CDF_QUAD, lo=math.exp(ts[-1]))
         cum = head + np.concatenate([[0.0], np.cumsum(segs)])
         self.total_mass = float(cum[-1] + tail)
         self.grid = np.exp(ts)
-        self._ts = ts
+        self.grid[[0, -1]] = x_lo, x_hi
         self._interp = interpolate.PchipInterpolator(ts, cum / self.total_mass)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        t = np.log(np.clip(x, 1e-300, None))
-        vals = np.where(
-            t <= self._ts[0],
-            0.0,
-            np.where(t >= self._ts[-1], 1.0, self._interp(np.clip(t, self._ts[0], self._ts[-1]))),
-        )
+        # The table holds the head and tail masses, so x_lo and x_hi read it too.
+        inside = self._interp(np.log(np.clip(x, self.grid[0], self.grid[-1])))
+        vals = np.where(x < self.grid[0], 0.0, np.where(x > self.grid[-1], 1.0, inside))
         return np.clip(vals, 0.0, 1.0)
 
 

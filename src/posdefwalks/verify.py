@@ -10,10 +10,11 @@ check is deterministic given (seed, configuration).
 Each report's ``statistic`` is the worst sub-test measure and ``threshold``
 the level it must not exceed: KS distances and moment gaps are expressed as
 ratios to their own critical values (threshold 1.0), quadrature checks as raw
-relative discrepancies (threshold 1e-6).
+relative discrepancies (threshold 1e-6). A scalar functional's sub-tests are
+labelled with its ``matcore`` function's name. The suite itself is the
+registry at the end of the module.
 """
 
-import enum
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -42,59 +43,9 @@ QUAD_RTOL = 1e-6
 MOMENT_SIGMAS = 3.0
 
 
-class FunctionalKind(str, enum.Enum):
-    TRACE = "trace"
-    LOGDET = "logdet"
-    LAMBDA_MAX = "lambda_max"
-    LAMBDA_MIN = "lambda_min"
-    ENTRY = "entry"
-    LINEAR_FORM = "linear_form"
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Scalar projection of a positive definite matrix batch."""
-
-    kind: FunctionalKind
-    i: int = 0
-    j: int = 0
-    v: tuple = ()
-
-    @property
-    def label(self):
-        if self.kind is FunctionalKind.ENTRY:
-            return f"entry[{self.i},{self.j}]"
-        if self.kind is FunctionalKind.LINEAR_FORM:
-            return "linear_form"
-        return self.kind.value
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1]
-        if self.kind is FunctionalKind.TRACE:
-            return matcore.trace(x)
-        if self.kind is FunctionalKind.LOGDET:
-            return matcore.logdet(x)
-        if self.kind is FunctionalKind.LAMBDA_MAX:
-            return matcore.lambda_max(x)
-        if self.kind is FunctionalKind.LAMBDA_MIN:
-            return matcore.lambda_min(x)
-        if self.kind is FunctionalKind.ENTRY:
-            if not (0 <= self.i < d and 0 <= self.j < d):
-                raise DomainError(f"entry ({self.i},{self.j}) outside dim {d}")
-            return x[..., self.i, self.j]
-        if self.kind is FunctionalKind.LINEAR_FORM:
-            v = np.asarray(self.v, dtype=float)
-            if v.shape != (d,):
-                raise DomainError(f"linear form vector must have length {d}")
-            return np.einsum("i,...ij,j->...", v, x, v)
-        raise DomainError(f"unknown functional {self.kind}")
-
-
-TRACE = Functional(FunctionalKind.TRACE)
-LOGDET = Functional(FunctionalKind.LOGDET)
-LAMBDA_MAX = Functional(FunctionalKind.LAMBDA_MAX)
-LAMBDA_MIN = Functional(FunctionalKind.LAMBDA_MIN)
+# Scalar functionals of a matrix batch; sub-test labels are their names.
+TRACE, LOGDET = matcore.trace, matcore.logdet
+LAMBDA_MAX, LAMBDA_MIN = matcore.lambda_max, matcore.lambda_min
 KS_FUNCTIONALS = (TRACE, LOGDET, LAMBDA_MAX)
 
 
@@ -244,7 +195,7 @@ def check_dufresne(p: ModelParams, n_samples, rng, kind=SplitKind.CHOLESKY, seed
     nu = p.beta - p.alpha
     series = walks.dufresne_series(p, rng, size=n_samples, kind=kind)
     direct = matdist.sample_inv_wishart(ModelParams(p.dim, nu, nu), rng, size=n_samples)
-    subs = [_ks2_sub(f.label, f(series), f(direct)) for f in KS_FUNCTIONALS]
+    subs = [_ks2_sub(f.__name__, f(series), f(direct)) for f in KS_FUNCTIONALS]
     if p.dim == 1:
         xs = series[:, 0, 0]
         subs.append(_ks1_sub("trace vs quadrature cdf", xs, _inv_wishart_cdf_d1(nu)))
@@ -254,32 +205,33 @@ def check_dufresne(p: ModelParams, n_samples, rng, kind=SplitKind.CHOLESKY, seed
     return _make_report(f"dufresne_d{p.dim}", subs, n_samples, n_samples, seed)
 
 
-def _fixed_point_subtests(p: ModelParams, burn_in, n_samples, rng, kind, n_chains):
-    p.require_contracting()
+def _fixed_point_subtests(dims, alpha, beta, burn_in, n_samples, rng, kind, n_chains):
     thin = max(1, burn_in // 10)
-    stat = ModelParams(p.dim, p.alpha, p.beta - p.alpha)
-    tag = f"d={p.dim}"
     subs = []
-    chains = {}
-    for prime, label in ((False, "xi"), (True, "xi_prime")):
-        chain = walks.kesten_samples(
-            p, kind, burn_in, thin, n_samples, rng, prime=prime, n_chains=n_chains
-        )
-        chains[label] = chain
-        target = matdist.sample_beta2(stat, rng, size=n_samples)
+    for d in dims:
+        p = ModelParams(d, alpha, beta).require_contracting()
+        stat = ModelParams(d, alpha, beta - alpha)
+        tag = f"d={d}"
+        chains = {}
+        for prime, label in ((False, "xi"), (True, "xi_prime")):
+            chain = walks.kesten_samples(
+                p, kind, burn_in, thin, n_samples, rng, prime=prime, n_chains=n_chains
+            )
+            chains[label] = chain
+            target = matdist.sample_beta2(stat, rng, size=n_samples)
+            for f in (TRACE, LOGDET):
+                subs.append(_ks2_sub(f"{label} {f.__name__} {tag}", f(chain), f(target)))
+        # One-step invariance: the stationary law pushed through the recursion
+        # map must match fresh direct draws.
+        direct = matdist.sample_beta2(stat, rng, size=n_samples)
+        incs = matdist.sample_beta2(p, rng, size=n_samples)
+        pushed = matcore.sym_product(kind, incs, np.eye(d) + direct)
+        fresh = matdist.sample_beta2(stat, rng, size=n_samples)
         for f in (TRACE, LOGDET):
-            subs.append(_ks2_sub(f"{label} {f.label} {tag}", f(chain), f(target)))
-    # One-step invariance: the stationary law pushed through the recursion map
-    # must match fresh direct draws.
-    direct = matdist.sample_beta2(stat, rng, size=n_samples)
-    incs = matdist.sample_beta2(p, rng, size=n_samples)
-    pushed = matcore.sym_product(kind, incs, np.eye(p.dim) + direct)
-    fresh = matdist.sample_beta2(stat, rng, size=n_samples)
-    for f in (TRACE, LOGDET):
-        subs.append(_ks2_sub(f"push {f.label} {tag}", f(pushed), f(fresh)))
-    if p.dim == 1 and p.beta - p.alpha > 2:
-        target_mean = p.alpha / (p.beta - p.alpha - 1.0)
-        subs.append(_moment_sub(f"xi mean {tag}", chains["xi"][:, 0, 0], target_mean))
+            subs.append(_ks2_sub(f"push {f.__name__} {tag}", f(pushed), f(fresh)))
+        if d == 1 and beta - alpha > 2:
+            target_mean = alpha / (beta - alpha - 1.0)
+            subs.append(_moment_sub(f"xi mean {tag}", chains["xi"][:, 0, 0], target_mean))
     return subs
 
 
@@ -287,7 +239,9 @@ def check_fixed_point(
     p: ModelParams, burn_in, n_samples, rng, kind=SplitKind.CHOLESKY, seed=None, n_chains=64
 ):
     """Stationarity of both recursion variants against the direct sampler."""
-    subs = _fixed_point_subtests(p, burn_in, n_samples, rng, kind, n_chains)
+    subs = _fixed_point_subtests(
+        (p.dim,), p.alpha, p.beta, burn_in, n_samples, rng, kind, n_chains
+    )
     return _make_report(f"fixed_point_d{p.dim}", subs, n_samples, n_samples, seed)
 
 
@@ -422,7 +376,7 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
             for f in KS_FUNCTIONALS:
-                subs.append(_ks2_sub(f"{labels[i]} vs {labels[j]} {f.label}", f(finals[i]), f(finals[j])))
+                subs.append(_ks2_sub(f"{labels[i]} vs {labels[j]} {f.__name__}", f(finals[i]), f(finals[j])))
     # Path equality of the two Cholesky constructions on one shared stream.
     m = min(n_samples, 512)
     init = matdist.sample_inv_wishart(p, rng, size=m)
@@ -452,7 +406,7 @@ def check_lukacs(p: ModelParams, n_samples, kind, rng, seed=None):
         for ft in (TRACE, LOGDET):
             corr = float(np.corrcoef(fu(part), ft(total))[0, 1])
             subs.append(
-                SubTest(f"corr[{fu.label}(part), {ft.label}(total)]", abs(corr) / bound, f"corr={corr:+.5f}")
+                SubTest(f"corr[{fu.__name__}(part), {ft.__name__}(total)]", abs(corr) / bound, f"corr={corr:+.5f}")
             )
     extra = f"independence bound 4/sqrt(N)={bound:.5f}"
     if p.dim >= 2 and kind is SplitKind.CHOLESKY:
@@ -489,18 +443,21 @@ def check_beta_gamma(alpha, beta, dims, n_samples, rng, kind=SplitKind.CHOLESKY,
         combo = matcore.sym_product(kind, y, u)
         direct = matdist.sample_wishart(target, rng, size=n_samples)
         for f in (TRACE, LOGDET):
-            subs.append(_ks2_sub(f"sum-split d={d} {f.label}", f(combo), f(direct)))
+            subs.append(_ks2_sub(f"sum-split d={d} {f.__name__}", f(combo), f(direct)))
         v = matdist.sample_inv_wishart(whole, rng, size=n_samples)
         w = matdist.sample_inv_beta1(p, rng, size=n_samples)
         combo_inv = matcore.sym_product(kind, v, w)
         direct_inv = matdist.sample_inv_wishart(target, rng, size=n_samples)
         for f in (TRACE, LOGDET):
-            subs.append(_ks2_sub(f"inverse-split d={d} {f.label}", f(combo_inv), f(direct_inv)))
+            subs.append(_ks2_sub(f"inverse-split d={d} {f.__name__}", f(combo_inv), f(direct_inv)))
     return _make_report("beta_gamma", subs, n_samples, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
-# Suite runner
+# Suite registry: a check is its entry in _RUNNERS plus its configurations.
+# FULL_CONFIG's key order is each check's stream id in ``run_all`` and the
+# CLI; REDUCED_CONFIG's keys are the calibration set, in calibration order.
+# Both are read at call time.
 
 
 FULL_CONFIG = {
@@ -511,6 +468,7 @@ FULL_CONFIG = {
     "fixed_point": dict(dims=(1, 2), alpha=2.5, beta=6.0, burn_in=500, n_samples=2000),
     "construction_equivalence": dict(dim=2, alpha=2.5, beta=6.0, n=5, n_samples=10_000),
     "lukacs": dict(dim=2, alpha=2.0, beta=3.0, n_samples=100_000, kind="cholesky"),
+    "beta_gamma": dict(alpha=2.0, beta=3.0, dims=(1, 2, 3), n_samples=30_000),
 }
 
 REDUCED_CONFIG = {
@@ -523,6 +481,7 @@ REDUCED_CONFIG = {
     "beta_gamma": dict(alpha=2.0, beta=3.0, dims=(1, 2, 3), n_samples=4_000),
 }
 
+# The suite ``all`` runs: FULL_CONFIG's checks but beta_gamma, in its order.
 CHECK_NAMES = (
     "dufresne_d1",
     "dufresne_d2",
@@ -534,78 +493,68 @@ CHECK_NAMES = (
 )
 
 
-def _combined_fixed_point(cfg, rng, seed):
-    subs = []
-    for d in cfg["dims"]:
-        p = ModelParams(d, cfg["alpha"], cfg["beta"])
-        subs.extend(
-            _fixed_point_subtests(
-                p, cfg["burn_in"], cfg["n_samples"], rng, SplitKind.CHOLESKY, n_chains=64
-            )
-        )
-    return _make_report("fixed_point", subs, cfg["n_samples"], cfg["n_samples"], seed)
+def _params(cfg):
+    return ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
+
+
+def _run_dufresne(cfg, rng, seed):
+    return check_dufresne(_params(cfg), cfg["n_samples"], rng, seed=seed)
+
+
+# name -> runner(config, rng, seed) returning the check's TestReport
+_RUNNERS = {
+    "dufresne_d1": _run_dufresne,
+    "dufresne_d2": _run_dufresne,
+    "intertwining_d1": lambda cfg, rng, seed: check_intertwining_d1(
+        _params(cfg), s_grid=cfg["s_grid"], seed=seed
+    ),
+    "my_markov_d1": lambda cfg, rng, seed: check_my_markov_d1(
+        _params(cfg), cfg["n_traces"], rng, h=cfg["h"], seed=seed
+    ),
+    "fixed_point": lambda cfg, rng, seed: _make_report(
+        "fixed_point",
+        _fixed_point_subtests(**cfg, rng=rng, kind=SplitKind.CHOLESKY, n_chains=64),
+        cfg["n_samples"],
+        cfg["n_samples"],
+        seed,
+    ),
+    "construction_equivalence": lambda cfg, rng, seed: check_construction_equivalence(
+        _params(cfg), cfg["n"], cfg["n_samples"], rng, seed=seed
+    ),
+    "lukacs": lambda cfg, rng, seed: check_lukacs(
+        _params(cfg), cfg["n_samples"], cfg["kind"], rng, seed=seed
+    ),
+    "beta_gamma": lambda cfg, rng, seed: check_beta_gamma(
+        cfg["alpha"], cfg["beta"], cfg["dims"], cfg["n_samples"], rng, seed=seed
+    ),
+}
 
 
 def run_check(name, seed, stream_id=0, config=None):
-    """Run one named check with its documented default parameters."""
-    cfg = dict((config or FULL_CONFIG)[name])
-    rng = make_stream(seed, stream_id)
-    if name in ("dufresne_d1", "dufresne_d2"):
-        p = ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
-        report = check_dufresne(p, cfg["n_samples"], rng, seed=seed)
-        report.name = name
-        return report
-    if name == "intertwining_d1":
-        p = ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
-        return check_intertwining_d1(p, s_grid=cfg["s_grid"], seed=seed)
-    if name == "my_markov_d1":
-        p = ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
-        return check_my_markov_d1(p, cfg["n_traces"], rng, h=cfg["h"], seed=seed)
-    if name == "fixed_point":
-        return _combined_fixed_point(cfg, rng, seed)
-    if name == "construction_equivalence":
-        p = ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
-        report = check_construction_equivalence(p, cfg["n"], cfg["n_samples"], rng, seed=seed)
-        report.name = name
-        return report
-    if name == "lukacs":
-        p = ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
-        report = check_lukacs(p, cfg["n_samples"], cfg["kind"], rng, seed=seed)
-        report.name = name
-        return report
-    if name == "beta_gamma":
-        return check_beta_gamma(
-            cfg["alpha"], cfg["beta"], cfg["dims"], cfg["n_samples"], rng, seed=seed
-        )
-    raise DomainError(f"unknown check '{name}'")
+    """Run one named check on stream (seed, stream_id), by default at FULL_CONFIG."""
+    if name not in _RUNNERS:
+        raise DomainError(f"unknown check '{name}'")
+    report = _RUNNERS[name]((config or FULL_CONFIG)[name], make_stream(seed, stream_id), seed)
+    report.name = name
+    return report
 
 
 def run_all(seed):
-    """All seven suite reports with per-check independent streams."""
+    """The CHECK_NAMES reports, each on the stream of its place in FULL_CONFIG."""
     return [run_check(name, seed, stream_id=idx) for idx, name in enumerate(CHECK_NAMES)]
 
 
 def calibration_meta(base_seed, n_reps=100):
-    """Null-distribution pass counts of the Monte Carlo checks at reduced size.
+    """Null-distribution pass counts of the REDUCED_CONFIG checks.
 
     Every repetition reruns each sampling-based check with a fresh stream;
-    the quadrature check is deterministic and excluded. Returns a dict
-    mapping check name to the number of passing repetitions.
+    the quadrature check is deterministic and has no reduced config. Returns
+    a dict mapping check name to the number of passing repetitions.
     """
-    names = [
-        "dufresne_d1",
-        "dufresne_d2",
-        "my_markov_d1",
-        "fixed_point",
-        "construction_equivalence",
-        "lukacs",
-        "beta_gamma",
-    ]
-    counts = dict.fromkeys(names, 0)
+    counts = dict.fromkeys(REDUCED_CONFIG, 0)
     for rep in range(n_reps):
-        for idx, name in enumerate(names):
-            report = run_check(
-                name, base_seed, stream_id=1000 + rep * len(names) + idx, config=REDUCED_CONFIG
-            )
+        for idx, name in enumerate(REDUCED_CONFIG):
+            stream_id = 1000 + rep * len(REDUCED_CONFIG) + idx
+            report = run_check(name, base_seed, stream_id=stream_id, config=REDUCED_CONFIG)
             counts[name] += int(report.passed)
     return counts

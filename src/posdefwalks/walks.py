@@ -74,15 +74,16 @@ def walk_closed(kind, init, increments):
     return matcore.symmetrize(np.swapaxes(v, -1, -2) @ v)
 
 
-def _init_states(cfg: WalkConfig, rng, n_traces):
-    d = cfg.params.dim
-    if isinstance(cfg.init, str):
-        if cfg.init == "identity":
-            base = np.broadcast_to(np.eye(d), (n_traces, d, d)).copy()
-        else:
-            base = matdist.sample_inv_wishart(cfg.params, rng, size=n_traces)
-        return base
-    return np.broadcast_to(cfg.init, (n_traces, d, d)).copy()
+def _init_states(init, p: ModelParams, rng, n):
+    """n start states: "identity", "invwishart" (drawn from rng) or a fixed matrix."""
+    d = p.dim
+    if isinstance(init, str):
+        if init == "identity":
+            return np.broadcast_to(np.eye(d), (n, d, d)).copy()
+        if init == "invwishart":
+            return matdist.sample_inv_wishart(p, rng, size=n)
+        raise DomainError(f"unknown init '{init}'")
+    return np.broadcast_to(matcore.posdef(init, name="init"), (n, d, d)).copy()
 
 
 def _check_overflow(m):
@@ -100,7 +101,7 @@ def simulate_walks(cfg: WalkConfig, rng, n_traces):
     n = cfg.steps
     r = np.empty((n_traces, n + 1, d, d))
     a = np.empty_like(r)
-    r[:, 0] = _init_states(cfg, rng, n_traces)
+    r[:, 0] = _init_states(cfg.init, cfg.params, rng, n_traces)
     a[:, 0] = r[:, 0]
     closed = cfg.construction is Construction.CLOSED
     if closed:
@@ -185,6 +186,9 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     moves run on a batch of independent chains and the collected rounds are
     pooled, which trades a shorter wall clock for the same marginal law.
     """
+    for name, value in (("burn_in", burn_in), ("thin", thin), ("n_chains", n_chains)):
+        if value < 1:
+            raise DomainError(f"kesten_samples needs {name} >= 1, got {value}")
     p.require_sampling()
     d = p.dim
     step = kesten_prime_step if prime else kesten_step
@@ -227,18 +231,9 @@ def dufresne_series(
     if max_terms is None:
         mu1 = digamma(p.alpha) - digamma(p.beta - (d - 1) / 2.0)
         max_terms = 10 * math.ceil(math.log(1.0 / tail_tol) / abs(mu1))
-    if isinstance(init, str):
-        if init == "identity":
-            state0 = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-        elif init == "invwishart":
-            state0 = matdist.sample_inv_wishart(p, rng, size=n)
-        else:
-            raise DomainError(f"unknown init '{init}'")
-    else:
-        state0 = np.broadcast_to(matcore.posdef(init), (n, d, d)).copy()
+    state0 = _init_states(init, p, rng, n)
     v = matcore.split_factor(kind, state0)
     total = state0.copy()
-    term_trace = matcore.trace(state0)
     counts = np.full(n, 0)
     last_ratio = np.full(n, np.inf)
     active = np.arange(n)

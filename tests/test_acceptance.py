@@ -41,7 +41,7 @@ def test_criterion_02_dufresne_matrix_limit():
     direct = matdist.sample_inv_wishart(ModelParams(2, 3.5, 3.5), rng, size=100_000)
     pvals = {}
     for f in KS_FUNCTIONALS:
-        _, pvals[f.label] = ks_two_sample(f(series), f(direct))
+        _, pvals[f.__name__] = ks_two_sample(f(series), f(direct))
     ok = all(v > P_FLOOR for v in pvals.values())
     detail = ", ".join(f"{k} p={v:.3g}" for k, v in pvals.items())
     assert _line(2, ok, detail + " (each needs >1e-3)")

@@ -188,12 +188,16 @@ def test_quadrature_cdf_of_gamma_law():
     cdf = QuadratureCdf(dens, 1e-4, 60.0, n_grid=120)
     assert set(seen) == {float}
     assert abs(cdf.total_mass - 1.0) < 1e-12
-    # Exact at the grid points after the first (where the CDF reads 0); the
-    # monotone interpolant fills in between.
-    xs = cdf.grid[1::7]
+    # Exact at the grid points, x_lo included (the mass below it is in the
+    # table); the monotone interpolant fills in between.
+    xs = cdf.grid[::7]
+    assert xs[0] == 1e-4
     np.testing.assert_allclose(cdf(xs), sps.gammainc(2.0, xs), rtol=1e-10, atol=1e-13)
     mid = np.sqrt(cdf.grid[1:] * cdf.grid[:-1])
     np.testing.assert_allclose(cdf(mid), sps.gammainc(2.0, mid), atol=2e-5)
+    # x_hi reads the table too: the tail mass above it is in the total.
+    short = QuadratureCdf(dens, 1e-4, 8.0, n_grid=120)
+    assert short(8.0) == pytest.approx(sps.gammainc(2.0, 8.0), rel=1e-10)
 
 
 def test_quadrature_cdf_non_finite_density_is_named():

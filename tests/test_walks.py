@@ -268,6 +268,20 @@ def test_kesten_chains_share_stationary_law():
     assert two_sample_ok(matcore.logdet(draws[False]), matcore.logdet(draws[True]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"burn_in": 0}, {"thin": 0}, {"n_chains": 0}, {"thin": -2}],
+    ids=["burn_in=0", "thin=0", "n_chains=0", "thin=-2"],
+)
+def test_kesten_samples_rejects_counts_below_one(bad):
+    # burn_in or thin of 0 used to loop forever, n_chains = 0 to divide by zero.
+    args = {"burn_in": 10, "thin": 1, "n_chains": 4, **bad}
+    with pytest.raises(DomainError, match=next(iter(bad))):
+        kesten_samples(
+            ModelParams(1, 2.5, 6.0), SplitKind.CHOLESKY, n_samples=8, rng=make_stream(0), **args
+        )
+
+
 # --------------------------------------------------------------- Dufresne
 
 
