@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -223,17 +224,14 @@ def cmd_sample(args):
     return 0
 
 
-def _resolve_init(init_text, p, rng):
-    if init_text == "identity":
-        return np.eye(p.dim)
-    if init_text == "invwishart":
-        return matdist.sample_inv_wishart(p, rng)
-    if init_text.startswith("fixed:"):
-        value = float(init_text.partition(":")[2])
-        if value <= 0:
-            raise PosDefWalksError("fixed init must be positive")
-        return value * np.eye(p.dim)
-    raise PosDefWalksError(f"unknown init '{init_text}'")
+def _positive(text, what):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise PosDefWalksError(f"{what} must be a positive number, got '{text}'")
+    return value
 
 
 def cmd_walk(args, parser):
@@ -262,21 +260,18 @@ def cmd_walk(args, parser):
         raise PosDefWalksError("walk needs --alpha and --beta")
     p = ModelParams(eff["d"], eff["alpha"], eff["beta"])
     rng = matdist.make_stream(eff["seed"])
+    init = eff["init"]
+    if init.startswith("fixed:"):
+        init = _positive(init.partition(":")[2], "fixed init") * np.eye(p.dim)
     if eff["increments"] is not None:
-        values = [float(v) for v in eff["increments"].split(",") if v.strip()]
-        if not values or any(v <= 0 for v in values):
+        values = [_positive(v, "increments") for v in eff["increments"].split(",") if v.strip()]
+        if not values:
             raise PosDefWalksError("increments must be positive numbers")
-        init = _resolve_init(eff["init"], p, rng)
         incs = [v * np.eye(p.dim) for v in values]
+        init = walks.init_states(init, p, rng, 1)[0]
         tr = walks.trace_from_increments(SplitKind(eff["kind"]), init, incs)
     else:
-        cfg = walks.WalkConfig(
-            params=p,
-            kind=eff["kind"],
-            construction=eff["construction"],
-            steps=eff["steps"],
-            init=eff["init"] if eff["init"] in ("invwishart", "identity") else _resolve_init(eff["init"], p, rng),
-        )
+        cfg = walks.WalkConfig(p, eff["kind"], eff["construction"], eff["steps"], init)
         tr = walks.simulate_walk(cfg, rng)
     out = _Output(eff["out"])
     if eff["format"] == "json":

@@ -2,8 +2,9 @@
 
 The diagonal estimator averages log squared diagonals of the triangular
 factor of single increments; the spectral estimator tracks eigenvalue growth
-of the accumulated product with periodic rescaling. Both are consistent for
-the same exponents.
+of the accumulated product w(X_n)...w(X_1) of increment factors, drawn by
+:func:`matdist.sample_factor` for either split kind, with a QR rescale every
+RESCALE_EVERY steps. Both are consistent for the same exponents.
 """
 
 import json
@@ -11,9 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import matcore, matdist
+from . import matdist
 from .errors import DomainError, StepOverflow
-from .matcore import SplitKind
 from .special import Law, ModelParams, digamma
 
 RESCALE_EVERY = 16
@@ -76,14 +76,19 @@ def _report(law, p, mu_hat, std_err, n_steps, n_replicas, method, seed):
     )
 
 
+def _check_counts(n_steps, n_replicas):
+    for name, value in (("n_steps", n_steps), ("n_replicas", n_replicas)):
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
+
+
 def empirical_mu_cholesky(law, p: ModelParams, n_steps, n_replicas, rng, seed=None):
     """Average log squared factor diagonals of i.i.d. increments.
 
     Each replica averages n_steps independent draws; the standard error is
     taken across replicas, or across steps when n_replicas is 1.
     """
-    if n_steps < 1:
-        raise DomainError("n_steps must be at least 1")
+    _check_counts(n_steps, n_replicas)
     d = p.dim
     per_rep = np.empty((n_replicas, d))
     step_var = None
@@ -101,34 +106,27 @@ def empirical_mu_cholesky(law, p: ModelParams, n_steps, n_replicas, rng, seed=No
     return _report(law, p, mu_hat, std_err, n_steps, n_replicas, "cholesky", seed)
 
 
-def empirical_mu_eigen(
-    law, p: ModelParams, kind, n_steps, n_replicas, rng, seed=None, rescale_every=RESCALE_EVERY
-):
+def empirical_mu_eigen(law, p: ModelParams, kind, n_steps, n_replicas, rng, seed=None):
     """Eigenvalue growth rates of the accumulated factor product.
 
-    Every rescale_every steps the running factor is renormalised by
-    orthogonalising it against the frame of the previous renormalisation,
-    and the log of each growth channel is accumulated separately.  A single
-    scalar rescale cannot work here: the eigenvalue spread of the product
-    grows like exp(n (mu_1 - mu_d)), which leaves double precision long
-    before desk-scale step counts, while the per-channel logs stay O(n).
+    Every RESCALE_EVERY steps, and after the last, the running factor is
+    renormalised by orthogonalising it against the frame of the previous
+    renormalisation, and the log of each growth channel is accumulated
+    separately.  A single scalar rescale cannot work here: the eigenvalue
+    spread of the product grows like exp(n (mu_1 - mu_d)), which leaves double
+    precision long before desk-scale step counts, while the per-channel logs
+    stay O(n).
     Determinants are preserved exactly, so the accumulated channels sum to
     log det of the product, and at d=1 the estimator reduces to the plain
     average of log increments.
     """
-    if n_steps < 1:
-        raise DomainError("n_steps must be at least 1")
-    kind = SplitKind(kind)
+    _check_counts(n_steps, n_replicas)
     d = p.dim
     v = np.broadcast_to(np.eye(d), (n_replicas, d, d)).copy()
     acc = np.zeros((n_replicas, d))
     for step in range(1, n_steps + 1):
-        if kind is SplitKind.CHOLESKY:
-            fac = matdist.sample_factor(law, p, rng, size=n_replicas)
-        else:
-            fac = matcore.sqrt_factor(matdist.sample(law, p, rng, size=n_replicas))
-        v = fac @ v
-        if step % rescale_every == 0 or step == n_steps:
+        v = matdist.sample_factor(law, p, rng, size=n_replicas, kind=kind) @ v
+        if step % RESCALE_EVERY == 0 or step == n_steps:
             q, t = np.linalg.qr(v)
             growth = np.abs(np.diagonal(t, axis1=-2, axis2=-1))
             if not np.all(np.isfinite(growth)) or np.any(growth <= 0):

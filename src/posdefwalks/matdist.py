@@ -79,13 +79,18 @@ def _triangular_inverse(b):
     return np.triu(np.linalg.inv(b))
 
 
-def sample_factor(law, p: ModelParams, rng, size=None):
-    """Cholesky-type factor U (upper, positive diagonal) with U^T U ~ law.
+def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
+    """Split factor w(X) of a draw X ~ law, so that w(X)^T w(X) = X.
 
+    The Cholesky split gives the upper factor U (positive diagonal) from
+    Bartlett factors, without forming X:
     wishart: U = A with A Bartlett(alpha; 1..d).
     invwishart: U = B^-1 with B Bartlett(beta; d..1), by triangular inversion.
     beta2: U = A B^-1 with A, B independent as above.
+    The square-root split gives the symmetric root of a :func:`sample` draw.
     """
+    if SplitKind(kind) is SplitKind.SQUARE_ROOT:
+        return matcore.sqrt_factor(sample(law, p, rng, size))
     law = Law(law)
     p.require_sampling()
     if law is Law.WISHART:

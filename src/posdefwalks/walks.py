@@ -1,10 +1,11 @@
 """Random walk constructions on the cone, their running sums and functionals.
 
 The walk state R(n) moves by the symmetrised product with an independent
-increment. Two constructions are provided: the recursive one conjugates the
-new increment by the current state, the closed one accumulates one triangular
-factor per increment. They are equal in law for every split kind, and for the
-Cholesky split they coincide path by path.
+beta II increment X(n). The recursive construction conjugates X(n) by the
+current state; the closed one, whose states the Dufresne series sums,
+accumulates the factors w(X(n))...w(X(1)) drawn by matdist.sample_factor.
+They are equal in law for every split kind, and for the Cholesky split they
+coincide path by path.
 """
 
 import math
@@ -32,20 +33,13 @@ class WalkConfig:
     kind: SplitKind = SplitKind.CHOLESKY
     construction: Construction = Construction.RECURSIVE
     steps: int = 0
-    init: object = "invwishart"  # "invwishart" | "identity" | fixed matrix
+    init: object = "invwishart"  # see init_states
 
     def __post_init__(self):
         self.kind = SplitKind(self.kind)
         self.construction = Construction(self.construction)
         if self.steps < 0:
             raise DomainError("steps must be nonnegative")
-        if isinstance(self.init, str):
-            if self.init not in ("invwishart", "identity"):
-                raise DomainError(f"unknown init '{self.init}'")
-            if self.init == "invwishart":
-                self.params.require_sampling()
-        else:
-            self.init = matcore.posdef(self.init, name="init")
 
 
 @dataclass
@@ -74,8 +68,8 @@ def walk_closed(kind, init, increments):
     return matcore.symmetrize(np.swapaxes(v, -1, -2) @ v)
 
 
-def _init_states(init, p: ModelParams, rng, n):
-    """n start states: "identity", "invwishart" (drawn from rng) or a fixed matrix."""
+def init_states(init, p: ModelParams, rng, n):
+    """n start states (n, d, d): "identity", "invwishart" (from rng) or a fixed (d, d) matrix."""
     d = p.dim
     if isinstance(init, str):
         if init == "identity":
@@ -83,12 +77,22 @@ def _init_states(init, p: ModelParams, rng, n):
         if init == "invwishart":
             return matdist.sample_inv_wishart(p, rng, size=n)
         raise DomainError(f"unknown init '{init}'")
-    return np.broadcast_to(matcore.posdef(init, name="init"), (n, d, d)).copy()
+    init = matcore.posdef(init, name="init")
+    if init.shape != (d, d):
+        raise DomainError(f"fixed init has shape {init.shape}, need ({d}, {d}) at d={d}")
+    return np.broadcast_to(init, (n, d, d)).copy()
 
 
 def _check_overflow(m):
     if not np.all(np.isfinite(m)) or np.max(np.abs(m)) > ENTRY_MAX:
         raise StepOverflow("walk state left the representable range")
+
+
+def _walk_trace(r):
+    """WalkTrace of the states r (..., n+1, d, d): running sums and ratios."""
+    a = np.cumsum(r, axis=-3)
+    a_inv = matcore.invert(a)
+    return WalkTrace(r=r, a=a, s=a_inv[..., :-1, :, :] - a_inv[..., 1:, :, :])
 
 
 def simulate_walks(cfg: WalkConfig, rng, n_traces):
@@ -97,39 +101,23 @@ def simulate_walks(cfg: WalkConfig, rng, n_traces):
     Returns a WalkTrace whose arrays have shape (n_traces, steps+1, d, d)
     for r and a, and (n_traces, steps, d, d) for s.
     """
-    d = cfg.params.dim
-    n = cfg.steps
-    r = np.empty((n_traces, n + 1, d, d))
-    a = np.empty_like(r)
-    r[:, 0] = _init_states(cfg.init, cfg.params, rng, n_traces)
-    a[:, 0] = r[:, 0]
+    if n_traces < 1:
+        raise DomainError(f"simulate_walks needs n_traces >= 1, got {n_traces}")
+    p, kind = cfg.params, cfg.kind
+    r = np.empty((n_traces, cfg.steps + 1, p.dim, p.dim))
+    state = r[:, 0] = init_states(cfg.init, p, rng, n_traces)
     closed = cfg.construction is Construction.CLOSED
     if closed:
-        v = matcore.split_factor(cfg.kind, r[:, 0])
-    state = r[:, 0]
-    for k in range(1, n + 1):
-        if cfg.kind is SplitKind.CHOLESKY:
-            # The Bartlett-type factor is the Cholesky factor of the draw.
-            fac = matdist.sample_factor(Law.BETA2, cfg.params, rng, size=n_traces)
-            inc = None
-        else:
-            inc = matdist.sample_beta2(cfg.params, rng, size=n_traces)
-            fac = None
+        v = matcore.split_factor(kind, state)
+    for k in range(1, cfg.steps + 1):
         if closed:
-            if fac is None:
-                fac = matcore.split_factor(cfg.kind, inc)
-            v = fac @ v
+            v = matdist.sample_factor(Law.BETA2, p, rng, size=n_traces, kind=kind) @ v
             state = matcore.symmetrize(np.swapaxes(v, -1, -2) @ v)
         else:
-            if inc is None:
-                inc = matcore.symmetrize(np.swapaxes(fac, -1, -2) @ fac)
-            state = matcore.sym_product(cfg.kind, state, inc)
+            state = matcore.sym_product(kind, state, matdist.sample_beta2(p, rng, size=n_traces))
         _check_overflow(state)
         r[:, k] = state
-        a[:, k] = a[:, k - 1] + state
-    a_inv = matcore.invert(a)
-    s = a_inv[:, :-1] - a_inv[:, 1:]
-    return WalkTrace(r=r, a=a, s=s)
+    return _walk_trace(r)
 
 
 def simulate_walk(cfg: WalkConfig, rng):
@@ -140,22 +128,15 @@ def simulate_walk(cfg: WalkConfig, rng):
 
 def trace_from_increments(kind, init, increments):
     """Single WalkTrace driven by an explicit increment sequence."""
-    init = matcore.posdef(init, name="init")
-    d = init.shape[-1]
-    n = len(increments)
-    r = np.empty((n + 1, d, d))
-    a = np.empty_like(r)
-    r[0] = init
-    a[0] = init
-    state = init
+    state = matcore.posdef(init, name="init")
+    d = state.shape[-1]
+    r = np.empty((len(increments) + 1, d, d))
+    r[0] = state
     for k, x in enumerate(increments, start=1):
         state = matcore.sym_product(kind, state, matcore.posdef(x, name="increment"))
         _check_overflow(state)
         r[k] = state
-        a[k] = a[k - 1] + state
-    a_inv = matcore.invert(a)
-    s = a_inv[:-1] - a_inv[1:]
-    return WalkTrace(r=r, a=a, s=s)
+    return _walk_trace(r)
 
 
 @dataclass
@@ -222,16 +203,20 @@ def dufresne_series(
 
     Terms are the closed-construction walk states, accumulated until the
     trace of the current term drops below tail_tol times the trace of the
-    partial sum. Requires the contracting regime beta - alpha > (d-1)/2.
+    partial sum. Requires the contracting regime beta - alpha > (d-1)/2,
+    0 < tail_tol < 1 and max_terms >= 1.
     """
     p.require_contracting()
-    kind = SplitKind(kind)
+    if not 0 < tail_tol < 1:
+        raise DomainError(f"dufresne_series needs 0 < tail_tol < 1, got {tail_tol}")
     n = 1 if size is None else int(size)
     d = p.dim
     if max_terms is None:
         mu1 = digamma(p.alpha) - digamma(p.beta - (d - 1) / 2.0)
         max_terms = 10 * math.ceil(math.log(1.0 / tail_tol) / abs(mu1))
-    state0 = _init_states(init, p, rng, n)
+    if max_terms < 1:
+        raise DomainError(f"dufresne_series needs max_terms >= 1, got {max_terms}")
+    state0 = init_states(init, p, rng, n)
     v = matcore.split_factor(kind, state0)
     total = state0.copy()
     counts = np.full(n, 0)
@@ -240,11 +225,7 @@ def dufresne_series(
     for term_idx in range(1, max_terms + 1):
         if active.size == 0:
             break
-        if kind is SplitKind.CHOLESKY:
-            fac = matdist.sample_factor(Law.BETA2, p, rng, size=active.size)
-        else:
-            fac = matcore.split_factor(kind, matdist.sample_beta2(p, rng, size=active.size))
-        v_act = fac @ v[active]
+        v_act = matdist.sample_factor(Law.BETA2, p, rng, size=active.size, kind=kind) @ v[active]
         v[active] = v_act
         term = np.swapaxes(v_act, -1, -2) @ v_act
         total[active] += term

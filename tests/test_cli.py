@@ -203,6 +203,47 @@ def test_lyapunov_missing_parameter_exits_3(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+# -------------------------------------------------------------- bad values
+
+_WALK_ARGS = ["walk", "--d", "1", "--alpha", "2", "--beta", "5"]
+_DUFRESNE_ARGS = ["dufresne", "--d", "1", "--alpha", "2", "--beta", "5", "--n", "5"]
+_LYAPUNOV_ARGS = ["lyapunov", "--d", "1", "--alpha", "2", "--beta", "5", "--steps", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (_WALK_ARGS + ["--steps", "2", "--init", "fixed:abc"], "fixed init"),
+        (_WALK_ARGS + ["--steps", "2", "--init", "fixed:nan"], "fixed init"),
+        (_WALK_ARGS + ["--increments", "2,abc"], "increments"),
+        (_DUFRESNE_ARGS + ["--tail-tol", "0"], "0 < tail_tol < 1"),
+        (_DUFRESNE_ARGS + ["--tail-tol", "-1"], "0 < tail_tol < 1"),
+        (_DUFRESNE_ARGS + ["--tail-tol", "1"], "0 < tail_tol < 1"),
+        (_DUFRESNE_ARGS + ["--max-terms", "0"], "max_terms >= 1"),
+        (_LYAPUNOV_ARGS + ["--method", "cholesky", "--replicas", "0"], "n_replicas"),
+        (_LYAPUNOV_ARGS + ["--method", "eigen", "--replicas", "0"], "n_replicas"),
+    ],
+    ids=[
+        "fixed:abc",
+        "fixed:nan",
+        "increments-abc",
+        "tail-tol=0",
+        "tail-tol=-1",
+        "tail-tol=1",
+        "max-terms=0",
+        "cholesky-replicas=0",
+        "eigen-replicas=0",
+    ],
+)
+def test_bad_value_exits_3_naming_it(argv, expected, capsys):
+    # These used to exit 1 with a traceback, or (eigen, 0 replicas) print NaN and exit 0.
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:")
+    assert expected in err
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -1,0 +1,217 @@
+"""Golden SHA-256 digests of the walk layer's outputs and of CLI runs.
+
+Each case below hashes the raw bytes (shape, dtype and values) of what one
+library call returns, or the stdout of one CLI run. A refactor that moves a
+single draw or changes one rounding step changes a digest; running the same
+code twice in one process cannot catch that. When an output is meant to
+change, say which and why, and print the new table with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from posdefwalks import lyapunov, walks
+from posdefwalks.cli import main
+from posdefwalks.matcore import SplitKind
+from posdefwalks.matdist import make_stream, sample_beta2
+from posdefwalks.special import Law, ModelParams
+from posdefwalks.walks import Construction, WalkConfig
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.shape}{a.dtype.str}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _fixed(d):
+    return np.eye(d) + 0.25 * np.ones((d, d))
+
+
+def _walks(cons, kind, init, d):
+    init = _fixed(d) if init == "fixed" else init
+    cfg = WalkConfig(ModelParams(d, 2.0, 5.0), kind=kind, construction=cons, steps=4, init=init)
+    tr = walks.simulate_walks(cfg, make_stream(10, 100 * d), 3)
+    return _digest(tr.r, tr.a, tr.s)
+
+
+def _increments():
+    return list(sample_beta2(ModelParams(2, 2.0, 5.0), make_stream(11), size=5))
+
+
+def _trace(kind):
+    tr = walks.trace_from_increments(kind, _fixed(2), _increments())
+    return _digest(tr.r, tr.a, tr.s)
+
+
+def _closed(kind):
+    return _digest(walks.walk_closed(kind, _fixed(2), _increments()))
+
+
+def _dufresne(kind, d, init):
+    init = _fixed(d) if init == "fixed" else init
+    out, counts = walks.dufresne_series(
+        ModelParams(d, 2.0, 5.0), make_stream(12, d), size=6, kind=kind, tail_tol=1e-6,
+        init=init, return_counts=True,
+    )
+    return _digest(out, counts)
+
+
+def _eigen(law, kind):
+    rep = lyapunov.empirical_mu_eigen(law, ModelParams(2, 2.0, 5.0), kind, 40, 5, make_stream(13))
+    return _digest(rep.mu_hat, rep.std_err)
+
+
+def _cholesky(law):
+    rep = lyapunov.empirical_mu_cholesky(law, ModelParams(2, 2.0, 5.0), 30, 3, make_stream(14))
+    return _digest(rep.mu_hat, rep.std_err)
+
+
+def _kesten(kind, prime):
+    out = walks.kesten_samples(
+        ModelParams(2, 2.0, 5.0), kind, 5, 2, 10, make_stream(15), prime=prime, n_chains=4
+    )
+    return _digest(out)
+
+
+def _cli(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+_WALK = ("walk", "--d", "2", "--alpha", "2", "--beta", "5", "--seed", "3")
+
+CASES = {}
+for _cons in Construction:
+    for _kind in SplitKind:
+        for _init in ("identity", "invwishart", "fixed"):
+            for _d in (1, 2, 3):
+                CASES[f"walks-{_cons.value}-{_kind.value}-{_init}-d{_d}"] = (
+                    _walks, _cons, _kind, _init, _d,
+                )
+for _kind in SplitKind:
+    CASES[f"trace-{_kind.value}"] = (_trace, _kind)
+    CASES[f"closed-{_kind.value}"] = (_closed, _kind)
+    for _d in (1, 2):
+        CASES[f"dufresne-{_kind.value}-d{_d}"] = (_dufresne, _kind, _d, "invwishart")
+    CASES[f"dufresne-{_kind.value}-identity"] = (_dufresne, _kind, 2, "identity")
+    CASES[f"dufresne-{_kind.value}-fixed"] = (_dufresne, _kind, 2, "fixed")
+    for _law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
+        CASES[f"eigen-{_law.value}-{_kind.value}"] = (_eigen, _law, _kind)
+    for _prime in (False, True):
+        CASES[f"kesten-{_kind.value}-prime{int(_prime)}"] = (_kesten, _kind, _prime)
+for _law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
+    CASES[f"cholesky-{_law.value}"] = (_cholesky, _law)
+for _init in ("invwishart", "identity", "fixed:2"):
+    CASES[f"cli-walk-steps-{_init}"] = (_cli, *_WALK, "--steps", "3", "--init", _init)
+    CASES[f"cli-walk-increments-{_init}"] = (_cli, *_WALK, "--increments", "2,3", "--init", _init)
+CASES["cli-dufresne"] = (
+    _cli, "dufresne", "--d", "2", "--alpha", "2", "--beta", "5", "--n", "5", "--tail-tol", "1e-6",
+    "--seed", "4",
+)
+CASES["cli-lyapunov-sqrt"] = (
+    _cli, "lyapunov", "--d", "2", "--alpha", "2", "--beta", "5", "--steps", "40",
+    "--replicas", "5", "--kind", "sqrt", "--seed", "5",
+)
+
+
+def _compute(name):
+    fn, *args = CASES[name]
+    return fn(*args)
+
+
+GOLDEN = {
+    'walks-recursive-sqrt-identity-d1': 'e80b5925fc0985a90e1abbf715fdbe1488db3bd455fb647fbc8fb6e021c828fd',
+    'walks-recursive-sqrt-identity-d2': '74ea1c46ba102ed6da2bc147762f40381d037c6624ba9b4996c8344ea81cd1c6',
+    'walks-recursive-sqrt-identity-d3': '6659dc50cc33e502d4c0699ab7d9bd3a0885f235b9f7284f25287ec41be939ab',
+    'walks-recursive-sqrt-invwishart-d1': '42cad3ec35286451d88f54f002bbc7ce5ea6d9f0e74ed504ecff19811c1d72d1',
+    'walks-recursive-sqrt-invwishart-d2': 'f074df192d78df7175c04c5e0836859869d4fa682f215814f8d0cbfb422a8ff4',
+    'walks-recursive-sqrt-invwishart-d3': '2ebfafd3ecb97b67fb3622b64d02e02bca7880574b6ebe35dcec312142935d9d',
+    'walks-recursive-sqrt-fixed-d1': '837db29c5ca13f2e17ddad0be0c4fcceda0f233987b5d1d3317026603ee8aabe',
+    'walks-recursive-sqrt-fixed-d2': '776dd62acfb721974d03c9ad65290ddd5bbed6659b637d79f418643af3920ef8',
+    'walks-recursive-sqrt-fixed-d3': '6e04d23796205d88028c8942da469ee47f508a5c502c2c8c25575156a5faf351',
+    'walks-recursive-cholesky-identity-d1': 'e80b5925fc0985a90e1abbf715fdbe1488db3bd455fb647fbc8fb6e021c828fd',
+    'walks-recursive-cholesky-identity-d2': '76b5367c074c21bf3002c23220a8bb1d690145226e55a67b573ef5675d4f5c8f',
+    'walks-recursive-cholesky-identity-d3': '18daef30e3abe31908d83a268591ff08bfd43270ed702a709ef47c8afbad2846',
+    'walks-recursive-cholesky-invwishart-d1': '42cad3ec35286451d88f54f002bbc7ce5ea6d9f0e74ed504ecff19811c1d72d1',
+    'walks-recursive-cholesky-invwishart-d2': 'f0460a6f3ad969f14161c64d5847141396289251e5ee7ee1faa6d88c534feea2',
+    'walks-recursive-cholesky-invwishart-d3': 'fac8c836ba2069431593b026d580e10b7423cdb4ac52a9deb8772f4354cf7d1e',
+    'walks-recursive-cholesky-fixed-d1': '837db29c5ca13f2e17ddad0be0c4fcceda0f233987b5d1d3317026603ee8aabe',
+    'walks-recursive-cholesky-fixed-d2': '0d8f4919f8505cb943762cd282ff0a8c73acd0896d6a4ab8d53ba49e401998dd',
+    'walks-recursive-cholesky-fixed-d3': 'c13a640bff2d5ddb3e2ce639bdbbc9aac1e593f25b2e01a37193c1b378022897',
+    'walks-closed-sqrt-identity-d1': 'e022350761f3a5921e54532bf02943e71e4d9f3ef0ac8c000774da7f2cf464d0',
+    'walks-closed-sqrt-identity-d2': '1e07d893223538530d89a55653410cfbc918ea9a756231944499148132a6354d',
+    'walks-closed-sqrt-identity-d3': '139b8c790381b9b0555afaefd37999e4a046ab5415fee260a515a8e3a4da61a9',
+    'walks-closed-sqrt-invwishart-d1': 'c4fdab1b4ff90ae5954719a4e89303c87e0959e3134853a612bcf42b698a30c1',
+    'walks-closed-sqrt-invwishart-d2': '8000de001e7ba6f204cccbb12ec0ad137401949c5b813d370985a0a866748fb2',
+    'walks-closed-sqrt-invwishart-d3': '4c4447a7d1bf8780b4dcff65bbef716ab83ce5607e86d4c08123cc8b670e374c',
+    'walks-closed-sqrt-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
+    'walks-closed-sqrt-fixed-d2': 'abbb4c21b5ea4a1caf4ad50ebc98aea0eacd62d392ec2c662959e3e35d5d18f3',
+    'walks-closed-sqrt-fixed-d3': '51dac51667877ae62b2a96b1a476390c78e45170b9950852710da101dcc92309',
+    'walks-closed-cholesky-identity-d1': 'e022350761f3a5921e54532bf02943e71e4d9f3ef0ac8c000774da7f2cf464d0',
+    'walks-closed-cholesky-identity-d2': '0f5cda5eda6ef8d24609a7b8838bf918250f51b1c88f981b4e0a35aa0acad2b9',
+    'walks-closed-cholesky-identity-d3': '111ec00bb982de091ebad718e4bddc17bcfe45030da7a5b9ce372917dcd6bc84',
+    'walks-closed-cholesky-invwishart-d1': 'c4fdab1b4ff90ae5954719a4e89303c87e0959e3134853a612bcf42b698a30c1',
+    'walks-closed-cholesky-invwishart-d2': '519addeccdd12d1792f153c799b67ff7a7c06dc1643ef9f42f6b31e7915c7522',
+    'walks-closed-cholesky-invwishart-d3': 'e721b2d4c85d63c193575cda075bf65e186d844f62ed2fb105f3dbbdf676d61e',
+    'walks-closed-cholesky-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
+    'walks-closed-cholesky-fixed-d2': '3881756624a003b232532079abdfc094c068bcc59fb98dad6f22fa102ec11d82',
+    'walks-closed-cholesky-fixed-d3': '07cde24f40e6dd6d90da435ff41120e9223cd8921e0c14ca4657296942774894',
+    'trace-sqrt': '4f469334d0d75a911f820aa925115536d9f4f70e4ef7b9f9bbab5359f074983b',
+    'closed-sqrt': 'bc35ddcaaf401282b4e74424bdbd081943f49900a70d27bc05be949d3c0c31dc',
+    'dufresne-sqrt-d1': '0bfd711fac0f25a019ad235a3ef967b0109358edc6ebdfdd4cf482ee870efee2',
+    'dufresne-sqrt-d2': 'afde91957f0f6c4fb368dad92dfd983a089ac57fd9ac4e8f6b67afd6b1338555',
+    'dufresne-sqrt-identity': 'b3f47ba7d2493b994a2d7bc348fecef943833a17fa948e677d89e1298fa1fcba',
+    'dufresne-sqrt-fixed': '163755bdfb01667e885f57a49b373a4f7ab5da0107b47f41ea3cfd76f4a612a6',
+    'eigen-wishart-sqrt': '64c3fba26b3f84ae59a25af71d0ac465bda899f37e9e54e7b4c5da2a02c482fb',
+    'eigen-invwishart-sqrt': '52d7c66affdc836e03baf659f99d0af3ce181c0c33747962c94d1013673a0169',
+    'eigen-beta2-sqrt': '7345d2f7a33bdfcc3c83f0fc2d3b2905c303a51a381c9c7b97b196f418354227',
+    'kesten-sqrt-prime0': '3d033d235a90772bc09d236ee60c77d864ac0ac306bcdf19d23b63b38c6166d3',
+    'kesten-sqrt-prime1': '8d69a7160a9c1b621535b2001e09543a00813a5aa9a38946c383a7f7295b0c4b',
+    'trace-cholesky': 'e3b5c8e1ed5e8a28a6835cbdaf6c6ce69ab565d5e20b7889b47bb9d9aeb242b0',
+    'closed-cholesky': '751d6e54c03cef9ff92140b04b42ea37647b84d204a8c752ea9da27250676778',
+    'dufresne-cholesky-d1': '0bfd711fac0f25a019ad235a3ef967b0109358edc6ebdfdd4cf482ee870efee2',
+    'dufresne-cholesky-d2': 'd6cd3aedd29bafab553dd5d70306f8d3d4d912fb1e3f34c622ba5d01a9cfb5a9',
+    'dufresne-cholesky-identity': '695189d2e108883874451d0e00eb53d02894cf9207a3c6ae187bf7eef39767d5',
+    'dufresne-cholesky-fixed': '936495888ae59fa0c1b8ed8e46c6222e0499988b298d1e6b124a2a29a615b7ec',
+    'eigen-wishart-cholesky': 'f67eabf3d924c183650eed437aaa36e288b64f184b62c79c830357b6e65154b3',
+    'eigen-invwishart-cholesky': '78d106a3f8051583d96ff6f83fba12dfb6c5884174da229ec844fb71ac729938',
+    'eigen-beta2-cholesky': 'c74c0a00ce997baefa39378e7e3e0548d831165503b811fae604938dc242c1ae',
+    'kesten-cholesky-prime0': '1aced32b88bf2072cc7af47754aca31ee12cb58e308ee290bba126462f6906db',
+    'kesten-cholesky-prime1': 'fceb1b4becb4b129a228fb63891e516a442954c0b4c63edfbc2d019fa64acc62',
+    'cholesky-wishart': 'fdf2cc09e24e05dc78f12b517d5c5257aded43ce4a9368380d28bb3119de6c2a',
+    'cholesky-invwishart': '411f1122470dcba54d4c2d592c23a57789ce7d4694e88a122f3fb3eadd5ee4f0',
+    'cholesky-beta2': '5bba0827364c4b7d156eb61e7d25b7229d0c69ac05ddebe5f7c373b4f03d3300',
+    'cli-walk-steps-invwishart': 'df89e54f40bbe190e75570d2639e1c6cbeab7031976acb2941e1197be12fdd9b',
+    'cli-walk-increments-invwishart': '3a3a6adfa7af2b6573cb37eb38199b3e05fbea60f435957daef13fc74abf936a',
+    'cli-walk-steps-identity': '09927e4a94d316a447734999f8872b381ec211017d5a582cafcd95eece3f5575',
+    'cli-walk-increments-identity': '737e4568b08ae7498b351fdda9910617881455b9f63d5ae30146210e345bd8ca',
+    'cli-walk-steps-fixed:2': 'a28e54dbc2597ff275eb388a58c75278d820aa9b6812595371c12a0ab66bb174',
+    'cli-walk-increments-fixed:2': 'f4ac54bdf5d18897e12ccbc232eba2bf1d360397b5c95b36a7503b9c388d8f6a',
+    'cli-dufresne': '72fbce2d9193c48a58014ae48de2facc1bf63d43c05202c0ced90e0b10227072',
+    'cli-lyapunov-sqrt': '8f0ca6f7cebc7c6aeaeadc3349fe06935e0e752abe931ef38f2568fbaac4be0d',
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_digest(name):
+    assert _compute(name) == GOLDEN[name]
+
+
+def test_golden_table_covers_every_case():
+    assert set(GOLDEN) == set(CASES)
+
+
+if __name__ == "__main__":
+    for _name in CASES:
+        print(f"    {_name!r}: {_compute(_name)!r},")

@@ -164,6 +164,18 @@ def test_eigen_estimator_rejects_zero_steps():
         )
 
 
+@pytest.mark.parametrize("n_replicas", [0, -1])
+@pytest.mark.parametrize("method", ["cholesky", "eigen"])
+def test_estimators_reject_replicas_below_one(method, n_replicas):
+    # 0 replicas used to give mu_hat NaN (eigen) or a TypeError (cholesky).
+    p = ModelParams(1, 3.0, 6.0)
+    with pytest.raises(DomainError, match="n_replicas"):
+        if method == "cholesky":
+            empirical_mu_cholesky(Law.BETA2, p, 10, n_replicas, make_stream(611))
+        else:
+            empirical_mu_eigen(Law.BETA2, p, SplitKind.CHOLESKY, 10, n_replicas, make_stream(611))
+
+
 def test_eigen_estimator_single_replica_flags_unknown_error():
     rep = empirical_mu_eigen(
         Law.BETA2, ModelParams(1, 3.0, 6.0), SplitKind.CHOLESKY, 64, 1, make_stream(611)

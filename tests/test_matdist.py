@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from posdefwalks import matcore, matdist
@@ -14,6 +15,7 @@ from posdefwalks.matdist import (
     sample_bartlett,
     sample_beta1,
     sample_beta2,
+    sample_factor,
     sample_inv_beta1,
     sample_inv_wishart,
     sample_wishart,
@@ -66,6 +68,18 @@ def test_bartlett_reverse_permutation_law():
     flipped = np.swapaxes(omega @ u_fwd @ omega, -1, -2)
     for k in range(d):
         assert two_sample_ok(flipped[:, k, k], u_rev[:, k, k]), k
+
+
+@pytest.mark.parametrize("law", [Law.WISHART, Law.INV_WISHART, Law.BETA2])
+def test_sample_factor_splits_the_draw_of_the_same_stream(law):
+    p = ModelParams(3, 2.5, 6.0)
+    x = sample(law, p, make_stream(31), size=50)
+    u = sample_factor(law, p, make_stream(31), size=50)
+    assert np.all(np.tril(u, k=-1) == 0.0)
+    np.testing.assert_array_equal(matcore.symmetrize(np.swapaxes(u, -1, -2) @ u), x)
+    w = sample_factor(law, p, make_stream(31), size=50, kind=SplitKind.SQUARE_ROOT)
+    np.testing.assert_array_equal(w, matcore.sqrt_factor(x))
+    np.testing.assert_allclose(w @ w, x, rtol=1e-10, atol=1e-12)
 
 
 def test_wishart_d1_is_gamma():

@@ -282,6 +282,27 @@ def test_kesten_samples_rejects_counts_below_one(bad):
         )
 
 
+@pytest.mark.parametrize(
+    "init, d", [(np.eye(3), 2), ([[2.0]], 2), (np.eye(2), 1)], ids=["3x3-d2", "1x1-d2", "2x2-d1"]
+)
+@pytest.mark.parametrize("run", ["simulate_walks", "dufresne_series"])
+def test_fixed_init_of_wrong_shape_rejected(run, init, d):
+    # Used to fail in numpy broadcasting or, for 1x1 at d=2, on a singular broadcast start.
+    p = ModelParams(d, 2.0, 5.0)
+    with pytest.raises(DomainError, match=rf"shape .* d={d}"):
+        if run == "simulate_walks":
+            simulate_walks(WalkConfig(params=p, steps=2, init=init), make_stream(0), 3)
+        else:
+            dufresne_series(p, make_stream(0), size=3, init=init)
+
+
+@pytest.mark.parametrize("n_traces", [0, -1])
+def test_simulate_walks_rejects_n_traces_below_one(n_traces):
+    cfg = WalkConfig(params=ModelParams(2, 2.0, 5.0), steps=2)
+    with pytest.raises(DomainError, match="n_traces"):
+        simulate_walks(cfg, make_stream(0), n_traces)
+
+
 # --------------------------------------------------------------- Dufresne
 
 
@@ -324,6 +345,24 @@ def test_dufresne_truncation_failure_reports_ratio():
     p = ModelParams(1, 2.0, 5.0)
     with pytest.raises(TruncationFailure, match="trace ratio"):
         dufresne_series(p, make_stream(505), size=50, tail_tol=1e-10, max_terms=2)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"tail_tol": 0.0},
+        {"tail_tol": -1.0},
+        {"tail_tol": 1.0},
+        {"tail_tol": np.nan},
+        {"max_terms": 0},
+    ],
+    ids=["tail_tol=0", "tail_tol=-1", "tail_tol=1", "tail_tol=nan", "max_terms=0"],
+)
+def test_dufresne_rejects_bad_truncation_settings(bad):
+    # tail_tol 0 divided by zero, -1 hit a math domain error, and tail_tol 1 or
+    # max_terms 0 reported a series "unfinished after 0 terms".
+    with pytest.raises(DomainError, match=next(iter(bad))):
+        dufresne_series(ModelParams(1, 2.0, 5.0), make_stream(0), size=4, **bad)
 
 
 def test_dufresne_returns_posdef():
