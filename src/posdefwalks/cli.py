@@ -2,10 +2,16 @@
 
 Every run is seeded and echoes its full effective configuration (including
 defaults) in the output header, so outputs are reproducible byte for byte.
+Each option's default, type and choices are declared once, in the parser.
+A ``--config`` file of ``key=value`` lines is read as the long options
+``--key=value`` placed right after the subcommand, so the parser checks its
+values like flags and flags given on the command line override it; the
+seed's default comes from ``POSDEFWALKS_SEED`` when that is set.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,38 +26,34 @@ from .special import Law, ModelParams
 
 SEED_ENV = "POSDEFWALKS_SEED"
 
-_CASTS = {
-    "seed": int,
-    "threads": str,
-    "out": str,
-    "format": str,
-    "dist": str,
-    "d": int,
-    "alpha": float,
-    "beta": float,
-    "n": int,
-    "full": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "steps": int,
-    "init": str,
-    "increments": str,
-    "kind": str,
-    "construction": str,
-    "tail_tol": float,
-    "max_terms": int,
-    "replicas": int,
-    "method": str,
-}
+# Namespace entries that steer the run but are not echoed in its header.
+_NOT_ECHOED = ("command", "run", "config", "out")
 
 # CSV columns, named after the functions.
 _SCALAR_FUNCTIONALS = (matcore.trace, matcore.logdet, matcore.lambda_min, matcore.lambda_max)
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None, help="flat key=value file; flags override")
-    sub.add_argument("--threads", default=None, help="worker count or 'auto' (echoed only)")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
+def _add_common(sub, fmt):
+    sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"))
+    sub.add_argument("--config", help="flat key=value file of long options; flags override")
+    sub.add_argument("--threads", default="auto", help="worker count or 'auto' (echoed only)")
+    sub.add_argument("--out", help="output path (default stdout)")
+    sub.add_argument("--format", choices=("json", "csv"), default=fmt)
+
+
+def _add_params(sub):
+    sub.add_argument("--d", type=int, default=1)
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--beta", type=float)
+
+
+class _CheckNames(argparse.Action):
+    """The check names as given, or every check of the suite for a lone 'all'."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if "all" in values and values != ["all"]:
+            parser.error("'all' takes no other check names")
+        setattr(namespace, self.dest, list(verify.CHECK_NAMES) if values == ["all"] else values)
 
 
 def _parser():
@@ -62,113 +64,119 @@ def _parser():
     )
     parser.add_argument("--version", action="version", version=f"posdefwalks {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    kind = {"choices": [k.value for k in SplitKind], "default": SplitKind.CHOLESKY.value}
 
     p = subs.add_parser("sample", help="draw from one of the matrix laws")
-    p.add_argument("--dist", choices=[law.value for law in Law], default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--full", action="store_true", default=None, help="include matrix entries")
-    _add_common(p)
+    p.add_argument("--dist", choices=[law.value for law in Law], default=Law.WISHART.value)
+    _add_params(p)
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--full", action="store_true", help="include matrix entries")
+    _add_common(p, "csv")
+    p.set_defaults(run=cmd_sample)
 
     p = subs.add_parser("walk", help="simulate one walk trace")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--init", default=None, help="invwishart | identity | fixed:<v>")
-    p.add_argument("--increments", default=None, help="comma-separated fixed increments")
-    p.add_argument("--kind", choices=[k.value for k in SplitKind], default=None)
+    _add_params(p)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--steps", type=int)
+    p.add_argument("--init", default="invwishart", help="invwishart | identity | fixed:<v>")
+    mode.add_argument("--increments", help="comma-separated fixed increments")
+    p.add_argument("--kind", **kind)
     p.add_argument(
-        "--construction", choices=[c.value for c in walks.Construction], default=None
+        "--construction",
+        choices=[c.value for c in walks.Construction],
+        default=walks.Construction.RECURSIVE.value,
     )
-    _add_common(p)
+    _add_common(p, "csv")
+    p.set_defaults(run=cmd_walk)
 
     p = subs.add_parser("dufresne", help="sample the truncated series limit")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
-    p.add_argument("--max-terms", dest="max_terms", type=int, default=None)
-    p.add_argument("--kind", choices=[k.value for k in SplitKind], default=None)
-    _add_common(p)
+    _add_params(p)
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--tail-tol", type=float, default=1e-10)
+    p.add_argument("--max-terms", type=int)
+    p.add_argument("--kind", **kind)
+    _add_common(p, "csv")
+    p.set_defaults(run=cmd_dufresne)
 
     p = subs.add_parser("lyapunov", help="estimate Lyapunov exponents")
-    p.add_argument("--dist", choices=("wishart", "invwishart", "beta2"), default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--method", choices=("cholesky", "eigen"), default=None)
-    p.add_argument("--kind", choices=[k.value for k in SplitKind], default=None)
-    _add_common(p)
+    p.add_argument("--dist", choices=("wishart", "invwishart", "beta2"), default="beta2")
+    _add_params(p)
+    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--replicas", type=int, default=200)
+    p.add_argument("--method", choices=("cholesky", "eigen"), default="eigen")
+    p.add_argument("--kind", **kind)
+    _add_common(p, "json")
+    p.set_defaults(run=cmd_lyapunov)
 
     p = subs.add_parser("verify", help="run verification checks")
-    p.add_argument("checks", nargs="+", help="check names or 'all'")
-    _add_common(p)
+    _add_common(p, "json")
+    # After the common options, so the header echoes the checks after the format.
+    p.add_argument(
+        "checks", nargs="+", choices=("all", *verify.FULL_CONFIG), action=_CheckNames,
+        metavar="check", help="check names, or 'all' for the suite",
+    )
+    p.set_defaults(run=cmd_verify)
     return parser
 
 
-def _read_config(path):
-    cfg = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise PosDefWalksError(f"bad config line: {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
+def _config_flags(path):
+    """The lines of a flat key=value file as long options; ``full=1|true|yes`` is ``--full``."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise PosDefWalksError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise PosDefWalksError(f"config file {path} is not text: {exc.reason}") from exc
+    flags = []
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PosDefWalksError(f"bad config line: {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("_", "-"), value.strip()
+        if key != "full":
+            flags.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append("--full")
+    return flags
 
 
-def _effective(args, defaults):
-    """Merge flags > config file > environment seed > defaults."""
-    cfg = _read_config(args.config) if args.config else {}
-    out = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None and key in cfg:
-            value = _CASTS.get(key, str)(cfg[key])
-        if value is None and key == "seed" and SEED_ENV in os.environ:
-            value = int(os.environ[SEED_ENV])
-        if value is None:
-            value = default
-        out[key] = value
-    return out
+def _with_config(argv):
+    """``argv`` with the ``--config`` file's options inserted after the subcommand."""
+    pre = argparse.ArgumentParser(prog="posdefwalks", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    at = next((i + 1 for i, a in enumerate(argv) if not a.startswith("-")), len(argv))
+    return argv[:at] + _config_flags(path) + argv[at:]
 
 
-class _Output:
-    def __init__(self, path):
-        self._fh = open(path, "w") if path else sys.stdout
-        self._close = bool(path)
-
-    def line(self, text):
-        self._fh.write(text + "\n")
-
-    def done(self):
-        if self._close:
-            self._fh.close()
-        else:
-            self._fh.flush()
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path``, closed however the block ends, or stdout."""
+    if path:
+        with open(path, "w") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+        sys.stdout.flush()
 
 
-def _meta(command, eff):
-    meta = {"version": __version__, "command": command}
-    meta.update({k: v for k, v in eff.items() if k != "out"})
+def _meta(args):
+    meta = {"version": __version__, "command": args.command}
+    meta.update({k: v for k, v in vars(args).items() if k not in _NOT_ECHOED})
     return meta
 
 
-def _csv_header(out, command, eff):
-    out.line(f"# posdefwalks={__version__}")
-    out.line(f"# command={command}")
-    for key, value in eff.items():
-        if key != "out":
-            out.line(f"# {key}={value}")
+def _csv_header(fh, args):
+    print(f"# posdefwalks={__version__}", file=fh)
+    for key, value in _meta(args).items():
+        if key != "version":
+            print(f"# {key}={value}", file=fh)
 
 
 def _functional_row(m):
@@ -180,47 +188,31 @@ def _matrix_entries(m):
 
 
 def cmd_sample(args):
-    eff = _effective(
-        args,
-        {
-            "dist": "wishart",
-            "d": 1,
-            "alpha": None,
-            "beta": None,
-            "n": 100,
-            "full": False,
-            "seed": 0,
-            "threads": "auto",
-            "format": "csv",
-            "out": args.out,
-        },
-    )
-    if eff["alpha"] is None and eff["beta"] is None:
+    if args.alpha is None and args.beta is None:
         raise PosDefWalksError("sample needs --alpha and/or --beta")
-    if eff["alpha"] is None:
-        eff["alpha"] = eff["beta"]
-    if eff["beta"] is None:
-        eff["beta"] = eff["alpha"]
-    p = ModelParams(eff["d"], eff["alpha"], eff["beta"]).require_sampling()
-    rng = matdist.make_stream(eff["seed"])
-    draws = matdist.sample(eff["dist"], p, rng, size=eff["n"])
-    out = _Output(eff["out"])
-    if eff["format"] == "json":
-        payload = {"meta": _meta("sample", eff), "samples": np.asarray(draws).tolist()}
-        out.line(json.dumps(payload))
-    else:
-        _csv_header(out, "sample", eff)
+    if args.alpha is None:
+        args.alpha = args.beta
+    if args.beta is None:
+        args.beta = args.alpha
+    p = ModelParams(args.d, args.alpha, args.beta).require_sampling()
+    rng = matdist.make_stream(args.seed)
+    draws = matdist.sample(args.dist, p, rng, size=args.n)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {"meta": _meta(args), "samples": np.asarray(draws).tolist()}
+            print(json.dumps(payload), file=fh)
+            return 0
+        _csv_header(fh, args)
         cols = ["index"] + [fn.__name__ for fn in _SCALAR_FUNCTIONALS]
-        if eff["full"]:
+        if args.full:
             d = p.dim
             cols += [f"e_{i}_{j}" for i in range(d) for j in range(d)]
-        out.line(",".join(cols))
-        for idx in range(eff["n"]):
+        print(",".join(cols), file=fh)
+        for idx in range(args.n):
             row = [str(idx)] + _functional_row(draws[idx])
-            if eff["full"]:
+            if args.full:
                 row += _matrix_entries(draws[idx])
-            out.line(",".join(row))
-    out.done()
+            print(",".join(row), file=fh)
     return 0
 
 
@@ -234,215 +226,137 @@ def _positive(text, what):
     return value
 
 
-def cmd_walk(args, parser):
-    eff = _effective(
-        args,
-        {
-            "d": 1,
-            "alpha": None,
-            "beta": None,
-            "steps": None,
-            "init": "invwishart",
-            "increments": None,
-            "kind": SplitKind.CHOLESKY.value,
-            "construction": walks.Construction.RECURSIVE.value,
-            "seed": 0,
-            "threads": "auto",
-            "format": "csv",
-            "out": args.out,
-        },
-    )
-    if eff["steps"] is not None and eff["increments"] is not None:
-        parser.error("--steps and --increments are mutually exclusive")
-    if eff["steps"] is None and eff["increments"] is None:
-        parser.error("one of --steps or --increments is required")
-    if eff["alpha"] is None or eff["beta"] is None:
+def cmd_walk(args):
+    if args.alpha is None or args.beta is None:
         raise PosDefWalksError("walk needs --alpha and --beta")
-    p = ModelParams(eff["d"], eff["alpha"], eff["beta"])
-    rng = matdist.make_stream(eff["seed"])
-    init = eff["init"]
+    p = ModelParams(args.d, args.alpha, args.beta)
+    rng = matdist.make_stream(args.seed)
+    init = args.init
     if init.startswith("fixed:"):
         init = _positive(init.partition(":")[2], "fixed init") * np.eye(p.dim)
-    if eff["increments"] is not None:
-        values = [_positive(v, "increments") for v in eff["increments"].split(",") if v.strip()]
+    if args.increments is not None:
+        values = [_positive(v, "increments") for v in args.increments.split(",") if v.strip()]
         if not values:
             raise PosDefWalksError("increments must be positive numbers")
         incs = [v * np.eye(p.dim) for v in values]
         init = walks.init_states(init, p, rng, 1)[0]
-        tr = walks.trace_from_increments(SplitKind(eff["kind"]), init, incs)
+        tr = walks.trace_from_increments(SplitKind(args.kind), init, incs)
     else:
-        cfg = walks.WalkConfig(p, eff["kind"], eff["construction"], eff["steps"], init)
+        cfg = walks.WalkConfig(p, args.kind, args.construction, args.steps, init)
         tr = walks.simulate_walk(cfg, rng)
-    out = _Output(eff["out"])
-    if eff["format"] == "json":
-        payload = {
-            "meta": _meta("walk", eff),
-            "r": tr.r.tolist(),
-            "a": tr.a.tolist(),
-            "s": tr.s.tolist(),
-        }
-        out.line(json.dumps(payload))
-    else:
-        _csv_header(out, "walk", eff)
-        out.line("step,functional_name,value")
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {
+                "meta": _meta(args),
+                "r": tr.r.tolist(),
+                "a": tr.a.tolist(),
+                "s": tr.s.tolist(),
+            }
+            print(json.dumps(payload), file=fh)
+            return 0
+        _csv_header(fh, args)
+        print("step,functional_name,value", file=fh)
         n = tr.r.shape[0] - 1
         for k in range(n + 1):
             for name, fn in (("r_trace", matcore.trace), ("r_logdet", matcore.logdet)):
-                out.line(f"{k},{name},{float(fn(tr.r[k]))!r}")
+                print(f"{k},{name},{float(fn(tr.r[k]))!r}", file=fh)
             for name, fn in (("a_trace", matcore.trace), ("a_logdet", matcore.logdet)):
-                out.line(f"{k},{name},{float(fn(tr.a[k]))!r}")
+                print(f"{k},{name},{float(fn(tr.a[k]))!r}", file=fh)
             if k >= 1:
-                out.line(f"{k},s_trace,{float(matcore.trace(tr.s[k - 1]))!r}")
-    out.done()
+                print(f"{k},s_trace,{float(matcore.trace(tr.s[k - 1]))!r}", file=fh)
     return 0
 
 
 def cmd_dufresne(args):
-    eff = _effective(
-        args,
-        {
-            "d": 1,
-            "alpha": None,
-            "beta": None,
-            "n": 100,
-            "tail_tol": 1e-10,
-            "max_terms": None,
-            "kind": SplitKind.CHOLESKY.value,
-            "seed": 0,
-            "threads": "auto",
-            "format": "csv",
-            "out": args.out,
-        },
-    )
-    if eff["alpha"] is None or eff["beta"] is None:
+    if args.alpha is None or args.beta is None:
         raise PosDefWalksError("dufresne needs --alpha and --beta")
-    p = ModelParams(eff["d"], eff["alpha"], eff["beta"])
-    rng = matdist.make_stream(eff["seed"])
+    p = ModelParams(args.d, args.alpha, args.beta)
+    rng = matdist.make_stream(args.seed)
     draws, counts = walks.dufresne_series(
         p,
         rng,
-        size=eff["n"],
-        kind=eff["kind"],
-        tail_tol=eff["tail_tol"],
-        max_terms=eff["max_terms"],
+        size=args.n,
+        kind=args.kind,
+        tail_tol=args.tail_tol,
+        max_terms=args.max_terms,
         return_counts=True,
     )
-    out = _Output(eff["out"])
-    if eff["format"] == "json":
-        payload = {
-            "meta": _meta("dufresne", eff),
-            "samples": np.asarray(draws).tolist(),
-            "n_terms": [int(c) for c in counts],
-        }
-        out.line(json.dumps(payload))
-    else:
-        _csv_header(out, "dufresne", eff)
-        out.line("index," + ",".join(fn.__name__ for fn in _SCALAR_FUNCTIONALS) + ",n_terms")
-        for idx in range(eff["n"]):
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {
+                "meta": _meta(args),
+                "samples": np.asarray(draws).tolist(),
+                "n_terms": [int(c) for c in counts],
+            }
+            print(json.dumps(payload), file=fh)
+            return 0
+        _csv_header(fh, args)
+        print("index," + ",".join(fn.__name__ for fn in _SCALAR_FUNCTIONALS) + ",n_terms", file=fh)
+        for idx in range(args.n):
             row = [str(idx)] + _functional_row(draws[idx]) + [str(int(counts[idx]))]
-            out.line(",".join(row))
-    out.done()
+            print(",".join(row), file=fh)
     return 0
 
 
 def cmd_lyapunov(args):
-    eff = _effective(
-        args,
-        {
-            "dist": "beta2",
-            "d": 1,
-            "alpha": None,
-            "beta": None,
-            "steps": 2000,
-            "replicas": 200,
-            "method": "eigen",
-            "kind": SplitKind.CHOLESKY.value,
-            "seed": 0,
-            "threads": "auto",
-            "format": "json",
-            "out": args.out,
-        },
-    )
-    law = Law(eff["dist"])
+    law = Law(args.dist)
     # unused parameter of a one-sided law still has to pass dim validation
-    placeholder = 0.5 * (eff["d"] + 1)
-    alpha = eff["alpha"] if eff["alpha"] is not None else placeholder
-    beta = eff["beta"] if eff["beta"] is not None else placeholder
-    if law in (Law.WISHART, Law.BETA2) and eff["alpha"] is None:
+    placeholder = 0.5 * (args.d + 1)
+    alpha = args.alpha if args.alpha is not None else placeholder
+    beta = args.beta if args.beta is not None else placeholder
+    if law in (Law.WISHART, Law.BETA2) and args.alpha is None:
         raise PosDefWalksError(f"{law.value} needs --alpha")
-    if law in (Law.INV_WISHART, Law.BETA2) and eff["beta"] is None:
+    if law in (Law.INV_WISHART, Law.BETA2) and args.beta is None:
         raise PosDefWalksError(f"{law.value} needs --beta")
-    p = ModelParams(eff["d"], alpha, beta)
-    rng = matdist.make_stream(eff["seed"])
-    if eff["method"] == "cholesky":
+    p = ModelParams(args.d, alpha, beta)
+    rng = matdist.make_stream(args.seed)
+    if args.method == "cholesky":
         report = lyapunov.empirical_mu_cholesky(
-            law, p, eff["steps"], eff["replicas"], rng, seed=eff["seed"]
+            law, p, args.steps, args.replicas, rng, seed=args.seed
         )
     else:
         report = lyapunov.empirical_mu_eigen(
-            law, p, eff["kind"], eff["steps"], eff["replicas"], rng, seed=eff["seed"]
+            law, p, args.kind, args.steps, args.replicas, rng, seed=args.seed
         )
-    out = _Output(eff["out"])
-    if eff["format"] == "csv":
-        _csv_header(out, "lyapunov", eff)
-        out.line("k,mu_hat,std_err,mu_closed")
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {"meta": _meta(args), "report": json.loads(report.to_json())}
+            print(json.dumps(payload), file=fh)
+            return 0
+        _csv_header(fh, args)
+        print("k,mu_hat,std_err,mu_closed", file=fh)
         for k in range(p.dim):
-            out.line(
-                f"{k + 1},{report.mu_hat[k]!r},{report.std_err[k]!r},{report.mu_closed[k]!r}"
+            print(
+                f"{k + 1},{report.mu_hat[k]!r},{report.std_err[k]!r},{report.mu_closed[k]!r}",
+                file=fh,
             )
-    else:
-        payload = {"meta": _meta("lyapunov", eff), "report": json.loads(report.to_json())}
-        out.line(json.dumps(payload))
-    out.done()
     return 0
 
 
-def cmd_verify(args, parser):
-    eff = _effective(
-        args,
-        {"seed": 0, "threads": "auto", "format": "json", "out": args.out},
-    )
+def cmd_verify(args):
     known = list(verify.FULL_CONFIG)
-    names = list(args.checks)
-    if names == ["all"]:
-        names = list(verify.CHECK_NAMES)
-    else:
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            parser.error(f"unknown checks: {', '.join(unknown)} (known: {', '.join(known)})")
-    out = _Output(eff["out"])
-    meta = _meta("verify", eff)
-    meta["checks"] = names
-    config = verify.FULL_CONFIG
-    meta["parameters"] = {name: {k: str(v) for k, v in config[name].items()} for name in names}
-    out.line(json.dumps(meta))
+    meta = _meta(args)
+    meta["parameters"] = {
+        name: {k: str(v) for k, v in verify.FULL_CONFIG[name].items()} for name in args.checks
+    }
     all_passed = True
-    for name in names:
-        report = verify.run_check(name, eff["seed"], stream_id=known.index(name))
-        out.line(report.to_json())
-        all_passed = all_passed and report.passed
-    out.done()
+    with _output(args.out) as fh:
+        print(json.dumps(meta), file=fh)
+        for name in args.checks:
+            report = verify.run_check(name, args.seed, stream_id=known.index(name))
+            print(report.to_json(), file=fh)
+            all_passed = all_passed and report.passed
     return 0 if all_passed else 1
 
 
 def main(argv=None):
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.command == "sample":
-            return cmd_sample(args)
-        if args.command == "walk":
-            return cmd_walk(args, parser)
-        if args.command == "dufresne":
-            return cmd_dufresne(args)
-        if args.command == "lyapunov":
-            return cmd_lyapunov(args)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
+        args = _parser().parse_args(_with_config(argv))
+        return args.run(args)
     except PosDefWalksError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

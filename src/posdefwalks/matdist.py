@@ -52,6 +52,8 @@ class BartlettSpec:
 def sample_bartlett(spec: BartlettSpec, rng, size=None):
     """Draw upper triangular factors with the given Bartlett law."""
     n = 1 if size is None else int(size)
+    if n < 0:
+        raise DomainError(f"sample size must be >= 0, got size={size}")
     d = spec.dim
     u = np.zeros((n, d, d))
     shapes = spec.shapes()

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from posdefwalks import __version__
+from posdefwalks import __version__, cli, verify
 from posdefwalks.cli import SEED_ENV, main
+from posdefwalks.errors import InsufficientBinCount
 
 
 def run_to_file(tmp_path, name, argv):
@@ -343,3 +344,88 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+# ----------------------------------------------- config values, sizes, files
+
+
+@pytest.mark.parametrize(
+    "command, lines, env_seed, option",
+    [
+        ("sample", "alpha=abc\n", None, "--alpha"),
+        ("sample", "alpha=2\ndist=foo\n", None, "--dist"),
+        ("sample", "alpha=2\nformat=xml\n", None, "--format"),
+        ("sample", "alpha=2\nalpah=3\n", None, "--alpah"),
+        ("walk", "alpha=2\nbeta=5\nsteps=2\nkind=bogus\n", None, "--kind"),
+        ("sample", "alpha=2\n", "abc", "--seed"),
+    ],
+    ids=["alpha=abc", "dist=foo", "format=xml", "misspelt-key", "walk-kind=bogus", "env-seed=abc"],
+)
+def test_bad_config_value_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, command, lines, env_seed, option
+):
+    # These used to end in a traceback and exit 1, or be ignored with exit 0.
+    if env_seed is not None:
+        monkeypatch.setenv(SEED_ENV, env_seed)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_verify_all_with_other_names_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "lukacs"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--alpha", "2", "--n", "-1"],
+        ["dufresne", "--alpha", "2", "--beta", "5", "--n", "-1"],
+    ],
+    ids=["sample", "dufresne"],
+)
+def test_negative_size_exits_3(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:")
+    assert "size" in err
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [("absent.cfg", None), (".", None), ("run.cfg", b"\xff\xfe=1\n")],
+    ids=["missing", "directory", "binary"],
+)
+def test_unreadable_config_exits_3_naming_it(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    code = main(["sample", "--alpha", "2", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:")
+    assert str(path) in err
+
+
+def test_out_file_closed_when_a_check_raises(tmp_path, monkeypatch, capsys):
+    handles = []
+
+    def tracking_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    def failing_check(name, seed, stream_id=0, config=None):
+        raise InsufficientBinCount(f"{name}: too few draws in a bin")
+
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    monkeypatch.setattr(verify, "run_check", failing_check)
+    code = main(["verify", "lukacs", "--out", str(tmp_path / "v.jsonl")])
+    assert code == 3
+    assert "too few draws" in capsys.readouterr().err
+    assert handles and all(fh.closed for fh in handles)

@@ -11,12 +11,15 @@ change, say which and why, and print the new table with
 import contextlib
 import hashlib
 import io
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from posdefwalks import lyapunov, walks
-from posdefwalks.cli import main
+from posdefwalks import lyapunov, verify, walks
+from posdefwalks.cli import SEED_ENV, main
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream, sample_beta2
 from posdefwalks.special import Law, ModelParams
@@ -82,11 +85,36 @@ def _kesten(kind, prime):
     return _digest(out)
 
 
-def _cli(*argv):
+def _stdout(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(list(argv)) == 0
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def _cli(*argv):
+    return hashlib.sha256(_stdout(argv).encode()).hexdigest()
+
+
+def _cli_config(text, *argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return _cli(*argv, "--config", path)
+
+
+def _cli_env_seed(seed, *argv):
+    with mock.patch.dict(os.environ, {SEED_ENV: seed}):
+        return _cli(*argv)
+
+
+def _verify_meta(*argv):
+    # The meta line echoes FULL_CONFIG; the check runs at its reduced size.
+    reduced = {n: verify.REDUCED_CONFIG.get(n, c) for n, c in verify.FULL_CONFIG.items()}
+    with mock.patch.object(verify, "FULL_CONFIG", reduced):
+        meta = _stdout(argv).splitlines()[0]
+    return hashlib.sha256(meta.encode()).hexdigest()
 
 
 _WALK = ("walk", "--d", "2", "--alpha", "2", "--beta", "5", "--seed", "3")
@@ -123,6 +151,28 @@ CASES["cli-lyapunov-sqrt"] = (
     _cli, "lyapunov", "--d", "2", "--alpha", "2", "--beta", "5", "--steps", "40",
     "--replicas", "5", "--kind", "sqrt", "--seed", "5",
 )
+CASES["cli-sample-full"] = (
+    _cli, "sample", "--dist", "beta2", "--d", "3", "--alpha", "4", "--beta", "8", "--n", "6",
+    "--full", "--seed", "8",
+)
+CASES["cli-sample-json"] = (
+    _cli, "sample", "--d", "2", "--alpha", "3", "--n", "4", "--format", "json", "--seed", "2",
+)
+CASES["cli-lyapunov-cholesky-csv"] = (
+    _cli, "lyapunov", "--dist", "wishart", "--d", "3", "--alpha", "3", "--steps", "30",
+    "--replicas", "4", "--method", "cholesky", "--format", "csv", "--seed", "6",
+)
+CASES["cli-config-sample"] = (
+    _cli_config, "# run\ndist=beta2\nd=2\nalpha=2.5\nbeta=6\nn=5\nseed=5\nfull=yes\n", "sample",
+)
+CASES["cli-config-walk-steps"] = (
+    _cli_config, "d=2\nalpha=2\nbeta=5\nsteps=3\ninit=identity\nkind=sqrt\nseed=3\n", "walk",
+)
+CASES["cli-config-dufresne"] = (
+    _cli_config, "d=2\nalpha=2\nbeta=5\nn=3\ntail_tol=1e-6\nmax-terms=900\nseed=4\n", "dufresne",
+)
+CASES["cli-env-seed"] = (_cli_env_seed, "17", "sample", "--d", "2", "--alpha", "3", "--n", "3")
+CASES["cli-verify-lukacs-meta"] = (_verify_meta, "verify", "lukacs", "--seed", "1")
 
 
 def _compute(name):
@@ -200,6 +250,14 @@ GOLDEN = {
     'cli-walk-increments-fixed:2': 'f4ac54bdf5d18897e12ccbc232eba2bf1d360397b5c95b36a7503b9c388d8f6a',
     'cli-dufresne': '72fbce2d9193c48a58014ae48de2facc1bf63d43c05202c0ced90e0b10227072',
     'cli-lyapunov-sqrt': '8f0ca6f7cebc7c6aeaeadc3349fe06935e0e752abe931ef38f2568fbaac4be0d',
+    'cli-sample-full': '0e60abf7f8fcdc1898e67832591adf5889a5675e6ac0bd3cec66da24e42321ad',
+    'cli-sample-json': 'cb8ebba6dba44fba4e84bb4b5f5aa3186193d126c7692e6d4562dd5c5b5926c1',
+    'cli-lyapunov-cholesky-csv': '21a6e76902e77f015c404415aa9a64be75774a372e20af1a88aa8e5357db6df2',
+    'cli-config-sample': 'a88bdccd7f505484ef03814819c3e27d8a40644368c1ca39a954c0c5ea7fa06f',
+    'cli-config-walk-steps': '4fe52acc4d4c077741d14e9e54ef1b6215b6d57682bc550d4d5644877b6b48de',
+    'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',
+    'cli-env-seed': '276210f10a9ef26dc62eeeb3cb4eba4b7bf23508f2b184bba2a21085c085389d',
+    'cli-verify-lukacs-meta': '70ea35e39ffbc72996179c0976305629cae6a13d8394d22145fba65cc4a1c435',
 }
 
 

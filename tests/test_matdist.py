@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from posdefwalks import matcore, matdist
+from posdefwalks.errors import DomainError
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import (
     BartlettSpec,
@@ -262,3 +263,11 @@ def test_stream_determinism():
     c = sample_beta2(p, make_stream(123, 6), size=50)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("law", list(Law))
+def test_negative_size_rejected_naming_it(law):
+    p = ModelParams(2, 2.0, 3.0)
+    with pytest.raises(DomainError, match="size"):
+        sample(law, p, make_stream(29), size=-1)
+    assert sample(law, p, make_stream(29), size=0).shape == (0, 2, 2)
