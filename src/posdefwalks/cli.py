@@ -2,7 +2,8 @@
 
 Every run is seeded and echoes its full effective configuration (including
 defaults) in the output header, so outputs are reproducible byte for byte.
-Each option's default, type and choices are declared once, in the parser.
+Each option's default, type and choices are declared once, in the parser,
+and an option must be spelt in full (no prefix of it is accepted).
 A ``--config`` file of ``key=value`` lines is read as the long options
 ``--key=value`` placed right after the subcommand, so the parser checks its
 values like flags and flags given on the command line override it; the
@@ -59,6 +60,7 @@ class _CheckNames(argparse.Action):
 def _parser():
     parser = argparse.ArgumentParser(
         prog="posdefwalks",
+        allow_abbrev=False,
         description="Random walks on positive definite matrices: samplers, "
         "series limits, Lyapunov exponents, and verification checks.",
     )
@@ -66,7 +68,7 @@ def _parser():
     subs = parser.add_subparsers(dest="command", required=True)
     kind = {"choices": [k.value for k in SplitKind], "default": SplitKind.CHOLESKY.value}
 
-    p = subs.add_parser("sample", help="draw from one of the matrix laws")
+    p = subs.add_parser("sample", allow_abbrev=False, help="draw from one of the matrix laws")
     p.add_argument("--dist", choices=[law.value for law in Law], default=Law.WISHART.value)
     _add_params(p)
     p.add_argument("--n", type=int, default=100)
@@ -74,7 +76,7 @@ def _parser():
     _add_common(p, "csv")
     p.set_defaults(run=cmd_sample)
 
-    p = subs.add_parser("walk", help="simulate one walk trace")
+    p = subs.add_parser("walk", allow_abbrev=False, help="simulate one walk trace")
     _add_params(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--steps", type=int)
@@ -89,7 +91,7 @@ def _parser():
     _add_common(p, "csv")
     p.set_defaults(run=cmd_walk)
 
-    p = subs.add_parser("dufresne", help="sample the truncated series limit")
+    p = subs.add_parser("dufresne", allow_abbrev=False, help="sample the truncated series limit")
     _add_params(p)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--tail-tol", type=float, default=1e-10)
@@ -98,7 +100,7 @@ def _parser():
     _add_common(p, "csv")
     p.set_defaults(run=cmd_dufresne)
 
-    p = subs.add_parser("lyapunov", help="estimate Lyapunov exponents")
+    p = subs.add_parser("lyapunov", allow_abbrev=False, help="estimate Lyapunov exponents")
     p.add_argument("--dist", choices=("wishart", "invwishart", "beta2"), default="beta2")
     _add_params(p)
     p.add_argument("--steps", type=int, default=2000)
@@ -108,7 +110,7 @@ def _parser():
     _add_common(p, "json")
     p.set_defaults(run=cmd_lyapunov)
 
-    p = subs.add_parser("verify", help="run verification checks")
+    p = subs.add_parser("verify", allow_abbrev=False, help="run verification checks")
     _add_common(p, "json")
     # After the common options, so the header echoes the checks after the format.
     p.add_argument(
@@ -146,7 +148,7 @@ def _config_flags(path):
 
 def _with_config(argv):
     """``argv`` with the ``--config`` file's options inserted after the subcommand."""
-    pre = argparse.ArgumentParser(prog="posdefwalks", add_help=False)
+    pre = argparse.ArgumentParser(prog="posdefwalks", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is None:

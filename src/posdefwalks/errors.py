@@ -13,10 +13,6 @@ class EigenFailure(PosDefWalksError):
     """The symmetric eigensolver did not converge."""
 
 
-class SingularTransform(PosDefWalksError):
-    """Congruence transform matrix is numerically singular."""
-
-
 class DomainError(PosDefWalksError):
     """Parameter outside the admissible range of an operation."""
 

@@ -10,14 +10,11 @@ import enum
 
 import numpy as np
 
-from .errors import EigenFailure, NotPositiveDefinite, SingularTransform
+from .errors import EigenFailure, NotPositiveDefinite
 
 # Cholesky pivot must exceed this multiple of the largest diagonal entry,
 # separating genuine singularity from round-off at small d.
 PIVOT_RTOL = 1e-13
-
-# Condition number heuristic for congruence transforms.
-COND_MAX = 1e13
 
 
 class SplitKind(str, enum.Enum):
@@ -30,10 +27,6 @@ class SplitKind(str, enum.Enum):
 def symmetrize(m):
     m = np.asarray(m, dtype=float)
     return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
-def identity(d):
-    return np.eye(d)
 
 
 def posdef(m, name="matrix"):
@@ -98,15 +91,6 @@ def sqrt_factor(x):
         raise NotPositiveDefinite("matrix has a nonpositive eigenvalue")
     root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
     return symmetrize(root)
-
-
-def congruence(a, x):
-    """The group action a^T x a for invertible a."""
-    a = np.asarray(a, dtype=float)
-    cond = np.linalg.cond(a)
-    if not np.all(np.isfinite(cond)) or np.any(cond > COND_MAX):
-        raise SingularTransform("transform matrix is numerically singular")
-    return symmetrize(np.swapaxes(a, -1, -2) @ np.asarray(x, dtype=float) @ a)
 
 
 def split_factor(kind, y):

@@ -47,6 +47,9 @@ class ModelParams:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dim must be a positive integer, got {self.dim}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
     @property
     def half_bound(self):

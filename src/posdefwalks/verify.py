@@ -136,13 +136,26 @@ def ks_one_sample_critical(n, p=P_THRESHOLD):
     return float(sp.kolmogi(p)) / math.sqrt(n)
 
 
+def _nonfinite_sub(label, *samples):
+    """A NaN-ratio sub-test counting the NaN and inf values in samples, or None if none."""
+    count = sum(int(np.count_nonzero(~np.isfinite(s))) for s in samples)
+    return SubTest(label, math.nan, f"{count} non-finite values") if count else None
+
+
 def _ks2_sub(label, xs, ys):
+    # KS ranks an inf like any large value, so a non-finite sample must fail here.
+    bad = _nonfinite_sub(label, xs, ys)
+    if bad:
+        return bad
     dist, pval = ks_two_sample(xs, ys)
     crit = ks_two_sample_critical(len(xs), len(ys))
     return SubTest(label, dist / crit, f"D={dist:.5f} p={pval:.2e}")
 
 
 def _ks1_sub(label, xs, cdf):
+    bad = _nonfinite_sub(label, xs)
+    if bad:
+        return bad
     dist, pval = ks_one_sample(xs, cdf)
     crit = ks_one_sample_critical(len(xs))
     return SubTest(label, dist / crit, f"D={dist:.5f} p={pval:.2e}")
@@ -381,11 +394,9 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
     m = min(n_samples, 512)
     init = matdist.sample_inv_wishart(p, rng, size=m)
     incs = [matdist.sample_beta2(p, rng, size=m) for _ in range(n)]
-    state = init
-    for x in incs:
-        state = walks.walk_step(SplitKind.CHOLESKY, state, x)
+    recursive = walks.trace_from_increments(SplitKind.CHOLESKY, init, incs).r[:, -1]
     closed = walks.walk_closed(SplitKind.CHOLESKY, init, incs)
-    gap = float(np.max(np.abs(state - closed)))
+    gap = float(np.max(np.abs(recursive - closed)))
     subs.append(SubTest("shared-stream path gap", gap / 1e-10, f"max entry diff {gap:.2e}"))
     return _make_report(
         f"construction_equivalence_d{p.dim}", subs, n_samples, n_samples, seed

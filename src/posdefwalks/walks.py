@@ -5,11 +5,14 @@ beta II increment X(n). The recursive construction conjugates X(n) by the
 current state; the closed one, whose states the Dufresne series sums,
 accumulates the factors w(X(n))...w(X(1)) drawn by matdist.sample_factor.
 They are equal in law for every split kind, and for the Cholesky split they
-coincide path by path.
+coincide path by path. Every walk's states come from one of two private
+builders, _recursive_states (repeated symmetrised products) and
+_closed_states (Gram matrices of the accumulated factors), which check each
+step for overflow; kesten_samples and dufresne_series keep their own loops.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -55,19 +58,6 @@ class WalkTrace:
     s: np.ndarray
 
 
-def walk_step(kind, state, increment):
-    """One move: the symmetrised product of the increment by the state."""
-    return matcore.sym_product(kind, state, increment)
-
-
-def walk_closed(kind, init, increments):
-    """Nested product evaluated from the inside out via factor accumulation."""
-    v = matcore.split_factor(kind, init)
-    for x in increments:
-        v = matcore.split_factor(kind, x) @ v
-    return matcore.symmetrize(np.swapaxes(v, -1, -2) @ v)
-
-
 def init_states(init, p: ModelParams, rng, n):
     """n start states (n, d, d): "identity", "invwishart" (from rng) or a fixed (d, d) matrix."""
     d = p.dim
@@ -83,9 +73,43 @@ def init_states(init, p: ModelParams, rng, n):
     return np.broadcast_to(init, (n, d, d)).copy()
 
 
-def _check_overflow(m):
-    if not np.all(np.isfinite(m)) or np.max(np.abs(m)) > ENTRY_MAX:
-        raise StepOverflow("walk state left the representable range")
+def _check_overflow(m, step):
+    """Raise StepOverflow naming the step and first bad batch index unless |m| <= ENTRY_MAX."""
+    if np.max(np.abs(m)) <= ENTRY_MAX:  # a NaN fails the comparison too
+        return
+    where = f"at step {step}"
+    if m.ndim > 2:
+        first = np.argwhere(~np.all(np.abs(m) <= ENTRY_MAX, axis=(-2, -1)))[0]
+        where += f", batch index {','.join(map(str, first))}"
+    raise StepOverflow(f"walk state left the representable range {where}")
+
+
+def _states(state, n):
+    """Empty states array (..., n+1, d, d) with the start state in place."""
+    state = np.asarray(state, dtype=float)
+    r = np.empty(state.shape[:-2] + (n + 1,) + state.shape[-2:])
+    r[..., 0, :, :] = state
+    return r
+
+
+def _recursive_states(kind, state, increments, n):
+    """States R(0..n) of the recursive walk from state, R(k) = w(R(k-1))^T X(k) w(R(k-1))."""
+    r = _states(state, n)
+    for k, x in enumerate(increments, start=1):
+        r[..., k, :, :] = state = matcore.sym_product(kind, state, x)
+        _check_overflow(state, k)
+    return r
+
+
+def _closed_states(kind, state, factors, n):
+    """States of the closed walk from state: Gram matrices of w(X(k))...w(X(1)) w(state)."""
+    r = _states(state, n)
+    v = matcore.split_factor(kind, state)
+    for k, f in enumerate(factors, start=1):
+        v = f @ v
+        r[..., k, :, :] = state = matcore.symmetrize(np.swapaxes(v, -1, -2) @ v)
+        _check_overflow(state, k)
+    return r
 
 
 def _walk_trace(r):
@@ -103,21 +127,15 @@ def simulate_walks(cfg: WalkConfig, rng, n_traces):
     """
     if n_traces < 1:
         raise DomainError(f"simulate_walks needs n_traces >= 1, got {n_traces}")
-    p, kind = cfg.params, cfg.kind
-    r = np.empty((n_traces, cfg.steps + 1, p.dim, p.dim))
-    state = r[:, 0] = init_states(cfg.init, p, rng, n_traces)
-    closed = cfg.construction is Construction.CLOSED
-    if closed:
-        v = matcore.split_factor(kind, state)
-    for k in range(1, cfg.steps + 1):
-        if closed:
-            v = matdist.sample_factor(Law.BETA2, p, rng, size=n_traces, kind=kind) @ v
-            state = matcore.symmetrize(np.swapaxes(v, -1, -2) @ v)
-        else:
-            state = matcore.sym_product(kind, state, matdist.sample_beta2(p, rng, size=n_traces))
-        _check_overflow(state)
-        r[:, k] = state
-    return _walk_trace(r)
+    p, kind, n = cfg.params, cfg.kind, cfg.steps
+    state = init_states(cfg.init, p, rng, n_traces)
+    if cfg.construction is Construction.CLOSED:
+        factors = (
+            matdist.sample_factor(Law.BETA2, p, rng, size=n_traces, kind=kind) for _ in range(n)
+        )
+        return _walk_trace(_closed_states(kind, state, factors, n))
+    increments = (matdist.sample_beta2(p, rng, size=n_traces) for _ in range(n))
+    return _walk_trace(_recursive_states(kind, state, increments, n))
 
 
 def simulate_walk(cfg: WalkConfig, rng):
@@ -127,36 +145,20 @@ def simulate_walk(cfg: WalkConfig, rng):
 
 
 def trace_from_increments(kind, init, increments):
-    """Single WalkTrace driven by an explicit increment sequence."""
-    state = matcore.posdef(init, name="init")
-    d = state.shape[-1]
-    r = np.empty((len(increments) + 1, d, d))
-    r[0] = state
-    for k, x in enumerate(increments, start=1):
-        state = matcore.sym_product(kind, state, matcore.posdef(x, name="increment"))
-        _check_overflow(state)
-        r[k] = state
-    return _walk_trace(r)
+    """WalkTrace of the recursive walk driven by an explicit increment sequence.
+
+    init is one (d, d) start or a batch (..., d, d); each increment, validated
+    as positive definite, is one (d, d) matrix or a batch of init's shape.
+    """
+    init = matcore.posdef(init, name="init")
+    validated = (matcore.posdef(x, name="increment") for x in increments)
+    return _walk_trace(_recursive_states(kind, init, validated, len(increments)))
 
 
-@dataclass
-class KestenState:
-    value: np.ndarray
-    step: int = 0
-
-
-def kesten_step(kind, state: KestenState, increment):
-    """xi(n) = T_X(n)(I + xi(n-1))."""
-    d = increment.shape[-1]
-    new = matcore.sym_product(kind, increment, np.eye(d) + state.value)
-    return KestenState(value=new, step=state.step + 1)
-
-
-def kesten_prime_step(kind, state: KestenState, increment):
-    """xi'(n) = T_(I + xi'(n-1))(X(n))."""
-    d = increment.shape[-1]
-    new = matcore.sym_product(kind, np.eye(d) + state.value, increment)
-    return KestenState(value=new, step=state.step + 1)
+def walk_closed(kind, init, increments):
+    """Last state of the closed walk: the nested product built by factor accumulation."""
+    factors = (matcore.split_factor(kind, x) for x in increments)
+    return _closed_states(kind, init, factors, len(increments))[..., -1, :, :]
 
 
 def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=False, n_chains=1):
@@ -172,18 +174,22 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
             raise DomainError(f"kesten_samples needs {name} >= 1, got {value}")
     p.require_sampling()
     d = p.dim
-    step = kesten_prime_step if prime else kesten_step
-    state = KestenState(value=matdist.sample_beta2(p, rng, size=n_chains), step=0)
+    eye = np.eye(d)
+    xi = matdist.sample_beta2(p, rng, size=n_chains)
     rounds = -(-n_samples // n_chains)
     out = np.empty((rounds * n_chains, d, d))
     collected = 0
     moves_until = burn_in
     while collected < n_samples:
-        incs = matdist.sample_beta2(p, rng, size=n_chains)
-        state = step(kind, state, incs)
+        x = matdist.sample_beta2(p, rng, size=n_chains)
+        # xi(n) = T_X(n)(I + xi(n-1)); the primed chain is xi'(n) = T_(I + xi'(n-1))(X(n)).
+        if prime:
+            xi = matcore.sym_product(kind, eye + xi, x)
+        else:
+            xi = matcore.sym_product(kind, x, eye + xi)
         moves_until -= 1
         if moves_until == 0:
-            out[collected : collected + n_chains] = state.value
+            out[collected : collected + n_chains] = xi
             collected += n_chains
             moves_until = thin
     return out[:n_samples]

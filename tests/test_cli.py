@@ -429,3 +429,34 @@ def test_out_file_closed_when_a_check_raises(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "too few draws" in capsys.readouterr().err
     assert handles and all(fh.closed for fh in handles)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sample", "--alpha", "inf"], "alpha"),
+        (["dufresne", "--alpha", "2", "--beta", "inf"], "beta"),
+        (["walk", "--alpha", "2", "--beta", "inf", "--steps", "3"], "beta"),
+        (["lyapunov", "--alpha", "inf", "--beta", "5"], "alpha"),
+    ],
+    ids=["sample-alpha", "dufresne-beta", "walk-beta", "lyapunov-alpha"],
+)
+def test_infinite_parameter_exits_3_naming_it(argv, name, capsys):
+    # sample used to print rows of inf and exit 0, and the others to fail with
+    # messages that did not name the parameter.
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {name} must be finite")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_option_prefix_is_a_usage_error(tmp_path, capsys, source):
+    # --alph and an alph= config line used to be taken as --alpha.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alph=3\n")
+    argv = ["sample", "--alph", "3"] if source == "flag" else ["sample", "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alph" in capsys.readouterr().err

@@ -1,10 +1,10 @@
-"""Factorizations, congruence, symmetrised products, eigenvalue utilities."""
+"""Factorizations, symmetrised products, eigenvalue utilities."""
 
 import numpy as np
 import pytest
 
 from posdefwalks import matcore
-from posdefwalks.errors import NotPositiveDefinite, SingularTransform
+from posdefwalks.errors import NotPositiveDefinite
 from posdefwalks.matcore import SplitKind
 
 import oracles
@@ -62,22 +62,6 @@ def test_reconstruction_random():
             assert np.linalg.norm(u.T @ u - x) / scale < 1e-10
             assert np.linalg.norm(b @ b - x) / scale < 1e-10
             np.testing.assert_allclose(b, b.T, atol=1e-12)
-
-
-def test_congruence_examples():
-    x = rand_posdef(np.random.default_rng(3), 3)
-    np.testing.assert_allclose(matcore.congruence(np.eye(3), x), x, atol=1e-14)
-    np.testing.assert_allclose(
-        matcore.congruence(np.diag([2.0, 3.0]), np.eye(2)), np.diag([4.0, 9.0])
-    )
-    np.testing.assert_allclose(
-        matcore.congruence(np.array([[3.0]]), np.array([[2.0]])), [[18.0]]
-    )
-
-
-def test_congruence_singular_transform():
-    with pytest.raises(SingularTransform):
-        matcore.congruence(np.zeros((2, 2)), np.eye(2))
 
 
 def test_sym_product_identity_and_scalar():

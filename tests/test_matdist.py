@@ -238,7 +238,7 @@ def test_orthogonal_invariance():
     ):
         x = sample(law, p, rng, size=n)
         y = sample(law, p, rng, size=n)
-        rotated = matcore.congruence(q, x)
+        rotated = q.T @ x @ q
         assert two_sample_ok(rotated[:, 0, 1], y[:, 0, 1]), law
 
 

@@ -144,6 +144,25 @@ def test_report_fails_on_any_non_finite_ratio():
         assert "non-finite sub-tests: bad" in rep.details
 
 
+def test_ks_subtests_fail_the_report_on_non_finite_samples():
+    # KS ranks an inf like any large value: three of 4000 gave a passing ratio of 0.47.
+    rng = np.random.default_rng(0)
+    xs, ys = rng.gamma(2.0, size=4000), rng.gamma(2.0, size=4000)
+    xs[:3] = np.inf
+    subs = [
+        verify._ks2_sub("two-sample", xs, ys),
+        verify._ks1_sub("one-sample", xs, lambda x: stats.gamma.cdf(x, 2.0)),
+        verify._ks2_sub("clean", ys, rng.gamma(2.0, size=4000)),
+    ]
+    for sub in subs[:2]:
+        assert np.isnan(sub.ratio)
+        assert sub.note == "3 non-finite values"
+    assert np.isfinite(subs[2].ratio)
+    rep = verify._make_report("x", subs, 4000, 4000, None)
+    assert rep.passed is False
+    assert "non-finite sub-tests: two-sample, one-sample" in rep.details
+
+
 def test_inv_wishart_cdf_d1_is_the_inverse_gamma_cdf():
     xs = np.array([0.0, 1e-3, 0.05, 0.3, 1.0, 4.0, 250.0])
     for nu in (0.7, 3.0, 8.5):

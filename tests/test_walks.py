@@ -13,21 +13,17 @@ from posdefwalks.special import ModelParams
 from posdefwalks.walks import (
     Construction,
     GrskState,
-    KestenState,
     WalkConfig,
     dufresne_series,
     grsk_my_identity_check,
     grsk_product_identity_gap,
     grsk_step,
     grsk_trajectory,
-    kesten_prime_step,
     kesten_samples,
-    kesten_step,
     simulate_walk,
     simulate_walks,
     trace_from_increments,
     walk_closed,
-    walk_step,
 )
 
 import oracles
@@ -44,26 +40,28 @@ def rand_posdef(rng, d, eps=1e-3):
     return g.T @ g + eps * np.eye(d)
 
 
-# ---------------------------------------------------------------- walk_step
+# ------------------------------------------------------- one step of the walk
 
 
 def test_walk_step_identity_state_returns_increment():
     rng = np.random.default_rng(10)
     x = rand_posdef(rng, 3)
     for kind in SplitKind:
-        np.testing.assert_allclose(walk_step(kind, np.eye(3), x), x, rtol=1e-12)
+        tr = trace_from_increments(kind, np.eye(3), [x])
+        np.testing.assert_allclose(tr.r[1], x, rtol=1e-12)
 
 
 def test_walk_step_identity_increment_returns_state():
     rng = np.random.default_rng(11)
     x = rand_posdef(rng, 3)
     for kind in SplitKind:
-        np.testing.assert_allclose(walk_step(kind, x, np.eye(3)), x, rtol=1e-12)
+        tr = trace_from_increments(kind, x, [np.eye(3)])
+        np.testing.assert_allclose(tr.r[1], x, rtol=1e-12)
 
 
 def test_walk_step_scalar_is_plain_product():
     for kind in SplitKind:
-        out = walk_step(kind, np.array([[2.5]]), np.array([[4.0]]))
+        out = matcore.sym_product(kind, np.array([[2.5]]), np.array([[4.0]]))
         assert out[0, 0] == pytest.approx(10.0, rel=1e-14)
 
 
@@ -71,8 +69,7 @@ def test_two_steps_from_identity_square_root_form():
     rng = np.random.default_rng(12)
     x1 = rand_posdef(rng, 3)
     x2 = rand_posdef(rng, 3)
-    s1 = walk_step(SplitKind.SQUARE_ROOT, np.eye(3), x1)
-    s2 = walk_step(SplitKind.SQUARE_ROOT, s1, x2)
+    s2 = trace_from_increments(SplitKind.SQUARE_ROOT, np.eye(3), [x1, x2]).r[2]
     # independent square root via an eigendecomposition
     w, v = np.linalg.eigh(x1)
     rt = (v * np.sqrt(w)) @ v.T
@@ -98,9 +95,7 @@ def test_walk_closed_cholesky_matches_iterated_steps():
     rng = np.random.default_rng(14)
     init = rand_posdef(rng, 3)
     incs = [rand_posdef(rng, 3) for _ in range(6)]
-    state = init
-    for x in incs:
-        state = walk_step(SplitKind.CHOLESKY, state, x)
+    state = trace_from_increments(SplitKind.CHOLESKY, init, incs).r[-1]
     closed = walk_closed(SplitKind.CHOLESKY, init, incs)
     np.testing.assert_allclose(closed, state, rtol=1e-10)
 
@@ -157,6 +152,41 @@ def test_ratio_entries_vanish_in_contracting_regime():
     tr = simulate_walk(cfg, make_stream(103))
     assert np.max(np.abs(tr.s[-1])) < 1e-10
     assert np.max(np.abs(tr.s[-1])) < 1e-6 * np.max(np.abs(tr.s[0]))
+
+
+@pytest.mark.parametrize("construction", list(Construction), ids=lambda c: c.value)
+def test_step_overflow_names_first_step_and_batch_index(construction, monkeypatch):
+    # With ENTRY_MAX lowered to 1e20 the growing walk overflows at the first step
+    # where a state of the same stream, run in full, has an entry above 1e20.
+    cfg = WalkConfig(params=ModelParams(1, 6.0, 2.0), construction=construction, steps=60)
+    over = simulate_walks(cfg, make_stream(104), 8).r[..., 0, 0] > 1e20
+    step = int(np.argmax(over.any(axis=0)))
+    index = int(np.argmax(over[:, step]))
+    assert step >= 1
+    monkeypatch.setattr(walks, "ENTRY_MAX", 1e20)
+    with pytest.raises(StepOverflow, match=rf"at step {step}, batch index {index}$"):
+        simulate_walks(cfg, make_stream(104), 8)
+
+
+def test_trace_from_increments_overflow_names_step_and_batch_index():
+    # 1e151 after one step, 1e302 > ENTRY_MAX (but finite) after two
+    x = np.array([[[1.0]], [[1e151]], [[1e151]]])
+    with pytest.raises(StepOverflow, match=r"at step 2, batch index 1$"):
+        trace_from_increments(SplitKind.CHOLESKY, np.ones((3, 1, 1)), [x, x])
+    with pytest.raises(StepOverflow, match=r"at step 2$"):
+        trace_from_increments(SplitKind.CHOLESKY, np.ones((1, 1)), [x[1], x[1]])
+
+
+def test_trace_from_increments_batched_init_matches_single_traces():
+    rng = np.random.default_rng(19)
+    init = np.stack([rand_posdef(rng, 2, eps=0.5) for _ in range(3)])
+    incs = [np.stack([rand_posdef(rng, 2, eps=0.5) for _ in range(3)]) for _ in range(4)]
+    batched = trace_from_increments(SplitKind.CHOLESKY, init, incs)
+    assert batched.r.shape == (3, 5, 2, 2)
+    for i in range(3):
+        single = trace_from_increments(SplitKind.CHOLESKY, init[i], [x[i] for x in incs])
+        for got, want in zip((batched.r, batched.a, batched.s), (single.r, single.a, single.s)):
+            np.testing.assert_array_equal(got[i], want)
 
 
 def test_growth_regime_raises_step_overflow():
@@ -216,7 +246,7 @@ def test_walk_kernel_congruence_invariance():
         x1 = matdist.sample_beta2(p, rng1, size=n)
         x2 = matdist.sample_beta2(p, rng2, size=n)
         direct = matcore.sym_product(kind, a.T @ m @ a, x1)
-        mapped = matcore.congruence(a, matcore.sym_product(kind, m, x2))
+        mapped = a.T @ matcore.sym_product(kind, m, x2) @ a
         assert two_sample_ok(matcore.trace(direct), matcore.trace(mapped))
         assert two_sample_ok(matcore.logdet(direct), matcore.logdet(mapped))
 
@@ -224,27 +254,21 @@ def test_walk_kernel_congruence_invariance():
 # ---------------------------------------------------------------- Kesten
 
 
-def test_kesten_scalar_reduction():
-    st = KestenState(value=np.array([[0.7]]))
-    for step_fn in (kesten_step, kesten_prime_step):
-        for kind in SplitKind:
-            out = step_fn(kind, st, np.array([[2.0]]))
-            assert out.value[0, 0] == pytest.approx(2.0 * 1.7, rel=1e-14)
-            assert out.step == 1
-
-
-def test_kesten_zero_start_gives_first_increment():
-    rng = np.random.default_rng(16)
-    x = rand_posdef(rng, 2)
-    st = KestenState(value=np.zeros((2, 2)))
-    for kind in SplitKind:
-        np.testing.assert_allclose(kesten_step(kind, st, x).value, x, rtol=1e-12)
-
-
-def test_kesten_hand_diagonal_case():
-    st = KestenState(value=np.eye(2))
-    out = kesten_step(SplitKind.SQUARE_ROOT, st, np.diag([4.0, 9.0]))
-    np.testing.assert_allclose(out.value, np.diag([8.0, 18.0]), rtol=1e-12)
+@pytest.mark.parametrize("prime", [False, True], ids=["xi", "xi_prime"])
+@pytest.mark.parametrize("kind", list(SplitKind), ids=lambda k: k.value)
+def test_kesten_samples_replay_one_move_bit_exact(kind, prime):
+    # With burn_in = thin = 1 the chains start at X(1) and return the state after
+    # one move: T_X(2)(I + X(1)), or T_(I + X(1))(X(2)) for the primed recursion.
+    p = ModelParams(2, 2.0, 5.0)
+    got = kesten_samples(p, kind, 1, 1, 4, make_stream(16), prime=prime, n_chains=4)
+    rng = make_stream(16)
+    x1 = matdist.sample_beta2(p, rng, size=4)
+    x2 = matdist.sample_beta2(p, rng, size=4)
+    if prime:
+        want = matcore.sym_product(kind, np.eye(2) + x1, x2)
+    else:
+        want = matcore.sym_product(kind, x2, np.eye(2) + x1)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_kesten_chains_share_stationary_law():
