@@ -4,7 +4,8 @@ The diagonal estimator averages log squared diagonals of the triangular
 factor of single increments; the spectral estimator tracks eigenvalue growth
 of the accumulated product w(X_n)...w(X_1) of increment factors, drawn by
 :func:`matdist.sample_factor` for either split kind, with a QR rescale every
-RESCALE_EVERY steps. Both are consistent for the same exponents.
+RESCALE_EVERY steps. The factors of one rescale period are drawn in one
+blocked call, in step order. Both are consistent for the same exponents.
 """
 
 import json
@@ -124,15 +125,16 @@ def empirical_mu_eigen(law, p: ModelParams, kind, n_steps, n_replicas, rng, seed
     d = p.dim
     v = np.broadcast_to(np.eye(d), (n_replicas, d, d)).copy()
     acc = np.zeros((n_replicas, d))
-    for step in range(1, n_steps + 1):
-        v = matdist.sample_factor(law, p, rng, size=n_replicas, kind=kind) @ v
-        if step % RESCALE_EVERY == 0 or step == n_steps:
-            q, t = np.linalg.qr(v)
-            growth = np.abs(np.diagonal(t, axis1=-2, axis2=-1))
-            if not np.all(np.isfinite(growth)) or np.any(growth <= 0):
-                raise StepOverflow("rescaling failed; product left the stable range")
-            acc += 2.0 * np.log(growth)
-            v = q
+    for start in range(0, n_steps, RESCALE_EVERY):
+        m = min(RESCALE_EVERY, n_steps - start)
+        for f in matdist.sample_factor(law, p, rng, size=n_replicas, kind=kind, blocks=m):
+            v = f @ v
+        q, t = np.linalg.qr(v)
+        growth = np.abs(np.diagonal(t, axis1=-2, axis2=-1))
+        if not np.all(np.isfinite(growth)) or np.any(growth <= 0):
+            raise StepOverflow("rescaling failed; product left the stable range")
+        acc += 2.0 * np.log(growth)
+        v = q
     per_rep = acc / n_steps
     mu_hat = per_rep.mean(axis=0)
     if n_replicas > 1:

@@ -15,6 +15,8 @@ from .errors import EigenFailure, NotPositiveDefinite
 # Cholesky pivot must exceed this multiple of the largest diagonal entry,
 # separating genuine singularity from round-off at small d.
 PIVOT_RTOL = 1e-13
+# Largest entry magnitude posdef accepts, so that m + m^T in symmetrize is finite.
+SYMMETRIZE_MAX = np.finfo(float).max / 2
 
 
 class SplitKind(str, enum.Enum):
@@ -32,7 +34,8 @@ def symmetrize(m):
 def posdef(m, name="matrix"):
     """Validating constructor for positive definite values.
 
-    Symmetrizes the input as (m + m^T)/2, then checks positive definiteness
+    Rejects entries that are not finite or too large for (m + m^T) to be,
+    symmetrizes the input as (m + m^T)/2, then checks positive definiteness
     through a Cholesky factorization with a relative pivot tolerance.
 
     Parameters
@@ -49,11 +52,19 @@ def posdef(m, name="matrix"):
     Raises
     ------
     NotPositiveDefinite
-        If the symmetrized input fails the factorization or the pivot bound.
+        If an entry is out of range, or the symmetrized input fails the
+        factorization or the pivot bound; the message names the first
+        failing batch index.
     """
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotPositiveDefinite(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.abs(m) <= SYMMETRIZE_MAX):  # a NaN fails the comparison too
+        raise NotPositiveDefinite(
+            f"{name} entries are out of range: need finite values of magnitude "
+            f"at most {SYMMETRIZE_MAX:.3g}"
+        )
     x = symmetrize(m)
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
-        raise NotPositiveDefinite(f"{name} must be square, got shape {x.shape}")
     cholesky(x, name=name)
     return x
 
@@ -66,17 +77,38 @@ def is_posdef(m):
     return True
 
 
+def _at(bad):
+    """' at batch index i,j' naming the first True entry of a batch mask; '' if unbatched."""
+    if np.ndim(bad) == 0:
+        return ""
+    return " at batch index " + ",".join(map(str, np.argwhere(bad)[0]))
+
+
+def _first_failure(factorize, x):
+    """Mask of the first matrix in the batch x on which factorize raises LinAlgError."""
+    bad = np.zeros(x.shape[:-2], dtype=bool)
+    for idx in np.ndindex(bad.shape):
+        try:
+            factorize(x[idx])
+        except np.linalg.LinAlgError:
+            bad[idx] = True
+            break
+    return bad
+
+
 def cholesky(x, name="matrix"):
     """Upper triangular u with positive diagonal and x = u^T u."""
     x = np.asarray(x, dtype=float)
     try:
         lower = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
+    except np.linalg.LinAlgError:
+        where = _at(_first_failure(np.linalg.cholesky, x))
+        raise NotPositiveDefinite(f"{name} is not positive definite{where}") from None
     diag = np.diagonal(lower, axis1=-2, axis2=-1)
     scale = np.max(np.diagonal(x, axis1=-2, axis2=-1), axis=-1)
-    if np.any(diag * diag <= PIVOT_RTOL * scale[..., None]):
-        raise NotPositiveDefinite(f"{name} has a Cholesky pivot below tolerance")
+    low = np.any(diag * diag <= PIVOT_RTOL * scale[..., None], axis=-1)
+    if np.any(low):
+        raise NotPositiveDefinite(f"{name} has a Cholesky pivot below tolerance{_at(low)}")
     return np.swapaxes(lower, -1, -2)
 
 
@@ -85,10 +117,13 @@ def sqrt_factor(x):
     x = np.asarray(x, dtype=float)
     try:
         w, v = np.linalg.eigh(x)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigendecomposition failed: {exc}") from None
-    if np.any(w <= 0):
-        raise NotPositiveDefinite("matrix has a nonpositive eigenvalue")
+    except np.linalg.LinAlgError:
+        raise EigenFailure(
+            f"eigendecomposition failed{_at(_first_failure(np.linalg.eigh, x))}"
+        ) from None
+    nonpositive = np.any(w <= 0, axis=-1)
+    if np.any(nonpositive):
+        raise NotPositiveDefinite(f"matrix has a nonpositive eigenvalue{_at(nonpositive)}")
     root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
     return symmetrize(root)
 

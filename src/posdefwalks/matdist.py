@@ -3,7 +3,11 @@
 Every sampler takes an explicit generator created by :func:`make_stream`;
 identical (seed, stream_id) pairs reproduce bit-identical output, distinct
 pairs give independent counter-based streams. Samplers return one matrix for
-``size=None`` or a stack of shape ``(size, d, d)``.
+``size=None`` or a stack of shape ``(size, d, d)``. ``blocks=m`` adds a
+leading axis of m blocks: the same bits as m successive calls, with each
+transform (triangular inverse, Gram matrix, split factor) run once on the
+whole stack. A draw that is not finite raises DomainError naming the law's
+parameters.
 """
 
 from dataclasses import dataclass
@@ -49,22 +53,45 @@ class BartlettSpec:
         return len(self.c)
 
 
+def _count(value, name):
+    n = 1 if value is None else int(value)
+    if n < 0:
+        raise DomainError(f"sample {name} must be >= 0, got {name}={value}")
+    return n
+
+
+def _bartlett_blocks(specs, rng, size, blocks):
+    """Bartlett factors (blocks, len(specs), size, d, d), one block after another.
+
+    ``None`` for size or blocks counts as 1. Within a block every spec draws
+    in turn, in a fixed order: its diagonal (k = 1..d), then its strict upper
+    triangle row-major. So a block consumes the stream exactly as one
+    sample_bartlett call per spec does, and m blocks as m rounds of them.
+    """
+    n, m = _count(size, "size"), _count(blocks, "blocks")
+    d = specs[0].dim
+    shapes = [spec.shapes() for spec in specs]
+    iu = np.triu_indices(d, k=1)
+    u = np.zeros((m, len(specs), n, d, d))
+    for block in u:
+        for f, sh in zip(block, shapes):
+            for k in range(d):
+                f[:, k, k] = np.sqrt(rng.gamma(shape=sh[k], scale=1.0, size=n))
+            if d > 1:
+                f[:, iu[0], iu[1]] = rng.normal(0.0, np.sqrt(0.5), size=(n, len(iu[0])))
+    return u
+
+
+def _shaped(x, size, blocks):
+    """Drop the draw axis of x (blocks, size, ...) for size=None and the block axis for blocks=None."""
+    if size is None:
+        x = x[:, 0]
+    return x[0] if blocks is None else x
+
+
 def sample_bartlett(spec: BartlettSpec, rng, size=None):
     """Draw upper triangular factors with the given Bartlett law."""
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise DomainError(f"sample size must be >= 0, got size={size}")
-    d = spec.dim
-    u = np.zeros((n, d, d))
-    shapes = spec.shapes()
-    # Draw order is fixed: diagonal first (k = 1..d), then the strict upper
-    # triangle row-major, so equal streams reproduce equal factors.
-    for k in range(d):
-        u[:, k, k] = np.sqrt(rng.gamma(shape=shapes[k], scale=1.0, size=n))
-    if d > 1:
-        iu = np.triu_indices(d, k=1)
-        u[:, iu[0], iu[1]] = rng.normal(0.0, np.sqrt(0.5), size=(n, len(iu[0])))
-    return u[0] if size is None else u
+    return _shaped(_bartlett_blocks((spec,), rng, size, None)[:, 0], size, None)
 
 
 def _wishart_spec(p: ModelParams):
@@ -75,13 +102,44 @@ def _inv_wishart_spec(p: ModelParams):
     return BartlettSpec(p.beta, tuple(range(p.dim, 0, -1)))
 
 
-def _triangular_inverse(b):
+def _not_finite(law, p):
+    names = {Law.WISHART: ("alpha",), Law.INV_WISHART: ("beta",)}.get(law, ("alpha", "beta"))
+    at = ", ".join(f"{name}={getattr(p, name)!r}" for name in names)
+    return DomainError(f"{law.value} draw is not finite at {at}: the parameter is out of range")
+
+
+def _finite(law, p, x):
+    """x, or a DomainError naming the law's parameters if any entry is NaN or inf."""
+    if not np.isfinite(x).all():
+        raise _not_finite(law, p)
+    return x
+
+
+def _triangular_inverse(b, law, p):
     # The inverse of an upper triangular factor is upper triangular; enforce
     # the exact zero pattern against round-off.
-    return np.triu(np.linalg.inv(b))
+    try:
+        return np.triu(np.linalg.inv(b))
+    except np.linalg.LinAlgError:  # a diagonal gamma draw underflowed to zero
+        raise _not_finite(law, p) from None
 
 
-def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
+def _cholesky_factor(law, p: ModelParams, rng, size, blocks):
+    p.require_sampling()
+    if law is Law.WISHART:
+        u = _bartlett_blocks((_wishart_spec(p),), rng, size, blocks)[:, 0]
+    elif law is Law.INV_WISHART:
+        b = _bartlett_blocks((_inv_wishart_spec(p),), rng, size, blocks)[:, 0]
+        u = _triangular_inverse(b, law, p)
+    elif law is Law.BETA2:
+        ab = _bartlett_blocks((_wishart_spec(p), _inv_wishart_spec(p)), rng, size, blocks)
+        u = ab[:, 0] @ _triangular_inverse(ab[:, 1], law, p)
+    else:
+        raise DomainError(f"no triangular factor construction for law {law.value}")
+    return _shaped(u, size, blocks)
+
+
+def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, blocks=None):
     """Split factor w(X) of a draw X ~ law, so that w(X)^T w(X) = X.
 
     The Cholesky split gives the upper factor U (positive diagonal) from
@@ -92,64 +150,60 @@ def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
     The square-root split gives the symmetric root of a :func:`sample` draw.
     """
     if SplitKind(kind) is SplitKind.SQUARE_ROOT:
-        return matcore.sqrt_factor(sample(law, p, rng, size))
+        return matcore.sqrt_factor(sample(law, p, rng, size, blocks))
     law = Law(law)
-    p.require_sampling()
-    if law is Law.WISHART:
-        return sample_bartlett(_wishart_spec(p), rng, size)
-    if law is Law.INV_WISHART:
-        return _triangular_inverse(sample_bartlett(_inv_wishart_spec(p), rng, size))
-    if law is Law.BETA2:
-        a = sample_bartlett(_wishart_spec(p), rng, size)
-        b = sample_bartlett(_inv_wishart_spec(p), rng, size)
-        return a @ _triangular_inverse(b)
-    raise DomainError(f"no triangular factor construction for law {law.value}")
+    return _finite(law, p, _cholesky_factor(law, p, rng, size, blocks))
 
 
 def _gram(u):
     return matcore.symmetrize(np.swapaxes(u, -1, -2) @ u)
 
 
-def sample_wishart(p: ModelParams, rng, size=None):
-    return _gram(sample_factor(Law.WISHART, p, rng, size))
+def _gram_sample(law, p, rng, size, blocks):
+    return _finite(law, p, _gram(_cholesky_factor(law, p, rng, size, blocks)))
 
 
-def sample_inv_wishart(p: ModelParams, rng, size=None):
-    return _gram(sample_factor(Law.INV_WISHART, p, rng, size))
+def sample_wishart(p: ModelParams, rng, size=None, blocks=None):
+    return _gram_sample(Law.WISHART, p, rng, size, blocks)
 
 
-def sample_beta2(p: ModelParams, rng, size=None):
-    return _gram(sample_factor(Law.BETA2, p, rng, size))
+def sample_inv_wishart(p: ModelParams, rng, size=None, blocks=None):
+    return _gram_sample(Law.INV_WISHART, p, rng, size, blocks)
 
 
-def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
+def sample_beta2(p: ModelParams, rng, size=None, blocks=None):
+    return _gram_sample(Law.BETA2, p, rng, size, blocks)
+
+
+def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, blocks=None):
     """Beta type I draw as the sum-normalised part of a Wishart pair.
 
     Returns the alternative symmetrised product of Y_alpha by the inverse of
     Y_alpha + Y_beta; the law does not depend on the split kind.
     """
     p.require_sampling()
-    y_a = sample_wishart(ModelParams(p.dim, p.alpha, p.alpha), rng, size)
-    y_b = sample_wishart(ModelParams(p.dim, p.beta, p.beta), rng, size)
-    total_inv = matcore.invert(y_a + y_b)
-    return matcore.sym_product_alt(kind, total_inv, y_a)
+    ones = tuple(range(1, p.dim + 1))
+    pair = (BartlettSpec(p.alpha, ones), BartlettSpec(p.beta, ones))
+    y = _finite(Law.BETA1, p, _gram(_bartlett_blocks(pair, rng, size, blocks)))
+    total_inv = matcore.invert(y[:, 0] + y[:, 1])
+    return _shaped(matcore.sym_product_alt(kind, total_inv, y[:, 0]), size, blocks)
 
 
-def sample_inv_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
-    return matcore.invert(sample_beta1(p, rng, size, kind))
+def sample_inv_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, blocks=None):
+    return matcore.invert(sample_beta1(p, rng, size, kind, blocks))
 
 
-def sample(law, p: ModelParams, rng, size=None):
+def sample(law, p: ModelParams, rng, size=None, blocks=None):
     """Dispatch sampler for the named law."""
     law = Law(law)
     if law is Law.WISHART:
-        return sample_wishart(p, rng, size)
+        return sample_wishart(p, rng, size, blocks)
     if law is Law.INV_WISHART:
-        return sample_inv_wishart(p, rng, size)
+        return sample_inv_wishart(p, rng, size, blocks)
     if law is Law.BETA2:
-        return sample_beta2(p, rng, size)
+        return sample_beta2(p, rng, size, blocks)
     if law is Law.BETA1:
-        return sample_beta1(p, rng, size)
+        return sample_beta1(p, rng, size, blocks=blocks)
     if law is Law.INV_BETA1:
-        return sample_inv_beta1(p, rng, size)
+        return sample_inv_beta1(p, rng, size, blocks=blocks)
     raise DomainError(f"unknown law {law}")

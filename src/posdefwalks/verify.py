@@ -394,7 +394,7 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
     m = min(n_samples, 512)
     init = matdist.sample_inv_wishart(p, rng, size=m)
     incs = [matdist.sample_beta2(p, rng, size=m) for _ in range(n)]
-    recursive = walks.trace_from_increments(SplitKind.CHOLESKY, init, incs).r[:, -1]
+    recursive = walks.walk_recursive(SplitKind.CHOLESKY, init, incs)
     closed = walks.walk_closed(SplitKind.CHOLESKY, init, incs)
     gap = float(np.max(np.abs(recursive - closed)))
     subs.append(SubTest("shared-stream path gap", gap / 1e-10, f"max entry diff {gap:.2e}"))

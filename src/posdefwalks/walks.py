@@ -8,7 +8,12 @@ They are equal in law for every split kind, and for the Cholesky split they
 coincide path by path. Every walk's states come from one of two private
 builders, _recursive_states (repeated symmetrised products) and
 _closed_states (Gram matrices of the accumulated factors), which check each
-step for overflow; kesten_samples and dufresne_series keep their own loops.
+step for overflow; walk_recursive and walk_closed return their last state.
+kesten_samples and dufresne_series keep their own loops. kesten_samples
+draws its increments a block of moves at a time (matdist's ``blocks``) and
+splits the whole block once for the plain chain, leaving one symmetrised
+product per move; the primed chain splits its state-dependent I + xi' per
+move. dufresne_series draws per term, since its active set follows the state.
 """
 
 import math
@@ -144,15 +149,24 @@ def simulate_walk(cfg: WalkConfig, rng):
     return WalkTrace(r=tr.r[0], a=tr.a[0], s=tr.s[0])
 
 
+def _validated_states(kind, init, increments):
+    init = matcore.posdef(init, name="init")
+    validated = (matcore.posdef(x, name="increment") for x in increments)
+    return _recursive_states(kind, init, validated, len(increments))
+
+
 def trace_from_increments(kind, init, increments):
     """WalkTrace of the recursive walk driven by an explicit increment sequence.
 
     init is one (d, d) start or a batch (..., d, d); each increment, validated
     as positive definite, is one (d, d) matrix or a batch of init's shape.
     """
-    init = matcore.posdef(init, name="init")
-    validated = (matcore.posdef(x, name="increment") for x in increments)
-    return _walk_trace(_recursive_states(kind, init, validated, len(increments)))
+    return _walk_trace(_validated_states(kind, init, increments))
+
+
+def walk_recursive(kind, init, increments):
+    """Last state of the recursive walk, validated as trace_from_increments, without its sums."""
+    return _validated_states(kind, init, increments)[..., -1, :, :]
 
 
 def walk_closed(kind, init, increments):
@@ -168,6 +182,8 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     counts moves of the recursion after that point. With n_chains > 1 the
     moves run on a batch of independent chains and the collected rounds are
     pooled, which trades a shorter wall clock for the same marginal law.
+    The increments do not depend on the chain, so they are drawn a block of
+    at most thin moves at a time, in move order.
     """
     for name, value in (("burn_in", burn_in), ("thin", thin), ("n_chains", n_chains)):
         if value < 1:
@@ -177,22 +193,24 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     eye = np.eye(d)
     xi = matdist.sample_beta2(p, rng, size=n_chains)
     rounds = -(-n_samples // n_chains)
-    out = np.empty((rounds * n_chains, d, d))
-    collected = 0
-    moves_until = burn_in
-    while collected < n_samples:
-        x = matdist.sample_beta2(p, rng, size=n_chains)
-        # xi(n) = T_X(n)(I + xi(n-1)); the primed chain is xi'(n) = T_(I + xi'(n-1))(X(n)).
-        if prime:
-            xi = matcore.sym_product(kind, eye + xi, x)
-        else:
-            xi = matcore.sym_product(kind, x, eye + xi)
-        moves_until -= 1
-        if moves_until == 0:
-            out[collected : collected + n_chains] = xi
-            collected += n_chains
-            moves_until = thin
-    return out[:n_samples]
+    out = np.empty((rounds, n_chains, d, d))
+    moves = burn_in
+    for r in range(rounds):
+        while moves > 0:
+            m = min(moves, thin)
+            x = matdist.sample_beta2(p, rng, size=n_chains, blocks=m)
+            # xi(n) = T_X(n)(I + xi(n-1)); the primed chain is xi'(n) = T_(I + xi'(n-1))(X(n)).
+            if prime:
+                for x_n in x:
+                    xi = matcore.sym_product(kind, eye + xi, x_n)
+            else:
+                w = matcore.split_factor(kind, x)
+                for w_n, w_nt in zip(w, np.swapaxes(w, -1, -2)):
+                    xi = matcore.symmetrize(w_nt @ (eye + xi) @ w_n)
+            moves -= m
+        out[r] = xi
+        moves = thin
+    return out.reshape(-1, d, d)[:n_samples]
 
 
 def dufresne_series(

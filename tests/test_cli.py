@@ -1,6 +1,7 @@
 """Command line behaviour: flags, config, env seed, outputs, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -460,3 +461,23 @@ def test_option_prefix_is_a_usage_error(tmp_path, capsys, source):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --alph" in capsys.readouterr().err
+
+
+def test_sampler_overflow_exits_3_naming_the_parameter(capsys):
+    # Used to print rows of inf and exit 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["sample", "--alpha", "1e308", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: wishart draw is not finite at alpha=1e+308")
+    assert "inf" not in captured.out
+
+
+def test_walk_init_out_of_range_exits_3_naming_init(capsys):
+    # Used to warn of an overflow in symmetrize, then blame a Cholesky pivot.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["walk", "--alpha", "2", "--beta", "5", "--increments", "2", "--init", "fixed:1e308"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: init entries are out of range")

@@ -85,6 +85,20 @@ def _kesten(kind, prime):
     return _digest(out)
 
 
+def _kesten_ragged(kind, prime, d):
+    # burn_in % thin != 0 and n_samples % n_chains != 0: the burn-in ends inside
+    # a thinning period and the last round is cut.
+    out = walks.kesten_samples(
+        ModelParams(d, 2.0, 5.0), kind, 7, 3, 10, make_stream(17, d), prime=prime, n_chains=4
+    )
+    return _digest(out)
+
+
+def _eigen_d3(law, kind):
+    rep = lyapunov.empirical_mu_eigen(law, ModelParams(3, 2.0, 5.0), kind, 40, 5, make_stream(18))
+    return _digest(rep.mu_hat, rep.std_err)
+
+
 def _stdout(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -138,6 +152,12 @@ for _kind in SplitKind:
         CASES[f"eigen-{_law.value}-{_kind.value}"] = (_eigen, _law, _kind)
     for _prime in (False, True):
         CASES[f"kesten-{_kind.value}-prime{int(_prime)}"] = (_kesten, _kind, _prime)
+        for _d in (1, 3):
+            CASES[f"kesten-ragged-{_kind.value}-prime{int(_prime)}-d{_d}"] = (
+                _kesten_ragged, _kind, _prime, _d,
+            )
+for _law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
+    CASES[f"eigen-d3-{_law.value}-sqrt"] = (_eigen_d3, _law, SplitKind.SQUARE_ROOT)
 for _law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
     CASES[f"cholesky-{_law.value}"] = (_cholesky, _law)
 for _init in ("invwishart", "identity", "fixed:2"):
@@ -258,6 +278,17 @@ GOLDEN = {
     'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',
     'cli-env-seed': '276210f10a9ef26dc62eeeb3cb4eba4b7bf23508f2b184bba2a21085c085389d',
     'cli-verify-lukacs-meta': '70ea35e39ffbc72996179c0976305629cae6a13d8394d22145fba65cc4a1c435',
+    'kesten-ragged-sqrt-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
+    'kesten-ragged-sqrt-prime0-d3': '13afafb7e1c64d363141a9a705611e72b1eabcb59254da40fd5c126fb6d91a3f',
+    'kesten-ragged-sqrt-prime1-d1': '4b3513e52a461a84cb08d7c5ed2506c5d43c43e79ca5cb0c16949b64d5b5ac6f',
+    'kesten-ragged-sqrt-prime1-d3': '892d71e4f78ccdda1581d940ab3552dedd67dda8d6c9f94096862fad747fd341',
+    'kesten-ragged-cholesky-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
+    'kesten-ragged-cholesky-prime0-d3': '389aa3b9795e0dd3269672da282d3a21bf89377bb6a2482b642fadc0203e36fb',
+    'kesten-ragged-cholesky-prime1-d1': '4b3513e52a461a84cb08d7c5ed2506c5d43c43e79ca5cb0c16949b64d5b5ac6f',
+    'kesten-ragged-cholesky-prime1-d3': 'd1aae0a920d94d1190ec3d4282a30600e9530e9609bf2fa1193242c78b4e3619',
+    'eigen-d3-wishart-sqrt': 'f60fe4d63b83157ee9bda2f4edbd208c5f96ef96c41d1caad92d5fb3a8f11996',
+    'eigen-d3-invwishart-sqrt': 'c9d309e6c51cef432bce3d0cc156acde7737eb93eb8d30bd36d94704ddfb66ba',
+    'eigen-d3-beta2-sqrt': '11c24824aca75f15fdb445b3e40dffcd2f3ec4937c6ee40f1a571da240a03864',
 }
 
 

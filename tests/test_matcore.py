@@ -1,5 +1,7 @@
 """Factorizations, symmetrised products, eigenvalue utilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,39 @@ def test_symmetrize_cleans_roundoff():
     m = np.array([[1.0, 1e-14], [0.0, 1.0]])
     s = matcore.symmetrize(m)
     np.testing.assert_array_equal(s, s.T)
+
+
+def _stack_with(bad, shape=(20, 5)):
+    x = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
+    x[12, 3] = bad
+    return x
+
+
+@pytest.mark.parametrize(
+    "fn, bad, phrase",
+    [
+        (matcore.cholesky, -np.eye(2), "is not positive definite"),
+        (matcore.cholesky, [[1.0, 1.0], [1.0, 1.0 + 1e-15]], "Cholesky pivot below tolerance"),
+        (matcore.sqrt_factor, -np.eye(2), "nonpositive eigenvalue"),
+    ],
+)
+def test_factor_failure_names_first_batch_index(fn, bad, phrase):
+    # A blocked (moves, chains, d, d) stack: the message names move and chain.
+    x = _stack_with(bad)
+    x[15, 0] = bad
+    with pytest.raises(NotPositiveDefinite, match=f"{phrase} at batch index 12,3$"):
+        fn(x)
+    with pytest.raises(NotPositiveDefinite, match=f"{phrase}$"):
+        fn(np.asarray(bad))
+
+
+def test_posdef_rejects_entries_out_of_range_without_warning():
+    for big in (1e308, np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="init entries are out of range"):
+                matcore.posdef(np.diag([big, 1.0]), name="init")
+    assert not matcore.is_posdef([[np.inf]])
+    # Just inside the range, symmetrize keeps its bits.
+    x = np.array([[8e307, 1e307], [1e307, 8e307]])
+    np.testing.assert_array_equal(matcore.posdef(x), x)

@@ -1,6 +1,7 @@
 """Samplers for the matrix laws and their algebraic relations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +272,61 @@ def test_negative_size_rejected_naming_it(law):
     with pytest.raises(DomainError, match="size"):
         sample(law, p, make_stream(29), size=-1)
     assert sample(law, p, make_stream(29), size=0).shape == (0, 2, 2)
+
+
+_FACTOR_CASES = [(law, SplitKind.CHOLESKY) for law in (Law.WISHART, Law.INV_WISHART, Law.BETA2)]
+_FACTOR_CASES += [(law, SplitKind.SQUARE_ROOT) for law in Law]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", [None, 3])
+@pytest.mark.parametrize("law, kind", _FACTOR_CASES)
+def test_sample_factor_blocks_equal_successive_calls(law, kind, size):
+    p = ModelParams(3, 2.5, 4.0)
+    blocked, single = make_stream(41), make_stream(41)
+    got = sample_factor(law, p, blocked, size=size, kind=kind, blocks=4)
+    want = np.stack([sample_factor(law, p, single, size=size, kind=kind) for _ in range(4)])
+    assert _same_bits(got, want)
+    # The stream is left where the successive calls leave it.
+    assert _same_bits(sample_factor(law, p, blocked, 2, kind), sample_factor(law, p, single, 2, kind))
+
+
+@pytest.mark.parametrize("size", [None, 5])
+def test_sample_beta2_blocks_equal_successive_calls(size):
+    p = ModelParams(2, 2.0, 5.0)
+    blocked, single = make_stream(42), make_stream(42)
+    got = sample_beta2(p, blocked, size=size, blocks=3)
+    want = np.stack([sample_beta2(p, single, size=size) for _ in range(3)])
+    assert _same_bits(got, want)
+    assert _same_bits(sample_beta2(p, blocked, 4), sample_beta2(p, single, 4))
+
+
+def test_zero_and_negative_blocks():
+    p = ModelParams(2, 2.0, 5.0)
+    rng, fresh = make_stream(43), make_stream(43)
+    assert sample_beta2(p, rng, size=4, blocks=0).shape == (0, 4, 2, 2)
+    assert _same_bits(sample_beta2(p, rng, 4), sample_beta2(p, fresh, 4))
+    with pytest.raises(DomainError, match="blocks"):
+        sample_factor(Law.BETA2, p, rng, size=4, blocks=-1)
+
+
+@pytest.mark.parametrize(
+    "law, p, named",
+    [
+        (Law.WISHART, ModelParams(1, 1e308, 1e308), "alpha=1e+308"),
+        (Law.INV_WISHART, ModelParams(1, 2.0, 1e-6), "beta=1e-06"),
+        (Law.BETA2, ModelParams(1, 1e308, 0.1), "alpha=1e+308, beta=0.1"),
+        (Law.BETA1, ModelParams(1, 1e308, 2.0), "alpha=1e+308, beta=2.0"),
+    ],
+)
+def test_non_finite_draw_names_the_parameter(law, p, named):
+    # These used to return inf entries (or, for a zero gamma draw, raise
+    # numpy's LinAlgError from the triangular inverse).
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match=re.escape(f"{law.value} draw is not finite at {named}")):
+            sample(law, p, make_stream(44), size=4)
+        with pytest.raises(DomainError, match="not finite"):
+            sample_factor(law, p, make_stream(44), size=4, kind=SplitKind.SQUARE_ROOT, blocks=2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from posdefwalks import special, verify
+from posdefwalks import special, verify, walks
 from posdefwalks.errors import DomainError, EmptySample, InsufficientBinCount, NonFiniteIntegrand
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream
@@ -257,6 +257,16 @@ def test_check_my_markov_thin_bin_rejected():
 def test_check_construction_equivalence_passes():
     rep = check_construction_equivalence(ModelParams(2, 2.5, 6.0), 5, 2_500, make_stream(709), seed=709)
     assert rep.passed
+    assert "shared-stream path gap" in rep.details
+
+
+def test_construction_equivalence_shared_stream_path_builds_no_trace(monkeypatch):
+    # The path gap needs only the last recursive state, not running sums or their inverses.
+    def no_trace(*args):
+        raise AssertionError("shared-stream path built a WalkTrace")
+
+    monkeypatch.setattr(walks, "trace_from_increments", no_trace)
+    rep = check_construction_equivalence(ModelParams(2, 2.5, 6.0), 5, 600, make_stream(712), seed=712)
     assert "shared-stream path gap" in rep.details
 
 

@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import digamma
 
 from posdefwalks import matcore, matdist, walks
-from posdefwalks.errors import DomainError, StepOverflow, TruncationFailure
+from posdefwalks.errors import DomainError, NotPositiveDefinite, StepOverflow, TruncationFailure
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream
 from posdefwalks.special import ModelParams
@@ -24,6 +24,7 @@ from posdefwalks.walks import (
     simulate_walks,
     trace_from_increments,
     walk_closed,
+    walk_recursive,
 )
 
 import oracles
@@ -187,6 +188,23 @@ def test_trace_from_increments_batched_init_matches_single_traces():
         single = trace_from_increments(SplitKind.CHOLESKY, init[i], [x[i] for x in incs])
         for got, want in zip((batched.r, batched.a, batched.s), (single.r, single.a, single.s)):
             np.testing.assert_array_equal(got[i], want)
+
+
+def test_walk_recursive_is_last_trace_state_without_sums(monkeypatch):
+    rng = np.random.default_rng(20)
+    init = np.stack([rand_posdef(rng, 2, eps=0.5) for _ in range(3)])
+    incs = [np.stack([rand_posdef(rng, 2, eps=0.5) for _ in range(3)]) for _ in range(4)]
+    want = {kind: trace_from_increments(kind, init, incs).r[:, -1] for kind in SplitKind}
+
+    def no_trace(r):
+        raise AssertionError("walk_recursive built running sums")
+
+    monkeypatch.setattr(walks, "_walk_trace", no_trace)
+    for kind in SplitKind:
+        got = walk_recursive(kind, init, incs)
+        assert got.tobytes() == want[kind].tobytes()
+    with pytest.raises(NotPositiveDefinite, match="increment"):
+        walk_recursive(SplitKind.CHOLESKY, init, [-incs[0]])
 
 
 def test_growth_regime_raises_step_overflow():
