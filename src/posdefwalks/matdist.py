@@ -3,8 +3,9 @@
 Every sampler takes an explicit generator created by :func:`make_stream`;
 identical (seed, stream_id) pairs reproduce bit-identical output, distinct
 pairs give independent counter-based streams. Samplers return one matrix for
-``size=None`` or a stack of shape ``(size, d, d)``. ``blocks=m`` adds a
-leading axis of m blocks: the same bits as m successive calls, with each
+``size=None`` or a stack of shape ``(size, d, d)``. For the Wishart,
+inverse Wishart and beta II laws, and for :func:`sample_factor`, ``blocks=m``
+adds a leading axis of m blocks: the same bits as m successive calls, with each
 transform (triangular inverse, Gram matrix, split factor) run once on the
 whole stack. A draw that is not finite raises DomainError naming the law's
 parameters.
@@ -147,7 +148,8 @@ def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, 
     wishart: U = A with A Bartlett(alpha; 1..d).
     invwishart: U = B^-1 with B Bartlett(beta; d..1), by triangular inversion.
     beta2: U = A B^-1 with A, B independent as above.
-    The square-root split gives the symmetric root of a :func:`sample` draw.
+    The square-root split gives the symmetric root of a :func:`sample` draw;
+    with ``blocks`` it takes the three laws above only.
     """
     if SplitKind(kind) is SplitKind.SQUARE_ROOT:
         return matcore.sqrt_factor(sample(law, p, rng, size, blocks))
@@ -175,26 +177,26 @@ def sample_beta2(p: ModelParams, rng, size=None, blocks=None):
     return _gram_sample(Law.BETA2, p, rng, size, blocks)
 
 
-def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, blocks=None):
+def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
     """Beta type I draw as the sum-normalised part of a Wishart pair.
 
     Returns the alternative symmetrised product of Y_alpha by the inverse of
     Y_alpha + Y_beta; the law does not depend on the split kind.
     """
     p.require_sampling()
-    ones = tuple(range(1, p.dim + 1))
-    pair = (BartlettSpec(p.alpha, ones), BartlettSpec(p.beta, ones))
-    y = _finite(Law.BETA1, p, _gram(_bartlett_blocks(pair, rng, size, blocks)))
-    total_inv = matcore.invert(y[:, 0] + y[:, 1])
-    return _shaped(matcore.sym_product_alt(kind, total_inv, y[:, 0]), size, blocks)
+    y_a = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.alpha, p.alpha), rng, size, None))
+    y_b = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.beta, p.beta), rng, size, None))
+    # The sum is finite exactly when both Wishart draws are.
+    total_inv = matcore.invert(_finite(Law.BETA1, p, y_a + y_b))
+    return matcore.sym_product_alt(kind, total_inv, y_a)
 
 
-def sample_inv_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, blocks=None):
-    return matcore.invert(sample_beta1(p, rng, size, kind, blocks))
+def sample_inv_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
+    return matcore.invert(sample_beta1(p, rng, size, kind))
 
 
 def sample(law, p: ModelParams, rng, size=None, blocks=None):
-    """Dispatch sampler for the named law."""
+    """Dispatch sampler for the named law; ``blocks`` is for the three Gram laws only."""
     law = Law(law)
     if law is Law.WISHART:
         return sample_wishart(p, rng, size, blocks)
@@ -202,8 +204,10 @@ def sample(law, p: ModelParams, rng, size=None, blocks=None):
         return sample_inv_wishart(p, rng, size, blocks)
     if law is Law.BETA2:
         return sample_beta2(p, rng, size, blocks)
+    if blocks is not None:
+        raise DomainError(f"blocks is not supported for law {law.value}, got blocks={blocks}")
     if law is Law.BETA1:
-        return sample_beta1(p, rng, size, blocks=blocks)
+        return sample_beta1(p, rng, size)
     if law is Law.INV_BETA1:
-        return sample_inv_beta1(p, rng, size, blocks=blocks)
+        return sample_inv_beta1(p, rng, size)
     raise DomainError(f"unknown law {law}")

@@ -28,6 +28,8 @@ from .matcore import SplitKind
 from .special import Law, ModelParams, digamma
 
 ENTRY_MAX = 1e300
+# Most Kesten moves drawn per block, so a block holds at most 64 x n_chains increments.
+KESTEN_BLOCK_MAX = 64
 
 
 class Construction(str, Enum):
@@ -183,7 +185,8 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     moves run on a batch of independent chains and the collected rounds are
     pooled, which trades a shorter wall clock for the same marginal law.
     The increments do not depend on the chain, so they are drawn a block of
-    at most thin moves at a time, in move order.
+    at most min(thin, KESTEN_BLOCK_MAX) moves at a time, in move order; the
+    bits do not depend on the block size.
     """
     for name, value in (("burn_in", burn_in), ("thin", thin), ("n_chains", n_chains)):
         if value < 1:
@@ -197,7 +200,7 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     moves = burn_in
     for r in range(rounds):
         while moves > 0:
-            m = min(moves, thin)
+            m = min(moves, thin, KESTEN_BLOCK_MAX)
             x = matdist.sample_beta2(p, rng, size=n_chains, blocks=m)
             # xi(n) = T_X(n)(I + xi(n-1)); the primed chain is xi'(n) = T_(I + xi'(n-1))(X(n)).
             if prime:

@@ -274,8 +274,8 @@ def test_negative_size_rejected_naming_it(law):
     assert sample(law, p, make_stream(29), size=0).shape == (0, 2, 2)
 
 
-_FACTOR_CASES = [(law, SplitKind.CHOLESKY) for law in (Law.WISHART, Law.INV_WISHART, Law.BETA2)]
-_FACTOR_CASES += [(law, SplitKind.SQUARE_ROOT) for law in Law]
+_GRAM_LAWS = (Law.WISHART, Law.INV_WISHART, Law.BETA2)
+_FACTOR_CASES = [(law, kind) for law in _GRAM_LAWS for kind in SplitKind]
 
 
 def _same_bits(a, b):
@@ -313,6 +313,15 @@ def test_zero_and_negative_blocks():
         sample_factor(Law.BETA2, p, rng, size=4, blocks=-1)
 
 
+@pytest.mark.parametrize("law", [Law.BETA1, Law.INV_BETA1])
+def test_blocks_rejected_for_beta1_laws(law):
+    p = ModelParams(2, 2.0, 5.0)
+    with pytest.raises(DomainError, match=f"blocks is not supported for law {law.value}"):
+        sample(law, p, make_stream(43), size=4, blocks=2)
+    with pytest.raises(DomainError, match="blocks"):
+        sample_factor(law, p, make_stream(43), size=4, kind=SplitKind.SQUARE_ROOT, blocks=2)
+
+
 @pytest.mark.parametrize(
     "law, p, named",
     [
@@ -320,6 +329,7 @@ def test_zero_and_negative_blocks():
         (Law.INV_WISHART, ModelParams(1, 2.0, 1e-6), "beta=1e-06"),
         (Law.BETA2, ModelParams(1, 1e308, 0.1), "alpha=1e+308, beta=0.1"),
         (Law.BETA1, ModelParams(1, 1e308, 2.0), "alpha=1e+308, beta=2.0"),
+        (Law.BETA1, ModelParams(1, 2.0, 1e308), "alpha=2.0, beta=1e+308"),
     ],
 )
 def test_non_finite_draw_names_the_parameter(law, p, named):
@@ -328,5 +338,6 @@ def test_non_finite_draw_names_the_parameter(law, p, named):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match=re.escape(f"{law.value} draw is not finite at {named}")):
             sample(law, p, make_stream(44), size=4)
+        blocks = 2 if law in _GRAM_LAWS else None
         with pytest.raises(DomainError, match="not finite"):
-            sample_factor(law, p, make_stream(44), size=4, kind=SplitKind.SQUARE_ROOT, blocks=2)
+            sample_factor(law, p, make_stream(44), size=4, kind=SplitKind.SQUARE_ROOT, blocks=blocks)

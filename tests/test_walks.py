@@ -289,6 +289,27 @@ def test_kesten_samples_replay_one_move_bit_exact(kind, prime):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("prime", [False, True], ids=["xi", "xi_prime"])
+def test_kesten_blocks_capped_without_changing_bits(monkeypatch, prime):
+    # thin above KESTEN_BLOCK_MAX: the blocks are capped, and the samples are
+    # those of one-move blocks.
+    p = ModelParams(2, 2.0, 5.0)
+    args = (p, SplitKind.CHOLESKY, 150, 70, 5)
+    seen = []
+    draw = matdist.sample_beta2
+
+    def recording(*a, **kw):
+        seen.append(kw.get("blocks"))
+        return draw(*a, **kw)
+
+    monkeypatch.setattr(matdist, "sample_beta2", recording)
+    got = kesten_samples(*args, make_stream(17), prime=prime, n_chains=2)
+    assert max(b for b in seen if b is not None) == walks.KESTEN_BLOCK_MAX
+    monkeypatch.setattr(walks, "KESTEN_BLOCK_MAX", 1)
+    want = kesten_samples(*args, make_stream(17), prime=prime, n_chains=2)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kesten_chains_share_stationary_law():
     p = ModelParams(2, 2.5, 6.0)
     draws = {}
