@@ -4,6 +4,14 @@ All operations accept a single ``(d, d)`` matrix or a stack of matrices with
 shape ``(..., d, d)`` and are pure value-to-value functions. States living on
 the positive definite cone are represented as plain float arrays stored
 exactly symmetric; :func:`posdef` is the validating constructor.
+
+The Cholesky factor and the triangular inverse are closed forms at d <= 2,
+with the bits LAPACK gives, in a few array operations on the whole stack
+(numpy calls LAPACK once per matrix); at d >= 3 they call LAPACK. The
+input's last axis picks the path. Larger d stays on LAPACK because the BLAS
+it uses fuses multiply-adds, which no plain numpy evaluation order
+reproduces at d = 3; for the same reason the Gram and sandwich products
+stay on matmul. The symmetric root stays on eigh at every d.
 """
 
 import enum
@@ -96,20 +104,76 @@ def _first_failure(factorize, x):
     return bad
 
 
+def _cholesky_closed(x, name):
+    """Lower Cholesky factor at d <= 2 with LAPACK's bits, and the mask of pivots below tolerance.
+
+    l00 = sqrt(x00), l10 = x10 * (1/l00) and l11 = sqrt(x11 - l10^2); LAPACK
+    scales by the reciprocal pivot, and dividing instead changes bits. A pivot
+    that is not > 0 (NaN included) fails. The tolerance test is cholesky's,
+    written per entry: a reduction over an axis of length 2 costs more than
+    the factor.
+    """
+    x00 = x[..., 0, 0]
+    lower = np.zeros(x.shape)
+    with np.errstate(all="ignore"):  # the pivot test right below reports what these meet
+        l00 = lower[..., 0, 0] = np.sqrt(x00)
+        ok = x00 > 0
+        if x.shape[-1] == 2:
+            l10 = lower[..., 1, 0] = x[..., 1, 0] * (1.0 / l00)
+            pivot = x[..., 1, 1] - l10 * l10
+            ok = ok & (pivot > 0)
+            l11 = lower[..., 1, 1] = np.sqrt(pivot)
+    if not np.all(ok):
+        raise NotPositiveDefinite(f"{name} is not positive definite{_at(~ok)}")
+    if x.shape[-1] == 1:
+        return lower, ~(l00 * l00 > PIVOT_RTOL * x00)
+    tol = PIVOT_RTOL * np.maximum(x00, x[..., 1, 1])
+    return lower, ~(l00 * l00 > tol) | ~(l11 * l11 > tol)
+
+
 def cholesky(x, name="matrix"):
-    """Upper triangular u with positive diagonal and x = u^T u."""
+    """Upper triangular u with positive diagonal and x = u^T u.
+
+    Closed forms at d <= 2 (:func:`_cholesky_closed`), LAPACK at d >= 3.
+    """
     x = np.asarray(x, dtype=float)
-    try:
-        lower = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        where = _at(_first_failure(np.linalg.cholesky, x))
-        raise NotPositiveDefinite(f"{name} is not positive definite{where}") from None
-    diag = np.diagonal(lower, axis1=-2, axis2=-1)
-    scale = np.max(np.diagonal(x, axis1=-2, axis2=-1), axis=-1)
-    low = np.any(diag * diag <= PIVOT_RTOL * scale[..., None], axis=-1)
+    if x.shape[-1] <= 2:
+        lower, low = _cholesky_closed(x, name)
+    else:
+        try:
+            lower = np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            where = _at(_first_failure(np.linalg.cholesky, x))
+            raise NotPositiveDefinite(f"{name} is not positive definite{where}") from None
+        diag = np.diagonal(lower, axis1=-2, axis2=-1)
+        scale = np.max(np.diagonal(x, axis1=-2, axis2=-1), axis=-1)
+        # Written so that a NaN pivot or scale fails too.
+        low = np.any(~(diag * diag > PIVOT_RTOL * scale[..., None]), axis=-1)
     if np.any(low):
         raise NotPositiveDefinite(f"{name} has a Cholesky pivot below tolerance{_at(low)}")
     return np.swapaxes(lower, -1, -2)
+
+
+def _triangular_inverse(u):
+    """Inverse of upper triangular u (..., d, d), with exact zeros below the diagonal.
+
+    At d <= 2 it is closed form with LAPACK's bits: with r = 1/diag(u), the
+    corner is (0 - u01 r1) r0, whose subtraction from zero gives +0 for
+    u01 = 0 as LAPACK does. A zero diagonal entry gives inf or NaN entries
+    (and numpy's floating-point warnings), not an error. d >= 3 calls LAPACK,
+    which raises LinAlgError on a zero diagonal entry.
+    """
+    d = u.shape[-1]
+    if d == 1:
+        return 1.0 / u
+    if d > 2:
+        return np.triu(np.linalg.inv(u))
+    r0, r1 = 1.0 / u[..., 0, 0], 1.0 / u[..., 1, 1]
+    out = np.zeros(u.shape)
+    out[..., 0, 0] = r0
+    out[..., 0, 1] = (0.0 - u[..., 0, 1] * r1) * r0
+    out[..., 1, 1] = r1
+    return out
 
 
 def sqrt_factor(x):
@@ -121,7 +185,7 @@ def sqrt_factor(x):
         raise EigenFailure(
             f"eigendecomposition failed{_at(_first_failure(np.linalg.eigh, x))}"
         ) from None
-    nonpositive = np.any(w <= 0, axis=-1)
+    nonpositive = np.any(~(w > 0), axis=-1)  # a NaN eigenvalue fails too
     if np.any(nonpositive):
         raise NotPositiveDefinite(f"matrix has a nonpositive eigenvalue{_at(nonpositive)}")
     root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -159,8 +223,7 @@ def eigenvalues(x):
 
 def invert(x):
     """Inverse of a positive definite matrix, validated and stored symmetric."""
-    u = cholesky(x)
-    uinv = np.linalg.inv(u)
+    uinv = _triangular_inverse(cholesky(x))
     return symmetrize(uinv @ np.swapaxes(uinv, -1, -2))
 
 

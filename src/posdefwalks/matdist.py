@@ -109,6 +109,11 @@ def _not_finite(law, p):
     return DomainError(f"{law.value} draw is not finite at {at}: the parameter is out of range")
 
 
+# Floating-point warnings silenced where an overflowing or zero draw can meet
+# them; every such block is followed at once by _finite, which reports it.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _finite(law, p, x):
     """x, or a DomainError naming the law's parameters if any entry is NaN or inf."""
     if not np.isfinite(x).all():
@@ -117,11 +122,11 @@ def _finite(law, p, x):
 
 
 def _triangular_inverse(b, law, p):
-    # The inverse of an upper triangular factor is upper triangular; enforce
-    # the exact zero pattern against round-off.
+    # A diagonal gamma draw that underflowed to zero gives inf entries at
+    # d <= 2, which the caller's finiteness check reports, and LinAlgError at d >= 3.
     try:
-        return np.triu(np.linalg.inv(b))
-    except np.linalg.LinAlgError:  # a diagonal gamma draw underflowed to zero
+        return matcore._triangular_inverse(b)
+    except np.linalg.LinAlgError:
         raise _not_finite(law, p) from None
 
 
@@ -154,7 +159,9 @@ def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, 
     if SplitKind(kind) is SplitKind.SQUARE_ROOT:
         return matcore.sqrt_factor(sample(law, p, rng, size, blocks))
     law = Law(law)
-    return _finite(law, p, _cholesky_factor(law, p, rng, size, blocks))
+    with np.errstate(**_QUIET):
+        u = _cholesky_factor(law, p, rng, size, blocks)
+    return _finite(law, p, u)
 
 
 def _gram(u):
@@ -162,7 +169,9 @@ def _gram(u):
 
 
 def _gram_sample(law, p, rng, size, blocks):
-    return _finite(law, p, _gram(_cholesky_factor(law, p, rng, size, blocks)))
+    with np.errstate(**_QUIET):
+        x = _gram(_cholesky_factor(law, p, rng, size, blocks))
+    return _finite(law, p, x)
 
 
 def sample_wishart(p: ModelParams, rng, size=None, blocks=None):
@@ -184,10 +193,12 @@ def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
     Y_alpha + Y_beta; the law does not depend on the split kind.
     """
     p.require_sampling()
-    y_a = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.alpha, p.alpha), rng, size, None))
-    y_b = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.beta, p.beta), rng, size, None))
+    with np.errstate(**_QUIET):
+        y_a = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.alpha, p.alpha), rng, size, None))
+        y_b = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.beta, p.beta), rng, size, None))
+        total = y_a + y_b
     # The sum is finite exactly when both Wishart draws are.
-    total_inv = matcore.invert(_finite(Law.BETA1, p, y_a + y_b))
+    total_inv = matcore.invert(_finite(Law.BETA1, p, total))
     return matcore.sym_product_alt(kind, total_inv, y_a)
 
 

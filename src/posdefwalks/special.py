@@ -261,8 +261,9 @@ def phi_d1(p: ModelParams, s):
     a, b = p.alpha, p.beta
     t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
     where = f"phi_d1 at alpha={a}, beta={b}"
-    out = _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
-    out = out + np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
+    with np.errstate(over="ignore", invalid="ignore"):  # both sums are checked at once
+        out = _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
+        out = out + np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
     if not np.isfinite(out).all():
         raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")
     return float(out) if out.ndim == 0 else out

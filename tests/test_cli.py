@@ -464,14 +464,27 @@ def test_option_prefix_is_a_usage_error(tmp_path, capsys, source):
 
 
 def test_sampler_overflow_exits_3_naming_the_parameter(capsys):
-    # Used to print rows of inf and exit 0.
+    # Used to print rows of inf and exit 0; later it exited 3, but only after
+    # numpy's "overflow encountered in add" warning.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code = main(["sample", "--alpha", "1e308", "--n", "2"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: wishart draw is not finite at alpha=1e+308")
     assert "inf" not in captured.out
+
+
+def test_zero_gamma_draw_exits_3_with_only_the_error_line(capsys):
+    # A gamma draw of shape 1e-6 underflows to 0, so the triangular inverse
+    # divides by zero; numpy's warning must not come before the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sample", "--dist", "invwishart", "--d", "1", "--alpha", "1", "--beta", "1e-6"])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invwishart draw is not finite at beta=1e-06: the parameter is out of range"
+    ]
 
 
 def test_walk_init_out_of_range_exits_3_naming_init(capsys):

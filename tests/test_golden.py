@@ -18,10 +18,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from posdefwalks import lyapunov, verify, walks
+from posdefwalks import lyapunov, matcore, verify, walks
 from posdefwalks.cli import SEED_ENV, main
 from posdefwalks.matcore import SplitKind
-from posdefwalks.matdist import make_stream, sample_beta2
+from posdefwalks.matdist import make_stream, sample_beta2, sample_factor
 from posdefwalks.special import Law, ModelParams
 from posdefwalks.walks import Construction, WalkConfig
 
@@ -99,6 +99,32 @@ def _eigen_d3(law, kind):
     return _digest(rep.mu_hat, rep.std_err)
 
 
+def _conditioned(d, n=64):
+    """n positive definite d x d matrices, condition numbers 1 to 1e12 and scales 1e-6 to 1e6.
+
+    PIVOT_RTOL is 1e-13, so the worst of them is near the Cholesky pivot bound.
+    """
+    rng = make_stream(19, d)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    if d == 1:
+        return scale[:, None, None]
+    theta = rng.uniform(0.0, np.pi, n)
+    c, s = np.cos(theta), np.sin(theta)
+    q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    lam = np.stack([np.ones(n), np.logspace(0.0, -12.0, n)], -1)
+    return matcore.symmetrize((q * (scale[:, None] * lam)[:, None, :]) @ np.swapaxes(q, -1, -2))
+
+
+def _kernel(fn, d):
+    return _digest(fn(_conditioned(d)))
+
+
+def _factor(law, d, alpha, beta):
+    # Parameters just above (d-1)/2 give gamma shapes near 0 and badly conditioned factors.
+    u = sample_factor(law, ModelParams(d, alpha, beta), make_stream(20, d), size=64, blocks=3)
+    return _digest(u)
+
+
 def _stdout(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -160,6 +186,13 @@ for _law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
     CASES[f"eigen-d3-{_law.value}-sqrt"] = (_eigen_d3, _law, SplitKind.SQUARE_ROOT)
 for _law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
     CASES[f"cholesky-{_law.value}"] = (_cholesky, _law)
+for _d in (1, 2):
+    CASES[f"kernel-cholesky-d{_d}"] = (_kernel, matcore.cholesky, _d)
+    CASES[f"kernel-invert-d{_d}"] = (_kernel, matcore.invert, _d)
+    for _law in (Law.INV_WISHART, Law.BETA2):
+        CASES[f"kernel-factor-{_law.value}-d{_d}"] = (_factor, _law, _d, 2.0, 5.0)
+        _edge = (_d - 1) / 2 + 0.05
+        CASES[f"kernel-factor-{_law.value}-edge-d{_d}"] = (_factor, _law, _d, _edge, _edge)
 for _init in ("invwishart", "identity", "fixed:2"):
     CASES[f"cli-walk-steps-{_init}"] = (_cli, *_WALK, "--steps", "3", "--init", _init)
     CASES[f"cli-walk-increments-{_init}"] = (_cli, *_WALK, "--increments", "2,3", "--init", _init)
@@ -289,6 +322,18 @@ GOLDEN = {
     'eigen-d3-wishart-sqrt': 'f60fe4d63b83157ee9bda2f4edbd208c5f96ef96c41d1caad92d5fb3a8f11996',
     'eigen-d3-invwishart-sqrt': 'c9d309e6c51cef432bce3d0cc156acde7737eb93eb8d30bd36d94704ddfb66ba',
     'eigen-d3-beta2-sqrt': '11c24824aca75f15fdb445b3e40dffcd2f3ec4937c6ee40f1a571da240a03864',
+    'kernel-cholesky-d1': '914c128db9bbad96a8ce684fcc73ed90845fc938ad0c15e9070f1c386d7282bd',
+    'kernel-invert-d1': '5e7c0b986f65cd756501e5464234c63d3b447a3fb841a212558c55f9acaab192',
+    'kernel-factor-invwishart-d1': '58cf3555927fdc74c78c2eb92ec43f628b9d5843d32e3321bc5730a25ab8a019',
+    'kernel-factor-invwishart-edge-d1': '761578202e6c936a18fad2d8b976769b21b6dfc54a606bb13a1af1bdaebfac19',
+    'kernel-factor-beta2-d1': 'bbbf6af1a90abc65df6ca943947dd4be20f6f537a5b0bcee2830cf37e2797b02',
+    'kernel-factor-beta2-edge-d1': 'a815bdbbe37b35d09435ac92c7b974ac51eb3f488acec8c8e497b6b7204ad732',
+    'kernel-cholesky-d2': '17f3a4683c0f07c89ea9b014888192ff9f3e09d1040cb3a37642757a271b4027',
+    'kernel-invert-d2': '294dbf4152e4effde2b2fd63a667575e59aea4daf3686794389510cc043e094f',
+    'kernel-factor-invwishart-d2': '493f95e3d6c2be93835ba6aea10b2ac530df4ed602f9d6c0fbce35b3dbeef005',
+    'kernel-factor-invwishart-edge-d2': '65e4c887719ae3cd6ddba75e94f115e3291ae1a42e8f23ade961f1a723d2e962',
+    'kernel-factor-beta2-d2': '199225212329787eceff9e2d12763402d5d74d3aea19bb82aba6d1bdc502937b',
+    'kernel-factor-beta2-edge-d2': '444c01188f5f7bc4f6fdd40cf2b5b583ec5c11ef2440ebe98755cbc9f4d6d4ee',
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from posdefwalks import matcore
-from posdefwalks.errors import NotPositiveDefinite
+from posdefwalks.errors import EigenFailure, NotPositiveDefinite
 from posdefwalks.matcore import SplitKind
 
 import oracles
@@ -224,6 +224,18 @@ def test_factor_failure_names_first_batch_index(fn, bad, phrase):
         fn(x)
     with pytest.raises(NotPositiveDefinite, match=f"{phrase}$"):
         fn(np.asarray(bad))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("fn", [matcore.cholesky, matcore.sqrt_factor])
+def test_nan_fails_the_factorizations_naming_its_batch_index(fn, d):
+    # The pivot and eigenvalue tests used to compare with <=, which a NaN passes.
+    x = np.broadcast_to(np.eye(d), (20, 5, d, d)).copy()
+    x[12, 3] = np.nan
+    # At d = 3 the eigensolver itself does not converge on a NaN matrix.
+    error = EigenFailure if fn is matcore.sqrt_factor and d == 3 else NotPositiveDefinite
+    with pytest.raises(error, match="at batch index 12,3$"):
+        fn(x)
 
 
 def test_posdef_rejects_entries_out_of_range_without_warning():

@@ -351,3 +351,17 @@ def test_reduced_suite_single_repetition_passes():
         assert rep.seed == 11
         digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
         assert digest == REDUCED_REPORT_SHA256[name], (name, rep.to_json())
+
+
+@pytest.mark.parametrize("name", ["fixed_point", "dufresne_d2"])
+def test_d2_checks_never_call_lapack_inverse_or_cholesky(name, monkeypatch):
+    # At d <= 2 matcore's closed forms do all triangular inversion and Cholesky
+    # factoring, with LAPACK's bits: the reduced report keeps its pinned bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK kernel called at d <= 2")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    idx = list(REDUCED_CONFIG).index(name)
+    rep = run_check(name, 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256[name]
