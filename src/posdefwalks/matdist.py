@@ -7,7 +7,8 @@ pairs give independent counter-based streams. Samplers return one matrix for
 inverse Wishart and beta II laws, and for :func:`sample_factor`, ``blocks=m``
 adds a leading axis of m blocks: the same bits as m successive calls, with each
 transform (triangular inverse, Gram matrix, split factor) run once on the
-whole stack. A draw that is not finite raises DomainError naming the law's
+whole stack. A draw that is not finite, or whose triangular factor has a
+diagonal entry that is not > 0, raises DomainError naming the law's
 parameters.
 """
 
@@ -103,21 +104,29 @@ def _inv_wishart_spec(p: ModelParams):
     return BartlettSpec(p.beta, tuple(range(p.dim, 0, -1)))
 
 
-def _not_finite(law, p):
+def _out_of_range(law, p, what):
     names = {Law.WISHART: ("alpha",), Law.INV_WISHART: ("beta",)}.get(law, ("alpha", "beta"))
     at = ", ".join(f"{name}={getattr(p, name)!r}" for name in names)
-    return DomainError(f"{law.value} draw is not finite at {at}: the parameter is out of range")
+    return DomainError(f"{law.value} draw {what} at {at}: the parameter is out of range")
 
 
 # Floating-point warnings silenced where an overflowing or zero draw can meet
-# them; every such block is followed at once by _finite, which reports it.
+# them; every such block is followed at once by _checked, which reports it.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _finite(law, p, x):
-    """x, or a DomainError naming the law's parameters if any entry is NaN or inf."""
+def _checked(law, p, x, *factors):
+    """x, or a DomainError naming the law's parameters.
+
+    It is raised if an entry of x is NaN or inf, or if a diagonal entry of a
+    triangular factor of the draw is not > 0: a Bartlett gamma variate of
+    shape near 0 can underflow to exactly 0, which leaves the factor singular.
+    """
     if not np.isfinite(x).all():
-        raise _not_finite(law, p)
+        raise _out_of_range(law, p, "is not finite")
+    for u in factors:
+        if not (np.diagonal(u, axis1=-2, axis2=-1) > 0).all():
+            raise _out_of_range(law, p, "is singular")
     return x
 
 
@@ -127,7 +136,7 @@ def _triangular_inverse(b, law, p):
     try:
         return matcore._triangular_inverse(b)
     except np.linalg.LinAlgError:
-        raise _not_finite(law, p) from None
+        raise _out_of_range(law, p, "is not finite") from None
 
 
 def _cholesky_factor(law, p: ModelParams, rng, size, blocks):
@@ -161,17 +170,18 @@ def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, 
     law = Law(law)
     with np.errstate(**_QUIET):
         u = _cholesky_factor(law, p, rng, size, blocks)
-    return _finite(law, p, u)
+    return _checked(law, p, u, u)
 
 
 def _gram(u):
-    return matcore.symmetrize(np.swapaxes(u, -1, -2) @ u)
+    return matcore.symmetrize(matcore._gram(u))
 
 
 def _gram_sample(law, p, rng, size, blocks):
     with np.errstate(**_QUIET):
-        x = _gram(_cholesky_factor(law, p, rng, size, blocks))
-    return _finite(law, p, x)
+        u = _cholesky_factor(law, p, rng, size, blocks)
+        x = _gram(u)
+    return _checked(law, p, x, u)
 
 
 def sample_wishart(p: ModelParams, rng, size=None, blocks=None):
@@ -194,11 +204,12 @@ def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
     """
     p.require_sampling()
     with np.errstate(**_QUIET):
-        y_a = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.alpha, p.alpha), rng, size, None))
-        y_b = _gram(_cholesky_factor(Law.WISHART, ModelParams(p.dim, p.beta, p.beta), rng, size, None))
-        total = y_a + y_b
+        u_a = _cholesky_factor(Law.WISHART, ModelParams(p.dim, p.alpha, p.alpha), rng, size, None)
+        u_b = _cholesky_factor(Law.WISHART, ModelParams(p.dim, p.beta, p.beta), rng, size, None)
+        y_a = _gram(u_a)
+        total = y_a + _gram(u_b)
     # The sum is finite exactly when both Wishart draws are.
-    total_inv = matcore.invert(_finite(Law.BETA1, p, total))
+    total_inv = matcore.invert(_checked(Law.BETA1, p, total, u_a, u_b))
     return matcore.sym_product_alt(kind, total_inv, y_a)
 
 

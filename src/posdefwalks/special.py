@@ -216,13 +216,22 @@ def _log_grid(t_lo=_LOG_LO, t_hi=_LOG_HI):
     return grid
 
 
+def _all_finite(x):
+    """np.isfinite(x).all() for a numpy value; a 0-d one takes math.isfinite.
+
+    numpy's reduction on a scalar costs about 5 us, and phi_d1 is called
+    thousands of times with a scalar s per CDF table.
+    """
+    return math.isfinite(x) if x.ndim == 0 else bool(np.isfinite(x).all())
+
+
 def _rule_sums(values, w, t, where):
     """``values @ w`` over nodes ``t``; NonFiniteIntegrand names ``where`` and t.
 
     Weights are nonzero, so a non-finite node value makes its sum non-finite.
     """
     out = values @ w
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         bad = np.argwhere(~np.isfinite(values))
         at = f"t = {t[tuple(bad[0])[-t.ndim:]]:.6g}" if bad.size else "an overflowing sum"
         raise NonFiniteIntegrand(f"{where}: non-finite integrand at {at}")
@@ -256,7 +265,7 @@ def phi_d1(p: ModelParams, s):
     if p.beta <= 0:
         raise DomainError("phi requires beta > 0")
     s_arr = np.asarray(s, dtype=float)
-    if not (s_arr > 0).all():
+    if not (float(s_arr) > 0 if s_arr.ndim == 0 else (s_arr > 0).all()):
         raise DomainError("phi requires s > 0")
     a, b = p.alpha, p.beta
     t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
@@ -264,7 +273,7 @@ def phi_d1(p: ModelParams, s):
     with np.errstate(over="ignore", invalid="ignore"):  # both sums are checked at once
         out = _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
         out = out + np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")
     return float(out) if out.ndim == 0 else out
 

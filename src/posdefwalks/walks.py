@@ -13,7 +13,10 @@ kesten_samples and dufresne_series keep their own loops. kesten_samples
 draws its increments a block of moves at a time (matdist's ``blocks``) and
 splits the whole block once for the plain chain, leaving one symmetrised
 product per move; the primed chain splits its state-dependent I + xi' per
-move. dufresne_series draws per term, since its active set follows the state.
+move. dufresne_series draws per term, since its set of unfinished series
+follows the state; it carries only the unfinished rows (their factor
+products, partial sums, last trace ratios and original indices) and writes a
+row's sum out once, when the row finishes.
 """
 
 import math
@@ -114,7 +117,7 @@ def _closed_states(kind, state, factors, n):
     v = matcore.split_factor(kind, state)
     for k, f in enumerate(factors, start=1):
         v = f @ v
-        r[..., k, :, :] = state = matcore.symmetrize(np.swapaxes(v, -1, -2) @ v)
+        r[..., k, :, :] = state = matcore.symmetrize(matcore._gram(v))
         _check_overflow(state, k)
     return r
 
@@ -216,6 +219,23 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     return out.reshape(-1, d, d)[:n_samples]
 
 
+def _traces(m):
+    """Traces of a stack m (n, d, d) with np.trace's bits.
+
+    numpy sums fewer than 8 terms in order, which the running sum over the
+    diagonal repeats at a fraction of the cost (0.2 against 2.3 ms for 1e5
+    matrices at d = 2); from 8 terms on it sums pairwise, and np.trace stays.
+    """
+    d = m.shape[-1]
+    if d >= 8:
+        return np.trace(m, axis1=-2, axis2=-1)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    out = diag[:, 0].copy()
+    for k in range(1, d):
+        out += diag[:, k]
+    return out
+
+
 def dufresne_series(
     p: ModelParams,
     rng,
@@ -232,6 +252,12 @@ def dufresne_series(
     trace of the current term drops below tail_tol times the trace of the
     partial sum. Requires the contracting regime beta - alpha > (d-1)/2,
     0 < tail_tol < 1 and max_terms >= 1.
+
+    Each term draws one factor per unfinished series, in row order, and the
+    arrays carried to the next term hold the unfinished rows only: when rows
+    finish, their sums go to the output and the carried arrays shrink. So the
+    work per term follows the number of unfinished series, and the draws do
+    not depend on how the rows are stored.
     """
     p.require_contracting()
     if not 0 < tail_tol < 1:
@@ -244,28 +270,32 @@ def dufresne_series(
     if max_terms < 1:
         raise DomainError(f"dufresne_series needs max_terms >= 1, got {max_terms}")
     state0 = init_states(init, p, rng, n)
-    v = matcore.split_factor(kind, state0)
-    total = state0.copy()
+    total = np.empty_like(state0)
     counts = np.full(n, 0)
-    last_ratio = np.full(n, np.inf)
-    active = np.arange(n)
+    # Carried for the unfinished rows only: their original indices, factor
+    # products, partial sums and last trace ratios.
+    rows = np.arange(n)
+    v = matcore.split_factor(kind, state0)
+    partial = state0.copy()
     for term_idx in range(1, max_terms + 1):
-        if active.size == 0:
+        if rows.size == 0:
             break
-        v_act = matdist.sample_factor(Law.BETA2, p, rng, size=active.size, kind=kind) @ v[active]
-        v[active] = v_act
-        term = np.swapaxes(v_act, -1, -2) @ v_act
-        total[active] += term
-        term_trace = np.trace(term, axis1=-2, axis2=-1)
-        sum_trace = np.trace(total[active], axis1=-2, axis2=-1)
-        last_ratio[active] = term_trace / sum_trace
+        v = matdist.sample_factor(Law.BETA2, p, rng, size=rows.size, kind=kind) @ v
+        term = matcore._gram(v)
+        partial += term
+        term_trace = _traces(term)
+        sum_trace = _traces(partial)
+        ratio = term_trace / sum_trace
         done = term_trace < tail_tol * sum_trace
-        counts[active[done]] = term_idx
-        active = active[~done]
-    if active.size > 0:
+        if done.any():
+            total[rows[done]] = partial[done]
+            counts[rows[done]] = term_idx
+            left = ~done
+            rows, v, partial, ratio = rows[left], v[left], partial[left], ratio[left]
+    if rows.size > 0:
         raise TruncationFailure(
-            f"{active.size} of {n} series unfinished after {max_terms} terms; "
-            f"worst remaining trace ratio {np.max(last_ratio[active]):.3e} "
+            f"{rows.size} of {n} series unfinished after {max_terms} terms; "
+            f"worst remaining trace ratio {np.max(ratio):.3e} "
             f"vs tail_tol {tail_tol:.1e}"
         )
     total = matcore.symmetrize(total)

@@ -487,6 +487,15 @@ def test_zero_gamma_draw_exits_3_with_only_the_error_line(capsys):
     ]
 
 
+def test_singular_draw_exits_3_naming_the_parameter(capsys):
+    # A gamma draw of shape 2^-8 underflows to 0 and leaves the factor singular.
+    code = main(["sample", "--dist", "wishart", "--d", "1", "--alpha", "0.00390625", "--n", "8", "--seed", "0"])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: wishart draw is singular at alpha=0.00390625: the parameter is out of range"
+    ]
+
+
 def test_walk_init_out_of_range_exits_3_naming_init(capsys):
     # Used to warn of an overflow in symmetrize, then blame a Cholesky pivot.
     with warnings.catch_warnings():

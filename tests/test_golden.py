@@ -20,6 +20,7 @@ import pytest
 
 from posdefwalks import lyapunov, matcore, verify, walks
 from posdefwalks.cli import SEED_ENV, main
+from posdefwalks.errors import TruncationFailure
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream, sample_beta2, sample_factor
 from posdefwalks.special import Law, ModelParams
@@ -66,6 +67,27 @@ def _dufresne(kind, d, init):
         init=init, return_counts=True,
     )
     return _digest(out, counts)
+
+
+def _dufresne_ragged(kind, d):
+    # 300 series at tail_tol 1e-8 finish across many terms, so the set of
+    # unfinished rows shrinks many times before the last one ends.
+    out, counts = walks.dufresne_series(
+        ModelParams(d, 2.0, 5.0), make_stream(21, d), size=300, kind=kind, tail_tol=1e-8,
+        return_counts=True,
+    )
+    return _digest(out, counts)
+
+
+def _truncation(kind):
+    # 13 of the 40 series are unfinished after 3 terms; the message counts them
+    # and gives the worst trace ratio among them.
+    with pytest.raises(TruncationFailure) as info:
+        walks.dufresne_series(
+            ModelParams(2, 2.0, 5.0), make_stream(22), size=40, kind=kind, tail_tol=0.05,
+            max_terms=3,
+        )
+    return hashlib.sha256(str(info.value).encode()).hexdigest()
 
 
 def _eigen(law, kind):
@@ -174,6 +196,9 @@ for _kind in SplitKind:
         CASES[f"dufresne-{_kind.value}-d{_d}"] = (_dufresne, _kind, _d, "invwishart")
     CASES[f"dufresne-{_kind.value}-identity"] = (_dufresne, _kind, 2, "identity")
     CASES[f"dufresne-{_kind.value}-fixed"] = (_dufresne, _kind, 2, "fixed")
+    for _d in (1, 2, 3):
+        CASES[f"dufresne-ragged-{_kind.value}-d{_d}"] = (_dufresne_ragged, _kind, _d)
+    CASES[f"dufresne-truncation-{_kind.value}"] = (_truncation, _kind)
     for _law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
         CASES[f"eigen-{_law.value}-{_kind.value}"] = (_eigen, _law, _kind)
     for _prime in (False, True):
@@ -334,6 +359,14 @@ GOLDEN = {
     'kernel-factor-invwishart-edge-d2': '65e4c887719ae3cd6ddba75e94f115e3291ae1a42e8f23ade961f1a723d2e962',
     'kernel-factor-beta2-d2': '199225212329787eceff9e2d12763402d5d74d3aea19bb82aba6d1bdc502937b',
     'kernel-factor-beta2-edge-d2': '444c01188f5f7bc4f6fdd40cf2b5b583ec5c11ef2440ebe98755cbc9f4d6d4ee',
+    'dufresne-ragged-sqrt-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',
+    'dufresne-ragged-sqrt-d2': '9696572d310c3a954a535c438b2410ab85215149fa945f29f163ee5e841f8744',
+    'dufresne-ragged-sqrt-d3': '078f033103a650d9f101465d919a96105bd89ca63b3e80c1f2975a16b6097850',
+    'dufresne-truncation-sqrt': 'ec05e6a8b3844af2acdf8b365e1f4b2575cf11f8ba6b66d7033d3f2588a16f21',
+    'dufresne-ragged-cholesky-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',
+    'dufresne-ragged-cholesky-d2': 'cd8b7d2b29710e0e11d3de93392242fa67d90996f594a788c26ad18337c1bb49',
+    'dufresne-ragged-cholesky-d3': 'e8c61585ea2075d92ac99bf0d497f023ae0e26a29937dd7f54a479ce4db07b7a',
+    'dufresne-truncation-cholesky': '724c212e885ec89a19b9b87126366e4abd6af5c6463c9ed55c2447346eb07c20',
 }
 
 

@@ -341,3 +341,31 @@ def test_non_finite_draw_names_the_parameter(law, p, named):
         blocks = 2 if law in _GRAM_LAWS else None
         with pytest.raises(DomainError, match="not finite"):
             sample_factor(law, p, make_stream(44), size=4, kind=SplitKind.SQUARE_ROOT, blocks=blocks)
+
+
+_EDGE_WISHART = ModelParams(1, 0.00390625, 1.0)
+_EDGE_BETA2 = ModelParams(2, 0.5078125, 1.0)
+_SINGULAR_WISHART = "wishart draw is singular at alpha=0.00390625"
+_SINGULAR_BETA2 = "beta2 draw is singular at alpha=0.5078125, beta=1.0"
+
+
+@pytest.mark.parametrize(
+    "draw, named",
+    [
+        (lambda: sample_factor(Law.WISHART, _EDGE_WISHART, make_stream(0), size=8), _SINGULAR_WISHART),
+        (lambda: sample_wishart(_EDGE_WISHART, make_stream(0), size=8), _SINGULAR_WISHART),
+        (lambda: sample_wishart(_EDGE_WISHART, make_stream(0), size=4, blocks=2), _SINGULAR_WISHART),
+        (lambda: sample_beta2(_EDGE_BETA2, make_stream(3), size=64), _SINGULAR_BETA2),
+        (lambda: sample_factor(Law.BETA2, _EDGE_BETA2, make_stream(3), size=64), _SINGULAR_BETA2),
+        (
+            lambda: sample_beta1(ModelParams(2, 0.5078125, 0.6), make_stream(3), size=64),
+            "beta1 draw is singular at alpha=0.5078125, beta=0.6",
+        ),
+    ],
+    ids=["factor-wishart", "wishart", "wishart-blocks", "beta2", "factor-beta2", "beta1"],
+)
+def test_zero_gamma_draw_raises_naming_the_parameter(draw, named):
+    # A Bartlett gamma variate of shape near 0 underflows to exactly 0; these
+    # draws used to return a factor or matrix that is singular, without an error.
+    with pytest.raises(DomainError, match=re.escape(named)):
+        draw()

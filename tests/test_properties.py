@@ -2,9 +2,11 @@
 
 At d <= 2 the Cholesky factor and the triangular inverse come from closed
 forms that must carry LAPACK's bits and fail where LAPACK fails; the
-references below call LAPACK one matrix at a time. The profile is
-derandomized with a bounded example count, so every run draws the same
-examples.
+references below call LAPACK one matrix at a time. Gram products take
+BLAS gemm where numpy would take syrk, and must keep syrk's bits. The
+samplers, at parameters just inside (d-1)/2, give nonsingular draws or
+raise. The profile is derandomized with a bounded example count, so every
+run draws the same examples.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posdefwalks import matcore
-from posdefwalks.errors import NotPositiveDefinite
+from posdefwalks import matcore, walks
+from posdefwalks.errors import DomainError, NotPositiveDefinite
 from posdefwalks.matcore import PIVOT_RTOL, SplitKind
+from posdefwalks.matdist import make_stream, sample, sample_factor
+from posdefwalks.special import Law, ModelParams
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -150,3 +154,72 @@ def test_sym_product_lands_in_the_cone(xy, kind):
     z = matcore.sym_product(kind, y, x)
     np.testing.assert_array_equal(z, np.swapaxes(z, -1, -2))
     assert matcore.is_posdef(z)
+
+
+@st.composite
+def _stacks(draw, dims):
+    """A stack (n, d, d) or (m, n, d, d) of normal entries, d from ``dims``.
+
+    Each matrix has a scale 10^k, k in [-150, 150], and each entry a further
+    factor in [1e-3, 1e3]; values come from a drawn seed.
+    """
+    d = draw(dims)
+    shape = draw(st.one_of(st.tuples(st.integers(1, 64)), st.tuples(st.integers(1, 4), st.integers(1, 32))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-150, 150, shape + (1, 1))
+    return rng.standard_normal(shape + (d, d)) * scale * _log_uniform(rng, -3, 3, shape + (d, d))
+
+
+@PROFILE
+@given(_stacks(st.integers(1, 6)))
+def test_gram_is_numpy_syrk_bit_for_bit(v):
+    # numpy sends a buffer times its own transpose to BLAS syrk; _gram copies
+    # one operand to take gemm. If a BLAS ever rounds the two differently,
+    # this fails, and _gram's bits would move every Gram-law draw.
+    vt = np.swapaxes(v, -1, -2)
+    _assert_same_bits(matcore._gram(v), vt @ v)
+    _assert_same_bits(matcore._gram(vt), v @ vt)
+
+
+@PROFILE
+@given(_stacks(st.integers(1, 9)))
+def test_series_traces_are_numpy_trace_bit_for_bit(v):
+    m = v.reshape((-1,) + v.shape[-2:])
+    _assert_same_bits(walks._traces(m), np.trace(m, axis1=-2, axis2=-1))
+
+
+@PROFILE
+@given(
+    st.integers(1, 4),
+    st.sampled_from([Law.WISHART, Law.INV_WISHART, Law.BETA2]),
+    st.floats(-12, -1),
+    st.floats(-12, -1),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_draws_just_inside_the_bound_are_nonsingular_or_raise(d, law, log2_da, log2_db, n, seed):
+    """alpha and beta are (d-1)/2 + 2^k, k in [-12, -1]: Bartlett gamma shapes near 0.
+
+    A factor draw is finite and upper triangular with a positive diagonal,
+    so that u^T u is positive definite, or raises DomainError. A Gram draw
+    from the same stream is the Gram matrix of that factor, or raises. (Its
+    rounded entries can still fail is_posdef's pivot test at d >= 2: such
+    a factor spans many decades.)
+    """
+    p = ModelParams(d, (d - 1) / 2 + 2.0**log2_da, (d - 1) / 2 + 2.0**log2_db)
+    try:
+        u = sample_factor(law, p, make_stream(seed), size=n)
+    except DomainError:
+        u = None
+    else:
+        assert np.isfinite(u).all()
+        np.testing.assert_array_equal(np.tril(u, -1), 0.0)
+        assert (np.diagonal(u, axis1=-2, axis2=-1) > 0).all()
+    try:
+        x = sample(law, p, make_stream(seed), size=n)
+    except DomainError:
+        return
+    assert u is not None
+    _assert_same_bits(x, matcore.symmetrize(np.swapaxes(u, -1, -2) @ u))
+    if d == 1:
+        assert matcore.is_posdef(x)

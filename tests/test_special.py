@@ -166,8 +166,8 @@ def test_eigenfunction_lhs_against_nested_quadrature_oracle():
 
 def test_phi_rejects_bad_arguments():
     p = ModelParams(1, 2.0, 5.0)
-    for s in (0.0, -1.0, math.nan, np.array([1.0, 0.0])):
-        with pytest.raises(DomainError):
+    for s in (0.0, -1.0, math.nan, np.float64(0.0), np.array(math.nan), np.array([1.0, 0.0])):
+        with pytest.raises(DomainError, match=r"^phi requires s > 0$"):
             phi_d1(p, s)
 
 
@@ -175,6 +175,11 @@ def test_phi_overflow_is_a_typed_error():
     # phi(s) grows like s^(beta - alpha) as s -> 0 and leaves double range here.
     with pytest.raises(NonFiniteIntegrand, match=r"alpha=20\.0, beta=1\.0.*t = "):
         phi_d1(ModelParams(1, 20.0, 1.0), 1e-300)
+    # Here the rule's sum is finite and the closed form below t = -60 is not;
+    # a scalar s takes the same checks as an array.
+    for s in (1e-300, np.array([1e-300, 1.0])):
+        with pytest.raises(NonFiniteIntegrand, match=r"beta=1\.0: phi overflows below t = -60\.0$"):
+            phi_d1(ModelParams(1, 2.0, 1.0), s)
 
 
 def test_quadrature_cdf_of_gamma_law():
