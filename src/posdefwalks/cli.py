@@ -181,8 +181,9 @@ def _csv_header(fh, args):
             print(f"# {key}={value}", file=fh)
 
 
-def _functional_row(m):
-    return [repr(float(fn(m))) for fn in _SCALAR_FUNCTIONALS]
+def _functional_rows(stack):
+    """Rows of the scalar functionals' reprs, each functional called once on the whole stack."""
+    return zip(*(map(repr, fn(stack).tolist()) for fn in _SCALAR_FUNCTIONALS))
 
 
 def _matrix_entries(m):
@@ -210,8 +211,8 @@ def cmd_sample(args):
             d = p.dim
             cols += [f"e_{i}_{j}" for i in range(d) for j in range(d)]
         print(",".join(cols), file=fh)
-        for idx in range(args.n):
-            row = [str(idx)] + _functional_row(draws[idx])
+        for idx, values in enumerate(_functional_rows(draws)):
+            row = [str(idx), *values]
             if args.full:
                 row += _matrix_entries(draws[idx])
             print(",".join(row), file=fh)
@@ -258,14 +259,18 @@ def cmd_walk(args):
             return 0
         _csv_header(fh, args)
         print("step,functional_name,value", file=fh)
-        n = tr.r.shape[0] - 1
-        for k in range(n + 1):
-            for name, fn in (("r_trace", matcore.trace), ("r_logdet", matcore.logdet)):
-                print(f"{k},{name},{float(fn(tr.r[k]))!r}", file=fh)
-            for name, fn in (("a_trace", matcore.trace), ("a_logdet", matcore.logdet)):
-                print(f"{k},{name},{float(fn(tr.a[k]))!r}", file=fh)
+        columns = [
+            ("r_trace", matcore.trace(tr.r).tolist()),
+            ("r_logdet", matcore.logdet(tr.r).tolist()),
+            ("a_trace", matcore.trace(tr.a).tolist()),
+            ("a_logdet", matcore.logdet(tr.a).tolist()),
+        ]
+        s_trace = [None] + matcore.trace(tr.s).tolist()
+        for k in range(tr.r.shape[0]):
+            for name, values in columns:
+                print(f"{k},{name},{values[k]!r}", file=fh)
             if k >= 1:
-                print(f"{k},s_trace,{float(matcore.trace(tr.s[k - 1]))!r}", file=fh)
+                print(f"{k},s_trace,{s_trace[k]!r}", file=fh)
     return 0
 
 
@@ -294,9 +299,8 @@ def cmd_dufresne(args):
             return 0
         _csv_header(fh, args)
         print("index," + ",".join(fn.__name__ for fn in _SCALAR_FUNCTIONALS) + ",n_terms", file=fh)
-        for idx in range(args.n):
-            row = [str(idx)] + _functional_row(draws[idx]) + [str(int(counts[idx]))]
-            print(",".join(row), file=fh)
+        for idx, values in enumerate(_functional_rows(draws)):
+            print(",".join([str(idx), *values, str(int(counts[idx]))]), file=fh)
     return 0
 
 

@@ -5,13 +5,18 @@ shape ``(..., d, d)`` and are pure value-to-value functions. States living on
 the positive definite cone are represented as plain float arrays stored
 exactly symmetric; :func:`posdef` is the validating constructor.
 
-The Cholesky factor and the triangular inverse are closed forms at d <= 2,
-with the bits LAPACK gives, in a few array operations on the whole stack
-(numpy calls LAPACK once per matrix); at d >= 3 they call LAPACK. The
-input's last axis picks the path. Larger d stays on LAPACK because the BLAS
-it uses fuses multiply-adds, which no plain numpy evaluation order
-reproduces at d = 3; for the same reason the Gram and sandwich products
-stay on matmul. The symmetric root stays on eigh at every d.
+The Cholesky factor is a closed form at d <= 2 and the triangular inverse
+at d <= 3, with the bits LAPACK gives, in a few array operations on the
+whole stack (numpy calls LAPACK once per matrix); above that they call
+LAPACK. The input's last axis picks the path. The BLAS under LAPACK fuses
+multiply-adds, and numpy has no fused multiply-add, so a plain evaluation
+order gives LAPACK's bits only where no fused operation is used. The d = 3
+inverse uses one, in its corner: :func:`_fma` rounds it exactly with
+error-free transforms, and LAPACK redoes the rare matrices outside its
+exactness domain. The d = 3 Cholesky factor is l22 = sqrt(x22 - fma(l21,
+l21, l20^2)) in LAPACK, but stays there: a closed form would gain at most
+about 50 ns per matrix and lose on stacks below a few hundred. The Gram and
+sandwich products stay on matmul and the symmetric root on eigh at every d.
 
 Every Gram product v^T v (and v v^T) goes through :func:`_gram`, which hands
 matmul two different buffers. numpy sends a buffer times its own transpose
@@ -32,6 +37,16 @@ from .errors import EigenFailure, NotPositiveDefinite
 PIVOT_RTOL = 1e-13
 # Largest entry magnitude posdef accepts, so that m + m^T in symmetrize is finite.
 SYMMETRIZE_MAX = np.finfo(float).max / 2
+# Veltkamp's splitter for binary64 (see _fma).
+_SPLITTER = 2.0**27 + 1.0
+# The d = 3 triangular inverse is closed form when every entry is 0 or of
+# magnitude 2^-240 to 2^240, compared as the bit patterns of |entry|: the
+# sign mask, 2^240's pattern, and 2^-240's pattern minus 1 (see _inverse_3).
+_MAGNITUDE = np.int64(2**63 - 1)
+_EXACT_MAX = np.array(2.0**240).view(np.int64)
+_EXACT_MIN = np.array(2.0**-240).view(np.uint64) - np.uint64(1)
+# Flat indices of u00, u11, u22, u01, u12, u02 in a row-major 3 x 3 matrix.
+_UPPER_3 = np.array([0, 4, 8, 1, 5, 2])
 
 
 class SplitKind(str, enum.Enum):
@@ -161,19 +176,95 @@ def cholesky(x, name="matrix"):
     return np.swapaxes(lower, -1, -2)
 
 
+def _fma(a, b, c):
+    """a * b + c rounded once, elementwise on 1-d arrays; numpy has no fused multiply-add.
+
+    Dekker's TwoProduct (Veltkamp split by 2^27 + 1) gives p + e = a * b
+    exactly, a TwoSum gives s + t = c + p exactly, then v = t + e is rounded
+    to odd (the neighbour with an odd last bit where the sum is inexact) and
+    s + v rounded to nearest is the correctly rounded sum (Boldo and
+    Melquiond, IEEE Trans. Comput. 57(4), 2008). Exact where the split
+    cannot overflow (|a|, |b| < 2^995), a * b and c stay below 2^1020, and
+    a * b is 0 by a zero factor or at least 2^-968 in magnitude, so that its
+    error term e cannot underflow.
+    """
+    ab = np.array((a, b))
+    hi = _SPLITTER * ab
+    hi -= hi - ab
+    lo = ab - hi
+    ah, bh, al, bl = hi[0], hi[1], lo[0], lo[1]
+    p = a * b
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    s = c + p
+    z = s - c
+    t = (c - (s - z)) + (p - z)
+    v = t + e
+    z = v - t
+    w = (t - (v - z)) + (e - z)
+    # Round to odd: where v + w is inexact, the neighbour of v toward v + w
+    # when v's last bit is even. On the bit pattern, one unit less magnitude
+    # where v rounded away from zero (w has the other sign), then the last bit set.
+    bits = v.view(np.int64)
+    inexact = w != 0
+    away = inexact & ((w.view(np.int64) ^ bits) < 0)
+    return s + ((bits - away) | inexact).view(np.float64)
+
+
+def _inverse_3(u):
+    """_triangular_inverse of a stack (n, 3, 3); LAPACK's bits outside the closed form's domain."""
+    n = len(u)
+    # Rows u00, u11, u22, u01, u12, u02, and the inverse's entries in that order.
+    e = u.reshape(n, 9).T[_UPPER_3]
+    x = np.empty((6, n))
+    r = x[:3]
+    np.divide(1.0, e[:3], out=r)
+    # Overflow and invalid operations arise outside the domain, which LAPACK redoes below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = 0.0 - e[3:] * r[[1, 2, 2]]
+        np.multiply(q[:2], r[:2], out=x[3:5])
+        x[5] = _fma(-e[3], x[4], q[2]) * r[0]
+    out = np.zeros((n, 9))
+    out.T[_UPPER_3] = x
+    out = out.reshape(n, 3, 3)
+    # Entry magnitudes as ordered integers; a zero less 1 wraps to the largest uint64.
+    bits = e.view(np.int64) & _MAGNITUDE
+    inside = (bits <= _EXACT_MAX) & ((bits - 1).view(np.uint64) >= _EXACT_MIN)
+    if not inside.all():
+        outside = ~inside.all(axis=0)
+        try:
+            out[outside] = np.triu(np.linalg.inv(u[outside]))
+        except np.linalg.LinAlgError:  # a zero pivot: the closed form's inf entries stay there
+            for i in np.flatnonzero(outside):
+                try:
+                    out[i] = np.triu(np.linalg.inv(u[i]))
+                except np.linalg.LinAlgError:
+                    pass
+    return out
+
+
 def _triangular_inverse(u):
     """Inverse of upper triangular u (..., d, d), with exact zeros below the diagonal.
 
-    At d <= 2 it is closed form with LAPACK's bits: with r = 1/diag(u), the
-    corner is (0 - u01 r1) r0, whose subtraction from zero gives +0 for
-    u01 = 0 as LAPACK does. A zero diagonal entry gives inf or NaN entries
-    (and numpy's floating-point warnings), not an error. d >= 3 calls LAPACK,
-    which raises LinAlgError on a zero diagonal entry.
+    At d <= 3 it is closed form with LAPACK's bits. With r = 1/diag(u), each
+    entry next to the diagonal is (0 - u_{k,k+1} r_{k+1}) r_k, whose
+    subtraction from zero gives +0 for a zero u_{k,k+1} as LAPACK does. At
+    d = 3 LAPACK's BLAS fuses one multiply-add into the corner, so it is
+    fma(-u01, x12, 0 - u02 r2) r0 with :func:`_fma`. When every entry is 0
+    or of magnitude 2^-240 to 2^240, the corner's product lies within
+    2^-964 to 2^964 or is 0, inside _fma's exactness domain, and no product
+    of nonzero entries underflows to a zero whose sign LAPACK's fused form
+    would keep. A matrix with any other entry, NaN and inf included, goes
+    to LAPACK. A zero diagonal entry gives inf or NaN entries (and numpy's
+    floating-point warnings), not an error, also where LAPACK redoes the
+    matrix and meets the zero pivot. d >= 4 calls LAPACK, which raises
+    LinAlgError on a zero diagonal entry.
     """
     d = u.shape[-1]
     if d == 1:
         return 1.0 / u
-    if d > 2:
+    if d == 3:
+        return _inverse_3(u.reshape(-1, 3, 3)).reshape(u.shape)
+    if d > 3:
         return np.triu(np.linalg.inv(u))
     r0, r1 = 1.0 / u[..., 0, 0], 1.0 / u[..., 1, 1]
     out = np.zeros(u.shape)
@@ -251,9 +342,13 @@ def det(x):
 
 
 def logdet(x):
-    sign, ld = np.linalg.slogdet(np.asarray(x, dtype=float))
-    if np.any(sign <= 0):
-        raise NotPositiveDefinite("determinant is not positive")
+    """log det x; NotPositiveDefinite names the first matrix whose determinant is not > 0, NaN included."""
+    with np.errstate(invalid="ignore"):  # a NaN matrix, reported right below
+        sign, ld = np.linalg.slogdet(np.asarray(x, dtype=float))
+    # slogdet gives a NaN matrix the sign 1 and a NaN log.
+    bad = ~(sign > 0) | np.isnan(ld)
+    if np.any(bad):
+        raise NotPositiveDefinite(f"determinant is not positive{_at(bad)}")
     return ld
 
 

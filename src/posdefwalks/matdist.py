@@ -132,7 +132,7 @@ def _checked(law, p, x, *factors):
 
 def _triangular_inverse(b, law, p):
     # A diagonal gamma draw that underflowed to zero gives inf entries at
-    # d <= 2, which the caller's finiteness check reports, and LinAlgError at d >= 3.
+    # d <= 3, which the caller's finiteness check reports, and LinAlgError at d >= 4.
     try:
         return matcore._triangular_inverse(b)
     except np.linalg.LinAlgError:

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import matcore, matdist
-from .errors import DomainError, StepOverflow, TruncationFailure
+from .errors import DomainError, NotPositiveDefinite, StepOverflow, TruncationFailure
 from .matcore import SplitKind
 from .special import Law, ModelParams, digamma
 
@@ -103,10 +103,20 @@ def _states(state, n):
 
 
 def _recursive_states(kind, state, increments, n):
-    """States R(0..n) of the recursive walk from state, R(k) = w(R(k-1))^T X(k) w(R(k-1))."""
+    """States R(0..n) of the recursive walk from state, R(k) = w(R(k-1))^T X(k) w(R(k-1)).
+
+    A state that fails its split raises NotPositiveDefinite naming the step
+    whose move failed and the first failing batch index.
+    """
     r = _states(state, n)
     for k, x in enumerate(increments, start=1):
-        r[..., k, :, :] = state = matcore.sym_product(kind, state, x)
+        try:
+            state = matcore.sym_product(kind, state, x)
+        except NotPositiveDefinite as exc:
+            msg, _, index = str(exc).partition(" at batch index ")
+            where = f" at step {k}" + (f", batch index {index}" if index else "")
+            raise NotPositiveDefinite(msg + where) from None
+        r[..., k, :, :] = state
         _check_overflow(state, k)
     return r
 

@@ -375,6 +375,17 @@ def test_golden_digest(name):
     assert _compute(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("law", [Law.INV_WISHART, Law.BETA2], ids=lambda law: law.value)
+def test_d3_factor_draws_never_call_lapack_inverse(law, monkeypatch):
+    # Every d = 3 triangular inverse is matcore's closed form, with LAPACK's bits.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK inverse called at d = 3")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    name = f"eigen-d3-{law.value}-sqrt"
+    assert _compute(name) == GOLDEN[name]
+
+
 def test_golden_table_covers_every_case():
     assert set(GOLDEN) == set(CASES)
 

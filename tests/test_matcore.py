@@ -165,20 +165,18 @@ def test_det_multiplicativity():
             assert abs(got - target) / target < 1e-10
 
 
-def test_split_kinds_share_spectrum():
-    # w(y) x w(y)^T is similar to x w(y)^T w(y) = xy whatever the split, so
-    # the alternative product realises the spectrum of xy under both kinds.
-    # The plain product w(y)^T x w(y) is instead similar to x w(y) w(y)^T,
-    # and u u^T != y for the triangular factor, so its spectrum is kind
-    # dependent; only the laws downstream coincide, not the paths.
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x, y = rand_posdef(rng, 3), rand_posdef(rng, 3)
-        a = matcore.eigenvalues(matcore.sym_product_alt(SplitKind.CHOLESKY, y, x))
-        b = matcore.eigenvalues(matcore.sym_product(SplitKind.SQUARE_ROOT, y, x))
-        ref = np.sort(np.linalg.eigvals(x @ y).real)[::-1]
-        np.testing.assert_allclose(a, b, rtol=1e-8)
-        np.testing.assert_allclose(a, ref, rtol=1e-8)
+def test_logdet_names_the_first_failing_matrix_without_a_warning():
+    nan_stack = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+    nan_stack[2, 0, 0] = np.nan
+    negative = np.stack([np.eye(3), -np.eye(3), -np.eye(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite, match=r"determinant is not positive at batch index 2$"):
+            matcore.logdet(nan_stack)
+        with pytest.raises(NotPositiveDefinite, match=r"determinant is not positive at batch index 1$"):
+            matcore.logdet(negative)
+        with pytest.raises(NotPositiveDefinite, match=r"determinant is not positive$"):
+            matcore.logdet(-np.eye(3))
 
 
 def test_batched_shapes():

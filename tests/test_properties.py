@@ -1,13 +1,16 @@
 """Property tests for the factor kernels in matcore, on a fixed hypothesis profile.
 
-At d <= 2 the Cholesky factor and the triangular inverse come from closed
-forms that must carry LAPACK's bits and fail where LAPACK fails; the
-references below call LAPACK one matrix at a time. Gram products take
-BLAS gemm where numpy would take syrk, and must keep syrk's bits. The
-samplers, at parameters just inside (d-1)/2, give nonsingular draws or
-raise. The profile is derandomized with a bounded example count, so every
-run draws the same examples.
+At d <= 2 the Cholesky factor, and at d <= 3 the triangular inverse, come
+from closed forms that must carry LAPACK's bits and fail where LAPACK
+fails; the references below call LAPACK one matrix at a time. The d = 3
+inverse rests on an emulated fused multiply-add, checked against exact
+rational arithmetic. Gram products take BLAS gemm where numpy would take
+syrk, and must keep syrk's bits. The samplers, at parameters just inside
+(d-1)/2, give nonsingular draws or raise. The profile is derandomized with
+a bounded example count, so every run draws the same examples.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,20 +102,23 @@ def test_closed_cholesky_is_lapack_bit_for_bit(x):
 
 @st.composite
 def _upper_factors(draw):
-    """A stack of 1 to 32 upper triangular d x d matrices with positive diagonal, d in {1, 2}.
+    """A stack of 1 to 32 upper triangular d x d matrices with positive diagonal, d in {1, 2, 3}.
 
-    Entries have magnitudes 1e-100 to 1e100, from a drawn seed; at d = 2 some
-    corners are +0 or -0.
+    Entries have magnitudes 1e-E to 1e+E, E in {30, 100}, from a drawn seed;
+    at d >= 2 some upper entries are +0 or -0. At d = 3 the matrices with an
+    entry beyond 2^240 (about 1.8e72) go to LAPACK, so E = 30 keeps every
+    matrix on the closed form and E = 100 mixes both paths in one stack.
     """
-    d = draw(st.sampled_from([1, 2]))
+    d = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(1, 32))
+    e = draw(st.sampled_from([30, 100]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = np.zeros((n, d, d))
     for k in range(d):
-        u[:, k, k] = _log_uniform(rng, -100, 100, n)
-    if d == 2:
-        corner = _log_uniform(rng, -100, 100, n) * rng.choice([1.0, -1.0], n)
-        u[:, 0, 1] = np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0], n), corner)
+        u[:, k, k] = _log_uniform(rng, -e, e, n)
+    for i, j in zip(*np.triu_indices(d, 1)):
+        entry = _log_uniform(rng, -e, e, n) * rng.choice([1.0, -1.0], n)
+        u[:, i, j] = np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0], n), entry)
     return u
 
 
@@ -120,6 +126,77 @@ def _upper_factors(draw):
 @given(_upper_factors())
 def test_closed_triangular_inverse_is_lapack_bit_for_bit(u):
     _assert_same_bits(matcore._triangular_inverse(u), np.triu(np.linalg.inv(u)))
+
+
+@st.composite
+def _extreme_factors(draw):
+    """A stack of 1 to 32 upper triangular 3 x 3 matrices with entries s * 2^k, s normal, |k| <= 1000.
+
+    Each entry is, with probability 0.05, replaced by +0, -0, inf, -inf or
+    NaN, so diagonals can be zero and products overflow or underflow: the
+    region where the closed form is not exact and LAPACK must take over.
+    """
+    n = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu = np.triu_indices(3)
+    values = rng.standard_normal((n, 6)) * 2.0 ** rng.integers(-1000, 1001, (n, 6))
+    special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], (n, 6))
+    u = np.zeros((n, 3, 3))
+    u[:, iu[0], iu[1]] = np.where(rng.random((n, 6)) < 0.05, special, values)
+    return u
+
+
+@PROFILE
+@given(_extreme_factors())
+def test_d3_triangular_inverse_is_lapack_bit_for_bit_at_extreme_exponents(u):
+    # Where LAPACK raises LinAlgError (a zero pivot), the closed form keeps its
+    # inf or NaN diagonal entry, as at d <= 2; everywhere else the bits agree.
+    with np.errstate(all="ignore"):
+        got = matcore._triangular_inverse(u)
+    for m, g in zip(u, got):
+        try:
+            want = np.triu(np.linalg.inv(m))
+        except np.linalg.LinAlgError:
+            assert not np.isfinite(np.diagonal(g)).all()
+        else:
+            _assert_same_bits(g, want)
+
+
+def _fma_ties(rng, n):
+    """n triples (a, b, c) where a * b + c lies a hair off a tie of c + RN(a * b).
+
+    With A odd and B = +-A^-1 mod 2^53, A * B = H 2^53 +- 1, so RN(a * b)
+    drops an error of one unit of the 106-bit product. c is a power of two
+    such that c + RN(a * b) falls exactly halfway between two doubles; the
+    dropped unit decides the rounding, which a plain sum of the rounded
+    parts gets wrong half the time.
+    """
+    out = np.empty((3, n))
+    for i in range(n):
+        a_int = int(rng.integers(2**52, 2**53)) | 1
+        low = int(rng.choice([1, -1]))
+        b_int = low * pow(a_int, -1, 2**53) % 2**53
+        h = (a_int * b_int - low) >> 53
+        zeros = (h & -h).bit_length() - 1
+        k, sign = int(rng.integers(-300, 300)), float(rng.choice([1, -1]))
+        out[:, i] = (
+            sign * a_int * 2.0 ** (k - 52),
+            b_int * 2.0**-52,
+            sign * 2.0 ** (zeros + 2 + k),
+        )
+    return out
+
+
+@PROFILE
+@given(st.integers(1, 32), st.integers(0, 2**32 - 1))
+def test_fma_is_exactly_rounded(n, seed):
+    # Against exact rational arithmetic (int / int is correctly rounded), on
+    # general triples inside _fma's domain and on near-ties.
+    rng = np.random.default_rng(seed)
+    general = rng.standard_normal((3, n)) * 2.0 ** rng.integers(-300, 300, (3, n))
+    a, b, c = np.concatenate([general, _fma_ties(rng, n)], axis=1)
+    want = [float(Fraction(x) * Fraction(y) + Fraction(z)) for x, y, z in zip(a, b, c)]
+    _assert_same_bits(matcore._fma(a, b, c), np.array(want))
 
 
 @st.composite
@@ -154,6 +231,25 @@ def test_sym_product_lands_in_the_cone(xy, kind):
     z = matcore.sym_product(kind, y, x)
     np.testing.assert_array_equal(z, np.swapaxes(z, -1, -2))
     assert matcore.is_posdef(z)
+
+
+@PROFILE
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(_posdef(d), _posdef(d))))
+def test_split_kinds_share_spectrum(xy):
+    # w(y) x w(y)^T is similar to x w(y)^T w(y) = xy for both splits, and the
+    # root's plain product w(y)^T x w(y) is the same matrix; the Cholesky
+    # split's plain product is similar to x u u^T instead, so it is left out.
+    x, y = xy
+    d = x.shape[-1]
+    want = np.sort(np.linalg.eigvals(x @ y).real)[::-1]
+    # Backward errors of order d * eps * |x| |y| in each product and eigensolver.
+    tol = 1e-12 * d * np.linalg.norm(x) * np.linalg.norm(y)
+    for z in (
+        matcore.sym_product_alt(SplitKind.CHOLESKY, y, x),
+        matcore.sym_product_alt(SplitKind.SQUARE_ROOT, y, x),
+        matcore.sym_product(SplitKind.SQUARE_ROOT, y, x),
+    ):
+        np.testing.assert_allclose(matcore.eigenvalues(z), want, rtol=0, atol=tol)
 
 
 @st.composite

@@ -365,3 +365,16 @@ def test_d2_checks_never_call_lapack_inverse_or_cholesky(name, monkeypatch):
     idx = list(REDUCED_CONFIG).index(name)
     rep = run_check(name, 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256[name]
+
+
+def test_d3_beta_gamma_never_calls_lapack_inverse(monkeypatch):
+    # At d = 3 matcore's closed-form triangular inverse serves every inverse
+    # Wishart and beta II factor and invert, with LAPACK's bits: the reduced
+    # beta_gamma report (dims 1, 2, 3) keeps its pinned bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK inverse called at d = 3")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    idx = list(REDUCED_CONFIG).index("beta_gamma")
+    rep = run_check("beta_gamma", 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256["beta_gamma"]

@@ -169,6 +169,14 @@ def test_step_overflow_names_first_step_and_batch_index(construction, monkeypatc
         simulate_walks(cfg, make_stream(104), 8)
 
 
+def test_recursive_walk_split_failure_names_step_and_batch_index():
+    # Just inside (d-1)/2 a rounded beta II draw can fail the Cholesky pivot
+    # test, and the state built from it fails its split at the next move.
+    cfg = WalkConfig(ModelParams(2, 0.5625, 5.0), construction=Construction.RECURSIVE, steps=5)
+    with pytest.raises(NotPositiveDefinite, match=r"not positive definite at step 2, batch index 5$"):
+        simulate_walks(cfg, make_stream(1), 1000)
+
+
 def test_trace_from_increments_overflow_names_step_and_batch_index():
     # 1e151 after one step, 1e302 > ENTRY_MAX (but finite) after two
     x = np.array([[[1.0]], [[1e151]], [[1e151]]])
