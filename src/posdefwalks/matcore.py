@@ -245,10 +245,15 @@ def _inverse_3(u):
 def _triangular_inverse(u):
     """Inverse of upper triangular u (..., d, d), with exact zeros below the diagonal.
 
-    At d <= 3 it is closed form with LAPACK's bits. With r = 1/diag(u), each
-    entry next to the diagonal is (0 - u_{k,k+1} r_{k+1}) r_k, whose
-    subtraction from zero gives +0 for a zero u_{k,k+1} as LAPACK does. At
-    d = 3 LAPACK's BLAS fuses one multiply-add into the corner, so it is
+    At d <= 3 it is closed form with LAPACK's bits. With r = 1/diag(u),
+    LAPACK computes each entry next to the diagonal as fma(-u_{k,k+1},
+    r_{k+1}, +0) r_k: +0 where u_{k,k+1} is 0, and otherwise the rounded
+    product, whose sign survives an underflow to zero. At d = 2 that is
+    (0 - u01) r1 r0 whenever the diagonal is positive, as in every factor
+    matcore and matdist make: the subtraction turns either zero into +0 and
+    only negates anything else. At d = 3 no product underflows (below), so
+    it is (0 - u_{k,k+1} r_{k+1}) r_k, and LAPACK's BLAS fuses one more
+    multiply-add into the corner, so it is
     fma(-u01, x12, 0 - u02 r2) r0 with :func:`_fma`. When every entry is 0
     or of magnitude 2^-240 to 2^240, the corner's product lies within
     2^-964 to 2^964 or is 0, inside _fma's exactness domain, and no product
@@ -269,7 +274,7 @@ def _triangular_inverse(u):
     r0, r1 = 1.0 / u[..., 0, 0], 1.0 / u[..., 1, 1]
     out = np.zeros(u.shape)
     out[..., 0, 0] = r0
-    out[..., 0, 1] = (0.0 - u[..., 0, 1] * r1) * r0
+    out[..., 0, 1] = (0.0 - u[..., 0, 1]) * r1 * r0
     out[..., 1, 1] = r1
     return out
 

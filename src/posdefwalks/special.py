@@ -7,7 +7,11 @@ computed in log space.
 
 The d=1 oracles (phi, the kernel identities in ``verify``, ``QuadratureCdf``)
 share one fixed-node engine, composite Gauss-Legendre in t = log x evaluated
-as array operations; adaptive quadrature remains in ``integrate_mu_d1``.
+as array operations; adaptive quadrature remains in ``integrate_mu_d1``. The
+engine evaluates only where an integrand lives: phi sums a window of its
+grid outside which its mass is below one ulp by far, and ``_row_sums``
+skips the row blocks whose outer weight is exactly 0. Both keep the bits of
+a sum over the whole grid.
 """
 
 import enum
@@ -34,6 +38,12 @@ _LOG_HI = 60.0
 # (it stays in cache) against 29 MB for a whole one. phi's integrand is below
 # e^-1000 of its peak past t = 7.
 _GL_ORDER, _GL_PANEL, _ROW_BLOCK, _PHI_T_HI = 8, 0.5, 8, 7.0
+# phi sums only a window of that grid, outside which its mass is below
+# _PHI_TOL of phi. OpenBLAS's AVX-512 dot kernel adds 32 lanes and leaves the
+# last n mod 32 terms to a scalar loop, so a window that starts and ends on a
+# multiple of _PHI_ALIGN nodes adds every term that matters in the lane the
+# whole grid does, and phi keeps its bits.
+_PHI_TOL, _PHI_ALIGN = 2.0**-100, 32
 
 
 @dataclass(frozen=True)
@@ -238,17 +248,67 @@ def _rule_sums(values, w, t, where):
     return out
 
 
-def _row_sums(block, w, t, where):
+def _row_sums(block, w, t, where, weight):
     """Sums of node matrices with rows at the nodes ``t``, _ROW_BLOCK at a time.
 
     ``block(lo, hi)`` gives a list of (hi - lo, len(t)) arrays for rows lo:hi.
+    ``weight`` is the outer weight the sums get multiplied by, or any array
+    that is nonzero wherever one of several such weights is. A block whose
+    weights are all exactly 0.0 is never evaluated and its sums read 0, so a
+    non-finite value there goes unseen; every evaluated value is checked.
+    Kept blocks keep their boundaries, so each sum has the same bits.
     """
-    parts = []
+    out = None
     for lo in range(0, len(t), _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, len(t))
+        if not weight[lo:hi].any():
+            continue
         rows = f"{where}, outer t in [{t[lo]:.6g}, {t[hi - 1]:.6g}]"
-        parts.append([_rule_sums(v, w, t, rows) for v in block(lo, hi)])
-    return np.array([np.concatenate(col) for col in zip(*parts)])
+        sums = [_rule_sums(v, w, t, rows) for v in block(lo, hi)]
+        if out is None:
+            out = np.zeros((len(sums), len(t)))
+        out[:, lo:hi] = sums
+    # With no weight left, block(0, 0) evaluates no node and gives the count of sums.
+    return np.zeros((len(block(0, 0)), len(t))) if out is None else out
+
+
+@lru_cache(maxsize=64)
+def _phi_hi(beta):
+    """End node of phi's window, past whose panel edge t >= 0 the mass is negligible.
+
+    For t >= 0 and alpha >= 0, (e^t + s)^(-alpha) <= (1 + s)^(-alpha), so the
+    mass above t is at most (1 + s)^(-alpha) Gamma(beta, e^t), and phi is at
+    least (1 + s)^(-alpha) / (e beta), its part on y < 1.
+    """
+    n = len(_log_grid(_LOG_LO, _PHI_T_HI)[0])
+    for end in range(0, n, _PHI_ALIGN):
+        t_end = _LOG_LO + end * _GL_PANEL / _GL_ORDER
+        if t_end < 0.0:
+            continue
+        tail = sp.gammaincc(beta, math.exp(t_end))  # Gamma(beta, e^t) / Gamma(beta)
+        if tail == 0.0 or 1.0 + math.log(beta) + sp.gammaln(beta) + math.log(tail) <= math.log(_PHI_TOL):
+            return end
+    return n
+
+
+def _phi_lo(alpha, beta, s_min, s_max):
+    """Start node of phi's window for every s in [s_min, s_max]; 0 at t = -60.
+
+    With alpha >= 0, phi(s) >= (1 + s)^(-alpha) / (e beta), and the mass below
+    T is at most s^(-alpha) e^(beta T) / beta, and if beta > alpha also
+    e^((beta - alpha) T) / (beta - alpha). The edge T where the first falls
+    to _PHI_TOL of phi rises with s and that of the second falls, so the
+    larger of the first's at s_min and the second's at s_max lies below the
+    edge of every s between them.
+    """
+    log_tol = math.log(_PHI_TOL) - 1.0
+    # An edge that is -inf or NaN (s at the ends of double range) gives t = -60.
+    t_lo = max(_LOG_LO, (log_tol - alpha * math.log1p(1.0 / s_min)) / beta)
+    if beta > alpha:
+        c = beta - alpha
+        t_lo = max(t_lo, (log_tol - math.log(beta / c) - alpha * math.log1p(s_max)) / c)
+    step = _PHI_ALIGN * (_GL_PANEL / _GL_ORDER)
+    return math.floor((t_lo - _LOG_LO) / step) * _PHI_ALIGN
 
 
 def phi_d1(p: ModelParams, s):
@@ -256,9 +316,13 @@ def phi_d1(p: ModelParams, s):
 
     With y = 1/x this is int y^(beta-1) (y+s)^(-alpha) e^(-y) dy, summed by
     the fixed rule as exp(beta t - alpha log(e^t + s) - e^t) over t = log y
-    in [-60, 7]. Below t = -60, e^(-y) = 1 and (y+s)^(-alpha) = s^(-alpha)
-    to within e^-60/s, which adds e^(-60 beta) s^(-alpha)/beta. ``s`` may be
-    a scalar, giving a float, or an array.
+    in a window of the panels of [-60, 7]. Outside it the mass is provably
+    below _PHI_TOL of phi (see ``_phi_lo`` and ``_phi_hi``), far below
+    one ulp, and is dropped. Where no window edge above t = -60 bounds it
+    (and always at alpha < 0), the rule starts at t = -60, and below it
+    e^(-y) = 1 and (y+s)^(-alpha) = s^(-alpha) to within e^-60/s, which adds
+    e^(-60 beta) s^(-alpha)/beta. ``s`` may be a scalar, giving a float, or
+    an array.
     """
     if p.dim != 1:
         raise DomainError("phi is evaluated at d=1 only")
@@ -269,10 +333,17 @@ def phi_d1(p: ModelParams, s):
         raise DomainError("phi requires s > 0")
     a, b = p.alpha, p.beta
     t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
+    if a >= 0 and s_arr.size:
+        s_min, s_max = (float(s_arr),) * 2 if s_arr.ndim == 0 else (float(s_arr.min()), float(s_arr.max()))
+        lo, hi = _phi_lo(a, b, s_min, s_max), _phi_hi(b)
+    else:
+        lo, hi = 0, len(t)
+    t, w, y = t[lo:hi], w[lo:hi], y[lo:hi]
     where = f"phi_d1 at alpha={a}, beta={b}"
     with np.errstate(over="ignore", invalid="ignore"):  # both sums are checked at once
         out = _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
-        out = out + np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
+        if lo == 0:
+            out = out + np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
     if not _all_finite(out):
         raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")
     return float(out) if out.ndim == 0 else out

@@ -282,14 +282,14 @@ def check_intertwining_d1(p: ModelParams, s_grid=None, test_fns=None, seed=None)
     t, w, x = _log_grid()
     where = f"intertwining_d1 at alpha={p.alpha}, beta={p.beta}"
 
-    def p_push(r, what):
+    def p_push(r, weight, what):
         # integral of P(r_j; r_new) f(r_new, a_j + r_new) against mu(dr_new)
-        # for every f, at a_j = x_j and the given r_j
+        # for every f, at a_j = x_j and the given r_j, times the outer weight
         def block(lo, hi):
             dens = bundle.p_density(r[lo:hi, None], x)
             return [dens * fn(x, x[lo:hi, None] + x) for fn in fns]
 
-        return _row_sums(block, w, t, f"{where}, {what}")
+        return weight * _row_sums(block, w, t, f"{where}, {what}", weight)
 
     def k_block(lo, hi):
         # integral of k(s_new; a) f(r_point(s_new, a), a) against mu(da), s_new = x_i
@@ -297,23 +297,27 @@ def check_intertwining_d1(p: ModelParams, s_grid=None, test_fns=None, seed=None)
         dens, r_point = bundle.k_density(s_new, x), bundle.k_point_mass_r(s_new, x)
         return [dens * fn(r_point, x) for fn in fns]
 
-    # The k push table over s_new does not depend on the start point.
-    k_push = _row_sums(k_block, w, t, f"{where}, k push")
+    # The k push table over s_new does not depend on the start point; it is
+    # needed wherever one of its outer weights is nonzero.
+    q_weights = [bundle.q_density(s, x) for s in s_grid]
+    eta_weight = bundle.eta_density(x, 1.0)
+    k_rows = np.logical_or.reduce([q != 0 for q in q_weights] + [eta_weight != 0])
+    k_push = _row_sums(k_block, w, t, f"{where}, k push", k_rows)
 
     def discrepancy(left, right, what):
         left, right = (_rule_sums(v, w, t, f"{where}, {what}") for v in (left, right))
         return np.abs(left - right) / (0.5 * (np.abs(left) + np.abs(right)))
 
     worst = np.zeros(len(fns))
-    for s in s_grid:
-        left = bundle.k_density(s, x) * p_push(bundle.k_point_mass_r(s, x), f"p push from s={s}")
-        worst = np.maximum(worst, discrepancy(left, bundle.q_density(s, x) * k_push, f"s={s}"))
+    for s, q_weight in zip(s_grid, q_weights):
+        left = p_push(bundle.k_point_mass_r(s, x), bundle.k_density(s, x), f"p push from s={s}")
+        worst = np.maximum(worst, discrepancy(left, q_weight * k_push, f"s={s}"))
     # Initial measures: both compositions must agree as integrals against f.
     # The eigenfunction cancels between the normalised kernel and the front
     # factor of the initial law, so neither side evaluates phi.
     initial = discrepancy(
-        bundle.lambda_a_density(x) * p_push(x, "initial p push"),
-        bundle.eta_density(x, 1.0) * k_push,
+        p_push(x, bundle.lambda_a_density(x), "initial p push"),
+        eta_weight * k_push,
         "initial measures",
     )
     note = f"max rel over {len(s_grid)} start points"
@@ -385,11 +389,13 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
         tr = walks.simulate_walks(cfg, rng, n_samples)
         finals.append(tr.r[:, n])
         labels.append(f"{construction.value[:4]}/{kind.value[:4]}")
+    # Each functional once per final: 12 evaluations for the 36 comparisons.
+    values = [[f(final) for f in KS_FUNCTIONALS] for final in finals]
     subs = []
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
-            for f in KS_FUNCTIONALS:
-                subs.append(_ks2_sub(f"{labels[i]} vs {labels[j]} {f.__name__}", f(finals[i]), f(finals[j])))
+            for k, f in enumerate(KS_FUNCTIONALS):
+                subs.append(_ks2_sub(f"{labels[i]} vs {labels[j]} {f.__name__}", values[i][k], values[j][k]))
     # Path equality of the two Cholesky constructions on one shared stream.
     m = min(n_samples, 512)
     init = matdist.sample_inv_wishart(p, rng, size=m)
@@ -412,28 +418,31 @@ def check_lukacs(p: ModelParams, n_samples, kind, rng, seed=None):
     total = x + y
     part = matcore.sym_product_alt(kind, matcore.invert(total), x)
     bound = 4.0 / math.sqrt(n_samples)
+    # Replacing the alternative symmetrised product by the plain one breaks
+    # the independence at d >= 2: the strongest of the four correlations
+    # must then exceed the bound, otherwise the harness would be too blunt
+    # to catch mistakes.  The other swapped form, w(X) (X+Y)^{-1} w(X)^T,
+    # shares its spectrum with the valid part (cyclic trace, multiplicative
+    # det), so trace and log-det cannot see its dependence; only the
+    # triangular one-sided product can. It is built before any functional
+    # is held, which keeps the check's peak memory.
+    control = None
+    if p.dim >= 2 and kind is SplitKind.CHOLESKY:
+        control = matcore.sym_product(kind, matcore.invert(total), x)
+    # Each functional runs once per sample; each of the part's meets both of the total's.
+    totals = [f(total) for f in (TRACE, LOGDET)]
     subs = []
     for fu in (TRACE, LOGDET):
-        for ft in (TRACE, LOGDET):
-            corr = float(np.corrcoef(fu(part), ft(total))[0, 1])
+        u = fu(part)
+        for ft, v in zip((TRACE, LOGDET), totals):
+            corr = float(np.corrcoef(u, v)[0, 1])
             subs.append(
                 SubTest(f"corr[{fu.__name__}(part), {ft.__name__}(total)]", abs(corr) / bound, f"corr={corr:+.5f}")
             )
     extra = f"independence bound 4/sqrt(N)={bound:.5f}"
-    if p.dim >= 2 and kind is SplitKind.CHOLESKY:
-        # Replacing the alternative symmetrised product by the plain one
-        # breaks the independence at d >= 2: the strongest of the four
-        # correlations must then exceed the bound, otherwise the harness
-        # would be too blunt to catch mistakes.  The other swapped form,
-        # w(X) (X+Y)^{-1} w(X)^T, shares its spectrum with the valid part
-        # (cyclic trace, multiplicative det), so trace and log-det cannot
-        # see its dependence; only the triangular one-sided product can.
-        control = matcore.sym_product(kind, matcore.invert(total), x)
-        c_max = max(
-            abs(float(np.corrcoef(fu(control), ft(total))[0, 1]))
-            for fu in (TRACE, LOGDET)
-            for ft in (TRACE, LOGDET)
-        )
+    if control is not None:
+        controls = (f(control) for f in (TRACE, LOGDET))
+        c_max = max(abs(float(np.corrcoef(u, v)[0, 1])) for u in controls for v in totals)
         subs.append(SubTest("negative control", bound / c_max, f"max |corr|={c_max:.5f}"))
     elif p.dim >= 2:
         extra += "; negative control needs the triangular split (symmetric roots commute into the valid form)"

@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of the walk layer's outputs and of CLI runs.
+"""Golden SHA-256 digests of the walk layer's outputs, the d=1 quadrature engine's and CLI runs.
 
 Each case below hashes the raw bytes (shape, dtype and values) of what one
 library call returns, or the stdout of one CLI run. A refactor that moves a
@@ -18,13 +18,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from posdefwalks import lyapunov, matcore, verify, walks
+from posdefwalks import lyapunov, matcore, special, verify, walks
 from posdefwalks.cli import SEED_ENV, main
 from posdefwalks.errors import TruncationFailure
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream, sample_beta2, sample_factor
 from posdefwalks.special import Law, ModelParams
 from posdefwalks.walks import Construction, WalkConfig
+
+import oracles
 
 
 def _digest(*arrays):
@@ -147,6 +149,23 @@ def _factor(law, d, alpha, beta):
     return _digest(u)
 
 
+def _intertwining(s_grid):
+    rep = verify.check_intertwining_d1(ModelParams(1, 2.0, 5.0), s_grid=s_grid)
+    return hashlib.sha256(rep.to_json().encode()).hexdigest()
+
+
+def _phi(alpha, beta):
+    return _digest(special.phi_d1(ModelParams(1, alpha, beta), np.array(oracles.PHI_S)))
+
+
+# The d=1 CDF oracles, read at fixed probes.
+_CDF_PROBES = np.geomspace(0.02, 40.0, 17)
+
+
+def _cdf(cdf):
+    return _digest(np.array([cdf.total_mass]), cdf(_CDF_PROBES))
+
+
 def _stdout(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -251,6 +270,14 @@ CASES["cli-config-dufresne"] = (
 )
 CASES["cli-env-seed"] = (_cli_env_seed, "17", "sample", "--d", "2", "--alpha", "3", "--n", "3")
 CASES["cli-verify-lukacs-meta"] = (_verify_meta, "verify", "lukacs", "--seed", "1")
+# The d=1 quadrature engine: the intertwining report at one and at five start
+# points, phi where tests/oracles.py freezes it, and the eta and qbar CDFs.
+CASES["intertwining-d1-s1"] = (_intertwining, (1.0,))
+CASES["intertwining-d1-full"] = (_intertwining, verify.FULL_CONFIG["intertwining_d1"]["s_grid"])
+for _a, _b in ((2.0, 5.0), (3.0, 4.0), (0.6, 0.55)):
+    CASES[f"phi-d1-{_a}-{_b}"] = (_phi, _a, _b)
+CASES["eta-cdf-2-5"] = (lambda: _cdf(verify._eta_cdf(2.0, 5.0)),)
+CASES["qbar-cdf-2-5-1.05"] = (lambda: _cdf(verify._qbar_cdf(2.0, 5.0, 1.05)),)
 
 
 def _compute(name):
@@ -367,6 +394,13 @@ GOLDEN = {
     'dufresne-ragged-cholesky-d2': 'cd8b7d2b29710e0e11d3de93392242fa67d90996f594a788c26ad18337c1bb49',
     'dufresne-ragged-cholesky-d3': 'e8c61585ea2075d92ac99bf0d497f023ae0e26a29937dd7f54a479ce4db07b7a',
     'dufresne-truncation-cholesky': '724c212e885ec89a19b9b87126366e4abd6af5c6463c9ed55c2447346eb07c20',
+    'intertwining-d1-s1': '6c1a2a5d0c0b2fcafd1f85defe6aac825789985c7563780de6db9f018edefd1c',
+    'intertwining-d1-full': 'a483b42da6c024c32d6ecb91323727247bbc737a96f07d75eecc207a649ad8ae',
+    'phi-d1-2.0-5.0': '489dff2518895c19f286842d410c2e426a0d056d4ba5441e0ae8396c326d646d',
+    'phi-d1-3.0-4.0': 'ff66fb42642eff520ce5790dd39867df20280a6f49f4f6621079409aef23be0b',
+    'phi-d1-0.6-0.55': 'c28d407593408de46a9273b7d2fa4e52b7c31093bb38f62b7138c9869f4da607',
+    'eta-cdf-2-5': 'bc5cc2a8cc5ab5990d04d27ec069a289a7da672e7634a7122bffcf49f5d8e81a',
+    'qbar-cdf-2-5-1.05': '9198d06c001bfb4330bfe2e5845895260f3b1f4df79e9dc00eeaacbc81509a4b',
 }
 
 

@@ -1,13 +1,14 @@
 """Property tests for the factor kernels in matcore, on a fixed hypothesis profile.
 
 At d <= 2 the Cholesky factor, and at d <= 3 the triangular inverse, come
-from closed forms that must carry LAPACK's bits and fail where LAPACK
-fails; the references below call LAPACK one matrix at a time. The d = 3
-inverse rests on an emulated fused multiply-add, checked against exact
-rational arithmetic. Gram products take BLAS gemm where numpy would take
-syrk, and must keep syrk's bits. The samplers, at parameters just inside
-(d-1)/2, give nonsingular draws or raise. The profile is derandomized with
-a bounded example count, so every run draws the same examples.
+from closed forms that must carry LAPACK's bits, down to the sign of a zero
+at exponents of +-1000, and fail where LAPACK fails; the references below
+call LAPACK one matrix at a time. The d = 3 inverse rests on an emulated
+fused multiply-add, checked against exact rational arithmetic. Gram
+products take BLAS gemm where numpy would take syrk, and must keep syrk's
+bits. The samplers, at parameters just inside (d-1)/2, give nonsingular
+draws or raise. The profile is derandomized with a bounded example count,
+so every run draws the same examples.
 """
 
 from fractions import Fraction
@@ -160,6 +161,31 @@ def test_d3_triangular_inverse_is_lapack_bit_for_bit_at_extreme_exponents(u):
             assert not np.isfinite(np.diagonal(g)).all()
         else:
             _assert_same_bits(g, want)
+
+
+@st.composite
+def _extreme_d2_factors(draw):
+    """A stack of 1 to 32 upper triangular 2 x 2 matrices with entries s * 2^k, s normal, |k| <= 1000.
+
+    The diagonal is positive, as in every factor the library makes; u01 is
+    +0 or -0 with probability 0.1 each. About one matrix in twenty has a
+    u01 * r1 that underflows to a zero, whose sign LAPACK's fused form keeps.
+    """
+    n = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n, 3)) * 2.0 ** rng.integers(-1000, 1001, (n, 3))
+    u = np.zeros((n, 2, 2))
+    u[:, 0, 0], u[:, 1, 1] = np.abs(values[:, 0]), np.abs(values[:, 1])
+    u[:, 0, 1] = np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0], n), values[:, 2])
+    return u
+
+
+@PROFILE
+@given(_extreme_d2_factors())
+def test_d2_triangular_inverse_is_lapack_bit_for_bit_at_extreme_exponents(u):
+    with np.errstate(all="ignore"):  # products overflow to inf, as in LAPACK's
+        got = matcore._triangular_inverse(u)
+    _assert_same_bits(got, np.triu(np.linalg.inv(u)))
 
 
 def _fma_ties(rng, n):

@@ -182,6 +182,83 @@ def test_phi_overflow_is_a_typed_error():
             phi_d1(ModelParams(1, 2.0, 1.0), s)
 
 
+def _phi_whole_grid(a, b, s):
+    # phi's rule over every node of [-60, 7] plus the closed form below t = -60.
+    t, w, y = special._log_grid(special._LOG_LO, special._PHI_T_HI)
+    s = np.asarray(s, dtype=float)
+    out = np.exp(b * t - a * np.log(y + s[..., None]) - y) @ w
+    return out + np.exp(b * special._LOG_LO - a * np.log(s)) / b
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 5.0), (3.0, 4.0), (0.6, 0.55), (0.1, 3.0), (8.0, 9.0)])
+def test_phi_window_keeps_the_whole_grid_bits(a, b):
+    # The window drops mass below 2^-100 of phi and adds the rest in the
+    # lanes the whole grid does, so scalar and array calls keep its bits.
+    ss = np.geomspace(1e-12, 1e8, 81)
+    p = ModelParams(1, a, b)
+    want = np.array([_phi_whole_grid(a, b, s) for s in ss])
+    got = np.array([phi_d1(p, float(s)) for s in ss])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for lo in range(0, 81, 9):
+        near = ss[lo] * np.array([1.0, 1.05, 0.95])
+        np.testing.assert_array_equal(
+            phi_d1(p, near).view(np.int64), _phi_whole_grid(a, b, near).view(np.int64)
+        )
+
+
+def test_phi_window_skips_the_closed_form_where_it_is_inaccurate():
+    # Below s = e^-60 the closed form under t = -60 overstates the mass there
+    # (here by e^621); the window ends above t = -60 and phi reads Gamma(3).
+    p = ModelParams(1, 2.0, 5.0)
+    assert special._phi_lo(2.0, 5.0, 1e-200, 1e-200) > 0
+    assert phi_d1(p, 1e-200) == pytest.approx(2.0, rel=1e-14)
+    # Down to the least subnormal s, where 1/s overflows, alone or in an array.
+    np.testing.assert_allclose(phi_d1(p, np.array([5e-324, 1.0]))[0], 2.0, rtol=1e-15)
+    # Where beta < alpha no edge above t = -60 exists and the typed error stays.
+    for s in (5e-324, np.array([5e-324, 1.0])):
+        with pytest.raises(NonFiniteIntegrand, match=r"phi overflows below t = -60\.0$"):
+            phi_d1(ModelParams(1, 2.0, 1.0), s)
+
+
+def test_row_sums_skips_blocks_whose_weights_are_zero():
+    t, w, x = special._log_grid()
+    weight = np.where(np.abs(t) < 3.0, np.exp(-x), 0.0)
+    calls = []
+
+    def block(lo, hi):
+        calls.append((lo, hi))
+        return [np.exp(-np.abs(t[lo:hi, None] - t)), np.ones((hi - lo, len(t)))]
+
+    got = special._row_sums(block, w, t, "test", weight)
+    # One call per 8-row block with a nonzero weight, and no other.
+    starts = range(0, len(t), special._ROW_BLOCK)
+    assert calls == [(lo, lo + 8) for lo in starts if weight[lo : lo + 8].any()]
+    rows = np.zeros(len(t), dtype=bool)
+    for lo, hi in calls:
+        rows[lo:hi] = True
+    full = special._row_sums(block, w, t, "test", np.ones(len(t)))
+    # Kept rows carry the whole table's bits; skipped rows read exactly 0.
+    np.testing.assert_array_equal(got[:, rows].view(np.int64), full[:, rows].view(np.int64))
+    assert not got[:, ~rows].any()
+    np.testing.assert_array_equal(weight * got, weight * full)
+
+
+def test_row_sums_names_a_non_finite_value_in_a_kept_block():
+    t, w, x = special._log_grid()
+    weight = np.where(t > 0.0, 1.0, 0.0)
+
+    def block(lo, hi):
+        # NaN in the rows with t < -10 (skipped) and at t > 5 (kept).
+        bad = (t[lo:hi, None] < -10.0) | ((t[lo:hi, None] > 5.0) & (t > 5.0))
+        return [np.where(bad, np.nan, 1.0) * w]
+
+    with pytest.raises(NonFiniteIntegrand, match=r"^test, outer t in \[5\.\d+, .*t = 5\."):
+        special._row_sums(block, w, t, "test", weight)
+    # The same NaN only in skipped rows is never evaluated.
+    out = special._row_sums(block, w, t, "test", np.where((t > 0.0) & (t < 5.0), 1.0, 0.0))
+    assert np.isfinite(out).all()
+
+
 def test_quadrature_cdf_of_gamma_law():
     # x^2 e^-x against dx/x is the Gamma(2) density x e^-x dx.
     seen = []

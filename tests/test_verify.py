@@ -1,5 +1,7 @@
 """The checking harness: KS machinery, functionals, and the named checks."""
 
+import collections
+import functools
 import hashlib
 import json
 
@@ -365,6 +367,30 @@ def test_d2_checks_never_call_lapack_inverse_or_cholesky(name, monkeypatch):
     idx = list(REDUCED_CONFIG).index(name)
     rep = run_check(name, 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name, calls", [("lukacs", 3), ("construction_equivalence", 4)])
+def test_each_functional_runs_once_per_sample(name, calls, monkeypatch):
+    # lukacs evaluates trace and logdet on part, total and control;
+    # construction_equivalence each KS functional on its four finals. The
+    # reduced report keeps its pinned bytes.
+    counts = collections.Counter()
+
+    def counted(f):
+        @functools.wraps(f)
+        def wrapper(x):
+            counts[f.__name__] += 1
+            return f(x)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "TRACE", counted(TRACE))
+    monkeypatch.setattr(verify, "LOGDET", counted(LOGDET))
+    monkeypatch.setattr(verify, "KS_FUNCTIONALS", tuple(map(counted, verify.KS_FUNCTIONALS)))
+    idx = list(REDUCED_CONFIG).index(name)
+    rep = run_check(name, 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256[name]
+    assert counts and set(counts.values()) == {calls}
 
 
 def test_d3_beta_gamma_never_calls_lapack_inverse(monkeypatch):
