@@ -34,12 +34,12 @@ _NOT_ECHOED = ("command", "run", "config", "out")
 _SCALAR_FUNCTIONALS = (matcore.trace, matcore.logdet, matcore.lambda_min, matcore.lambda_max)
 
 
-def _add_common(sub, fmt):
+def _add_common(sub, fmt, formats=("json", "csv")):
     sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"))
     sub.add_argument("--config", help="flat key=value file of long options; flags override")
     sub.add_argument("--threads", default="auto", help="worker count or 'auto' (echoed only)")
     sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=fmt)
+    sub.add_argument("--format", choices=formats, default=fmt)
 
 
 def _add_params(sub):
@@ -111,7 +111,7 @@ def _parser():
     p.set_defaults(run=cmd_lyapunov)
 
     p = subs.add_parser("verify", allow_abbrev=False, help="run verification checks")
-    _add_common(p, "json")
+    _add_common(p, "json", formats=("json",))  # reports are JSON lines only
     # After the common options, so the header echoes the checks after the format.
     p.add_argument(
         "checks", nargs="+", choices=("all", *verify.FULL_CONFIG), action=_CheckNames,
@@ -340,7 +340,6 @@ def cmd_lyapunov(args):
 
 
 def cmd_verify(args):
-    known = list(verify.FULL_CONFIG)
     meta = _meta(args)
     meta["parameters"] = {
         name: {k: str(v) for k, v in verify.FULL_CONFIG[name].items()} for name in args.checks
@@ -349,7 +348,7 @@ def cmd_verify(args):
     with _output(args.out) as fh:
         print(json.dumps(meta), file=fh)
         for name in args.checks:
-            report = verify.run_check(name, args.seed, stream_id=known.index(name))
+            report = verify.run_check(name, args.seed)
             print(report.to_json(), file=fh)
             all_passed = all_passed and report.passed
     return 0 if all_passed else 1

@@ -104,10 +104,18 @@ def _inv_wishart_spec(p: ModelParams):
     return BartlettSpec(p.beta, tuple(range(p.dim, 0, -1)))
 
 
-def _out_of_range(law, p, what):
+# Why a draw at a parameter that require_sampling() accepts can still fail.
+_CAUSES = {
+    "is not finite": "a gamma variate underflowed to 0 and was inverted, or an entry overflowed",
+    "is singular": "a gamma variate underflowed to 0",
+}
+
+
+def _unrepresentable(law, p, what):
     names = {Law.WISHART: ("alpha",), Law.INV_WISHART: ("beta",)}.get(law, ("alpha", "beta"))
     at = ", ".join(f"{name}={getattr(p, name)!r}" for name in names)
-    return DomainError(f"{law.value} draw {what} at {at}: the parameter is out of range")
+    why = f"not representable in float64 at that parameter ({_CAUSES[what]})"
+    return DomainError(f"{law.value} draw {what} at {at}: {why}")
 
 
 # Floating-point warnings silenced where an overflowing or zero draw can meet
@@ -123,10 +131,10 @@ def _checked(law, p, x, *factors):
     shape near 0 can underflow to exactly 0, which leaves the factor singular.
     """
     if not np.isfinite(x).all():
-        raise _out_of_range(law, p, "is not finite")
+        raise _unrepresentable(law, p, "is not finite")
     for u in factors:
         if not (np.diagonal(u, axis1=-2, axis2=-1) > 0).all():
-            raise _out_of_range(law, p, "is singular")
+            raise _unrepresentable(law, p, "is singular")
     return x
 
 
@@ -136,7 +144,7 @@ def _triangular_inverse(b, law, p):
     try:
         return matcore._triangular_inverse(b)
     except np.linalg.LinAlgError:
-        raise _out_of_range(law, p, "is not finite") from None
+        raise _unrepresentable(law, p, "is not finite") from None
 
 
 def _cholesky_factor(law, p: ModelParams, rng, size, blocks):

@@ -44,6 +44,10 @@ _GL_ORDER, _GL_PANEL, _ROW_BLOCK, _PHI_T_HI = 8, 0.5, 8, 7.0
 # multiple of _PHI_ALIGN nodes adds every term that matters in the lane the
 # whole grid does, and phi keeps its bits.
 _PHI_TOL, _PHI_ALIGN = 2.0**-100, 32
+# phi's closed form below t = -60 stays wherever its error is below
+# _PHI_HEAD_TOL of phi, 2^-12 of an ulp, and so keeps its bits; elsewhere
+# the rule extends below -60 by steps of _PHI_HEAD_STEP.
+_PHI_HEAD_TOL, _PHI_HEAD_STEP = 2.0**-64, 8.0
 
 
 @dataclass(frozen=True)
@@ -311,6 +315,26 @@ def _phi_lo(alpha, beta, s_min, s_max):
     return math.floor((t_lo - _LOG_LO) / step) * _PHI_ALIGN
 
 
+def _phi_head_edge(alpha, beta, s_min):
+    """Highest T = -60 - k _PHI_HEAD_STEP, k >= 0, below which phi's closed form holds.
+
+    With alpha > 0 and y < e^T, (y+s)^(-alpha) e^(-y) is s^(-alpha) to within
+    (alpha/s + 1) e^T of it, and phi >= (1+s)^(-alpha) / (e beta), so the
+    closed form errs by at most e^(1 + (beta+1) T) (1 + alpha/s) (1 + 1/s)^alpha
+    of phi. That bound falls as s rises; at T it is below _PHI_HEAD_TOL.
+    """
+    if alpha <= 0:
+        return _LOG_LO
+    log_s = math.log(s_min)  # not 1/s, which overflows at subnormal s
+    log_bound = 1.0 + math.log(s_min + alpha) - log_s + alpha * (math.log1p(s_min) - log_s)
+    t_edge = (math.log(_PHI_HEAD_TOL) - log_bound) / (beta + 1.0)
+    return _LOG_LO - _PHI_HEAD_STEP * max(0, math.ceil((_LOG_LO - t_edge) / _PHI_HEAD_STEP))
+
+
+def _phi_sums(a, b, t, w, y, s_arr, where):
+    return _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
+
+
 def phi_d1(p: ModelParams, s):
     """phi(s) = int_0^inf x^(alpha-beta) (1+sx)^(-alpha) e^(-1/x) dx/x, s > 0.
 
@@ -319,10 +343,11 @@ def phi_d1(p: ModelParams, s):
     in a window of the panels of [-60, 7]. Outside it the mass is provably
     below _PHI_TOL of phi (see ``_phi_lo`` and ``_phi_hi``), far below
     one ulp, and is dropped. Where no window edge above t = -60 bounds it
-    (and always at alpha < 0), the rule starts at t = -60, and below it
-    e^(-y) = 1 and (y+s)^(-alpha) = s^(-alpha) to within e^-60/s, which adds
-    e^(-60 beta) s^(-alpha)/beta. ``s`` may be a scalar, giving a float, or
-    an array.
+    (and always at alpha < 0), the rule starts at t = -60, or lower where
+    the mass near y = s lies below it (see ``_phi_head_edge``). Below that
+    edge T, e^(-y) = 1 and (y+s)^(-alpha) = s^(-alpha), which adds
+    e^(beta T) s^(-alpha)/beta; where that is not finite at T = -60, phi
+    raises NonFiniteIntegrand. ``s`` may be a scalar, giving a float, or an array.
     """
     if p.dim != 1:
         raise DomainError("phi is evaluated at d=1 only")
@@ -331,19 +356,22 @@ def phi_d1(p: ModelParams, s):
     s_arr = np.asarray(s, dtype=float)
     if not (float(s_arr) > 0 if s_arr.ndim == 0 else (s_arr > 0).all()):
         raise DomainError("phi requires s > 0")
+    if s_arr.size == 0:
+        return np.empty(s_arr.shape)
     a, b = p.alpha, p.beta
+    s_min, s_max = (float(s_arr),) * 2 if s_arr.ndim == 0 else (float(s_arr.min()), float(s_arr.max()))
     t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
-    if a >= 0 and s_arr.size:
-        s_min, s_max = (float(s_arr),) * 2 if s_arr.ndim == 0 else (float(s_arr.min()), float(s_arr.max()))
-        lo, hi = _phi_lo(a, b, s_min, s_max), _phi_hi(b)
-    else:
-        lo, hi = 0, len(t)
-    t, w, y = t[lo:hi], w[lo:hi], y[lo:hi]
+    lo, hi = (_phi_lo(a, b, s_min, s_max), _phi_hi(b)) if a >= 0 else (0, len(t))
     where = f"phi_d1 at alpha={a}, beta={b}"
-    with np.errstate(over="ignore", invalid="ignore"):  # both sums are checked at once
-        out = _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
+    with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked at once
+        out = _phi_sums(a, b, t[lo:hi], w[lo:hi], y[lo:hi], s_arr, where)
         if lo == 0:
-            out = out + np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
+            head = np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
+            t_edge = _phi_head_edge(a, b, s_min)
+            if t_edge < _LOG_LO and _all_finite(head):
+                head = _phi_sums(a, b, *_log_grid(t_edge, _LOG_LO), s_arr, where)
+                head = head + np.exp(b * t_edge - a * np.log(s_arr)) / b
+            out = out + head
     if not _all_finite(out):
         raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")
     return float(out) if out.ndim == 0 else out

@@ -11,8 +11,9 @@ Each report's ``statistic`` is the worst sub-test measure and ``threshold``
 the level it must not exceed: KS distances and moment gaps are expressed as
 ratios to their own critical values (threshold 1.0), quadrature checks as raw
 relative discrepancies (threshold 1e-6). A scalar functional's sub-tests are
-labelled with its ``matcore`` function's name. The suite itself is the
-registry at the end of the module.
+labelled with its ``matcore`` function's name. The suite is the registry
+at the end of the module: ``CHECKS`` maps each name to its check, whose
+configurations are its keyword arguments.
 """
 
 import json
@@ -218,7 +219,11 @@ def check_dufresne(p: ModelParams, n_samples, rng, kind=SplitKind.CHOLESKY, seed
     return _make_report(f"dufresne_d{p.dim}", subs, n_samples, n_samples, seed)
 
 
-def _fixed_point_subtests(dims, alpha, beta, burn_in, n_samples, rng, kind, n_chains):
+FIXED_POINT_CHAINS = 64  # Kesten chains run side by side
+
+
+def check_fixed_point(alpha, beta, dims, burn_in, n_samples, rng, kind=SplitKind.CHOLESKY, seed=None):
+    """Stationarity of both recursion variants against the direct sampler, at each d in dims."""
     thin = max(1, burn_in // 10)
     subs = []
     for d in dims:
@@ -228,7 +233,7 @@ def _fixed_point_subtests(dims, alpha, beta, burn_in, n_samples, rng, kind, n_ch
         chains = {}
         for prime, label in ((False, "xi"), (True, "xi_prime")):
             chain = walks.kesten_samples(
-                p, kind, burn_in, thin, n_samples, rng, prime=prime, n_chains=n_chains
+                p, kind, burn_in, thin, n_samples, rng, prime=prime, n_chains=FIXED_POINT_CHAINS
             )
             chains[label] = chain
             target = matdist.sample_beta2(stat, rng, size=n_samples)
@@ -245,17 +250,7 @@ def _fixed_point_subtests(dims, alpha, beta, burn_in, n_samples, rng, kind, n_ch
         if d == 1 and beta - alpha > 2:
             target_mean = alpha / (beta - alpha - 1.0)
             subs.append(_moment_sub(f"xi mean {tag}", chains["xi"][:, 0, 0], target_mean))
-    return subs
-
-
-def check_fixed_point(
-    p: ModelParams, burn_in, n_samples, rng, kind=SplitKind.CHOLESKY, seed=None, n_chains=64
-):
-    """Stationarity of both recursion variants against the direct sampler."""
-    subs = _fixed_point_subtests(
-        (p.dim,), p.alpha, p.beta, burn_in, n_samples, rng, kind, n_chains
-    )
-    return _make_report(f"fixed_point_d{p.dim}", subs, n_samples, n_samples, seed)
+    return _make_report("fixed_point", subs, n_samples, n_samples, seed)
 
 
 def check_intertwining_d1(p: ModelParams, s_grid=None, test_fns=None, seed=None):
@@ -474,10 +469,11 @@ def check_beta_gamma(alpha, beta, dims, n_samples, rng, kind=SplitKind.CHOLESKY,
 
 
 # ---------------------------------------------------------------------------
-# Suite registry: a check is its entry in _RUNNERS plus its configurations.
-# FULL_CONFIG's key order is each check's stream id in ``run_all`` and the
-# CLI; REDUCED_CONFIG's keys are the calibration set, in calibration order.
-# Both are read at call time.
+# Suite registry: a check is its entry in CHECKS plus its configurations,
+# which ``run_check`` passes to it as keyword arguments (dim, alpha and beta
+# as one ModelParams p) with rng and seed. FULL_CONFIG's key order gives each
+# check's default stream id; REDUCED_CONFIG's keys are the calibration set,
+# in calibration order. Both are read at call time.
 
 
 FULL_CONFIG = {
@@ -513,55 +509,39 @@ CHECK_NAMES = (
 )
 
 
-def _params(cfg):
-    return ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
-
-
-def _run_dufresne(cfg, rng, seed):
-    return check_dufresne(_params(cfg), cfg["n_samples"], rng, seed=seed)
-
-
-# name -> runner(config, rng, seed) returning the check's TestReport
-_RUNNERS = {
-    "dufresne_d1": _run_dufresne,
-    "dufresne_d2": _run_dufresne,
-    "intertwining_d1": lambda cfg, rng, seed: check_intertwining_d1(
-        _params(cfg), s_grid=cfg["s_grid"], seed=seed
-    ),
-    "my_markov_d1": lambda cfg, rng, seed: check_my_markov_d1(
-        _params(cfg), cfg["n_traces"], rng, h=cfg["h"], seed=seed
-    ),
-    "fixed_point": lambda cfg, rng, seed: _make_report(
-        "fixed_point",
-        _fixed_point_subtests(**cfg, rng=rng, kind=SplitKind.CHOLESKY, n_chains=64),
-        cfg["n_samples"],
-        cfg["n_samples"],
-        seed,
-    ),
-    "construction_equivalence": lambda cfg, rng, seed: check_construction_equivalence(
-        _params(cfg), cfg["n"], cfg["n_samples"], rng, seed=seed
-    ),
-    "lukacs": lambda cfg, rng, seed: check_lukacs(
-        _params(cfg), cfg["n_samples"], cfg["kind"], rng, seed=seed
-    ),
-    "beta_gamma": lambda cfg, rng, seed: check_beta_gamma(
-        cfg["alpha"], cfg["beta"], cfg["dims"], cfg["n_samples"], rng, seed=seed
-    ),
+CHECKS = {
+    "dufresne_d1": check_dufresne,
+    "dufresne_d2": check_dufresne,
+    "intertwining_d1": lambda rng, **cfg: check_intertwining_d1(**cfg),  # draws nothing
+    "my_markov_d1": check_my_markov_d1,
+    "fixed_point": check_fixed_point,
+    "construction_equivalence": check_construction_equivalence,
+    "lukacs": check_lukacs,
+    "beta_gamma": check_beta_gamma,
 }
 
 
-def run_check(name, seed, stream_id=0, config=None):
-    """Run one named check on stream (seed, stream_id), by default at FULL_CONFIG."""
-    if name not in _RUNNERS:
+def run_check(name, seed, stream_id=None, config=None):
+    """Run one named check on stream (seed, stream_id), by default at FULL_CONFIG.
+
+    The stream id defaults to the check's place in FULL_CONFIG, as in
+    ``posdefwalks verify <name>``, which prints the same report.
+    """
+    if name not in CHECKS:
         raise DomainError(f"unknown check '{name}'")
-    report = _RUNNERS[name]((config or FULL_CONFIG)[name], make_stream(seed, stream_id), seed)
+    if stream_id is None:
+        stream_id = list(FULL_CONFIG).index(name)
+    cfg = dict((config or FULL_CONFIG)[name])
+    if "dim" in cfg:
+        cfg["p"] = ModelParams(cfg.pop("dim"), cfg.pop("alpha"), cfg.pop("beta"))
+    report = CHECKS[name](**cfg, rng=make_stream(seed, stream_id), seed=seed)
     report.name = name
     return report
 
 
 def run_all(seed):
     """The CHECK_NAMES reports, each on the stream of its place in FULL_CONFIG."""
-    return [run_check(name, seed, stream_id=idx) for idx, name in enumerate(CHECK_NAMES)]
+    return [run_check(name, seed) for name in CHECK_NAMES]
 
 
 def calibration_meta(base_seed, n_reps=100):

@@ -140,6 +140,18 @@ PHI_MP = {
 }
 
 
+# phi where beta <= alpha and s is far below e^-60, so that its mass lies near
+# y = s, under the engine's grid. Frozen at 30 digits by mpmath (dps=80):
+# quad of the y-form in t = log y over [log s - 200/beta, 7] plus its closed
+# form below, agreeing with the Gamma(beta) s^(beta-alpha) U form to 1e-80.
+PHI_TINY_S = {
+    (2.0, 1.0, 1e-30): 999999999999999999999999999931.0,
+    (2.0, 1.0, 1e-26): 99999999999999999999999940.7100,
+    (2.0, 2.0, 1e-40): 90.5261880548602945001131460973,
+    (0.6, 0.55, 1e-40): 2092.33367644082228110608373819,
+}
+
+
 def phi_quad(alpha, beta, s):
     """phi(s) by adaptive quadrature of its defining x-form in v = log x."""
 

@@ -66,9 +66,7 @@ def test_criterion_05_kesten_fixed_point():
     oks = []
     stats = []
     for d in (1, 2):
-        rep = verify.check_fixed_point(
-            ModelParams(d, 2.5, 6.0), 500, 2000, make_stream(9005 + d), seed=9005 + d
-        )
+        rep = verify.check_fixed_point(2.5, 6.0, (d,), 500, 2000, make_stream(9005 + d), seed=9005 + d)
         assert "push" in rep.details and "xi_prime" in rep.details
         oks.append(rep.passed)
         stats.append(f"d={d} ratio={rep.statistic:.3f}")

@@ -263,6 +263,33 @@ def test_verify_single_check_stream(tmp_path):
     assert report["passed"] is True
 
 
+def test_run_check_gives_the_report_verify_prints(tmp_path, monkeypatch):
+    # verify runs a check on the stream of its place in FULL_CONFIG, and so
+    # does run_check by default; it used to take stream 0 for every check.
+    reduced = {n: verify.REDUCED_CONFIG.get(n, c) for n, c in verify.FULL_CONFIG.items()}
+    monkeypatch.setattr(verify, "FULL_CONFIG", reduced)
+    for idx, name in enumerate(reduced):
+        code, text = run_to_file(tmp_path, f"{name}.jsonl", ["verify", name, "--seed", "3"])
+        assert code in (0, 1)
+        line = text.splitlines()[1]
+        assert line == verify.run_check(name, 3, stream_id=idx).to_json(), name
+        assert line == verify.run_check(name, 3).to_json(), name
+
+
+def test_verify_refuses_csv(monkeypatch, capsys):
+    # verify prints JSON lines only; --format csv used to be accepted and ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lukacs", "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format" in captured.err
+    # The default run still echoes the format in its meta line.
+    report = verify.TestReport("lukacs", 0.5, 1.0, 1, 1, None, 1, "")
+    monkeypatch.setattr(verify, "run_check", lambda name, seed: report)
+    assert main(["verify", "lukacs", "--seed", "1"]) == 0
+    assert '"format": "json"' in capsys.readouterr().out.splitlines()[0]
+
+
 def test_verify_unknown_check_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not_a_check"])
@@ -483,7 +510,8 @@ def test_zero_gamma_draw_exits_3_with_only_the_error_line(capsys):
         code = main(["sample", "--dist", "invwishart", "--d", "1", "--alpha", "1", "--beta", "1e-6"])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: invwishart draw is not finite at beta=1e-06: the parameter is out of range"
+        "error: invwishart draw is not finite at beta=1e-06: not representable in float64 at that "
+        "parameter (a gamma variate underflowed to 0 and was inverted, or an entry overflowed)"
     ]
 
 
@@ -492,7 +520,8 @@ def test_singular_draw_exits_3_naming_the_parameter(capsys):
     code = main(["sample", "--dist", "wishart", "--d", "1", "--alpha", "0.00390625", "--n", "8", "--seed", "0"])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: wishart draw is singular at alpha=0.00390625: the parameter is out of range"
+        "error: wishart draw is singular at alpha=0.00390625: not representable in float64 at that "
+        "parameter (a gamma variate underflowed to 0)"
     ]
 
 

@@ -6,7 +6,7 @@ at exponents of +-1000, and fail where LAPACK fails; the references below
 call LAPACK one matrix at a time. The d = 3 inverse rests on an emulated
 fused multiply-add, checked against exact rational arithmetic. Gram
 products take BLAS gemm where numpy would take syrk, and must keep syrk's
-bits. The samplers, at parameters just inside (d-1)/2, give nonsingular
+bits; traces, summed in order, must keep np.trace's. The samplers, at parameters just inside (d-1)/2, give nonsingular
 draws or raise. The profile is derandomized with a bounded example count,
 so every run draws the same examples.
 """
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posdefwalks import matcore, walks
+from posdefwalks import matcore
 from posdefwalks.errors import DomainError, NotPositiveDefinite
 from posdefwalks.matcore import PIVOT_RTOL, SplitKind
 from posdefwalks.matdist import make_stream, sample, sample_factor
@@ -306,8 +306,12 @@ def test_gram_is_numpy_syrk_bit_for_bit(v):
 @PROFILE
 @given(_stacks(st.integers(1, 9)))
 def test_series_traces_are_numpy_trace_bit_for_bit(v):
-    m = v.reshape((-1,) + v.shape[-2:])
-    _assert_same_bits(walks._traces(m), np.trace(m, axis1=-2, axis2=-1))
+    # matcore.trace sums the diagonal in order below d = 8, as np.trace does;
+    # one matrix gives a numpy scalar, as np.trace does.
+    for x in (v, v.reshape((-1,) + v.shape[-2:]), v.reshape((-1,) + v.shape[-2:])[0]):
+        got, want = matcore.trace(x), np.trace(x, axis1=-2, axis2=-1)
+        assert type(got) is type(want)
+        _assert_same_bits(np.asarray(got), np.asarray(want))
 
 
 @PROFILE

@@ -137,6 +137,17 @@ def test_phi_matches_frozen_mpmath_values():
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
+def test_phi_below_the_grid_where_beta_le_alpha():
+    # The closed form under t = -60 took (y+s)^(-alpha) = s^(-alpha) where
+    # y >> s, and read 8.8e33 for phi = 1e30 at (2, 1, 1e-30); the rule now
+    # extends below -60 far enough to cover y = s.
+    for (a, b, s), expect in oracles.PHI_TINY_S.items():
+        p = ModelParams(1, a, b)
+        assert special._phi_head_edge(a, b, s) < special._LOG_LO
+        np.testing.assert_allclose(phi_d1(p, s), expect, rtol=1e-12)
+        np.testing.assert_allclose(phi_d1(p, np.array([s, 1.0]))[0], expect, rtol=1e-12)
+
+
 def test_phi_scalar_and_array_calls_agree():
     p = ModelParams(1, 1.3, 1.1)
     ss = np.geomspace(1e-9, 1e5, 23)

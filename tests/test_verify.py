@@ -190,14 +190,14 @@ def test_check_dufresne_regime_violation():
 
 
 def test_check_fixed_point_scalar_mean_subtest():
-    rep = check_fixed_point(ModelParams(1, 2.0, 5.0), 300, 1500, make_stream(704), seed=704)
+    rep = check_fixed_point(2.0, 5.0, (1,), 300, 1500, make_stream(704), seed=704)
     assert rep.passed
     assert "xi mean" in rep.details
     assert "push" in rep.details
 
 
 def test_check_fixed_point_matrix_case():
-    rep = check_fixed_point(ModelParams(2, 2.5, 6.0), 300, 1000, make_stream(705), seed=705)
+    rep = check_fixed_point(2.5, 6.0, (2,), 300, 1000, make_stream(705), seed=705)
     assert rep.passed
     assert "xi_prime" in rep.details
 
