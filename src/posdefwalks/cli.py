@@ -2,12 +2,14 @@
 
 Every run is seeded and echoes its full effective configuration (including
 defaults) in the output header, so outputs are reproducible byte for byte.
+One writer prints every data command's output; a CSV float cell reads back bit for bit.
 Each option's default, type and choices are declared once, in the parser,
 and an option must be spelt in full (no prefix of it is accepted).
 A ``--config`` file of ``key=value`` lines is read as the long options
 ``--key=value`` placed right after the subcommand, so the parser checks its
 values like flags and flags given on the command line override it; the
 seed's default comes from ``POSDEFWALKS_SEED`` when that is set.
+``walk --increments`` runs the recursive walk and refuses ``--construction closed``.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
 """
 
@@ -28,10 +30,13 @@ from .special import Law, ModelParams
 SEED_ENV = "POSDEFWALKS_SEED"
 
 # Namespace entries that steer the run but are not echoed in its header.
-_NOT_ECHOED = ("command", "run", "config", "out")
+_NOT_ECHOED = ("command", "run", "usage_error", "config", "out")
 
 # CSV columns, named after the functions.
 _SCALAR_FUNCTIONALS = (matcore.trace, matcore.logdet, matcore.lambda_min, matcore.lambda_max)
+_FUNCTIONAL_NAMES = [fn.__name__ for fn in _SCALAR_FUNCTIONALS]
+# A walk's CSV functionals at each step, in order; s_trace starts at step 1.
+_WALK_COLUMNS = ("r_trace", "r_logdet", "a_trace", "a_logdet", "s_trace")
 
 
 def _add_common(sub, fmt, formats=("json", "csv")):
@@ -89,7 +94,7 @@ def _parser():
         default=walks.Construction.RECURSIVE.value,
     )
     _add_common(p, "csv")
-    p.set_defaults(run=cmd_walk)
+    p.set_defaults(run=cmd_walk, usage_error=p.error)
 
     p = subs.add_parser("dufresne", allow_abbrev=False, help="sample the truncated series limit")
     _add_params(p)
@@ -174,49 +179,55 @@ def _meta(args):
     return meta
 
 
-def _csv_header(fh, args):
-    print(f"# posdefwalks={__version__}", file=fh)
-    for key, value in _meta(args).items():
-        if key != "version":
-            print(f"# {key}={value}", file=fh)
+def _write(args, fields, columns, rows):
+    """Print the run as one JSON line or as CSV; only the chosen format is computed.
+
+    JSON is ``{"meta": ..., **fields()}``. CSV is the echo header, ``columns``
+    and the tuples of ``rows()``, whose cells are Python ints, strings and
+    floats: a float's str is its repr, which reads back bit for bit.
+    """
+    with _output(args.out) as fh:
+        if args.format == "json":
+            print(json.dumps({"meta": _meta(args), **fields()}), file=fh)
+            return 0
+        print(f"# posdefwalks={__version__}", file=fh)
+        for key, value in _meta(args).items():
+            if key != "version":
+                print(f"# {key}={value}", file=fh)
+        print(",".join(columns), file=fh)
+        for row in rows():
+            print(",".join(map(str, row)), file=fh)
+    return 0
 
 
-def _functional_rows(stack):
-    """Rows of the scalar functionals' reprs, each functional called once on the whole stack."""
-    return zip(*(map(repr, fn(stack).tolist()) for fn in _SCALAR_FUNCTIONALS))
+def _functional_columns(stack):
+    """The scalar functionals' values, each functional called once on the whole stack."""
+    return [fn(stack).tolist() for fn in _SCALAR_FUNCTIONALS]
 
 
-def _matrix_entries(m):
-    return [repr(float(v)) for v in np.asarray(m).ravel()]
+def _params(args):
+    if args.alpha is None or args.beta is None:
+        raise PosDefWalksError(f"{args.command} needs --alpha and --beta")
+    return ModelParams(args.d, args.alpha, args.beta)
 
 
 def cmd_sample(args):
     if args.alpha is None and args.beta is None:
         raise PosDefWalksError("sample needs --alpha and/or --beta")
-    if args.alpha is None:
-        args.alpha = args.beta
-    if args.beta is None:
-        args.beta = args.alpha
+    args.alpha = args.beta if args.alpha is None else args.alpha
+    args.beta = args.alpha if args.beta is None else args.beta
     p = ModelParams(args.d, args.alpha, args.beta).require_sampling()
     rng = matdist.make_stream(args.seed)
     draws = matdist.sample(args.dist, p, rng, size=args.n)
-    with _output(args.out) as fh:
-        if args.format == "json":
-            payload = {"meta": _meta(args), "samples": np.asarray(draws).tolist()}
-            print(json.dumps(payload), file=fh)
-            return 0
-        _csv_header(fh, args)
-        cols = ["index"] + [fn.__name__ for fn in _SCALAR_FUNCTIONALS]
-        if args.full:
-            d = p.dim
-            cols += [f"e_{i}_{j}" for i in range(d) for j in range(d)]
-        print(",".join(cols), file=fh)
-        for idx, values in enumerate(_functional_rows(draws)):
-            row = [str(idx), *values]
-            if args.full:
-                row += _matrix_entries(draws[idx])
-            print(",".join(row), file=fh)
-    return 0
+    columns = ["index", *_FUNCTIONAL_NAMES]
+    if args.full:
+        columns += [f"e_{i}_{j}" for i in range(p.dim) for j in range(p.dim)]
+
+    def rows():
+        entries = draws.reshape(-1, p.dim**2).T.tolist() if args.full else []
+        return zip(range(len(draws)), *_functional_columns(draws), *entries)
+
+    return _write(args, lambda: {"samples": draws.tolist()}, columns, rows)
 
 
 def _positive(text, what):
@@ -230,9 +241,9 @@ def _positive(text, what):
 
 
 def cmd_walk(args):
-    if args.alpha is None or args.beta is None:
-        raise PosDefWalksError("walk needs --alpha and --beta")
-    p = ModelParams(args.d, args.alpha, args.beta)
+    if args.increments is not None and args.construction == walks.Construction.CLOSED.value:
+        args.usage_error("--increments runs the recursive walk, not --construction closed")
+    p = _params(args)
     rng = matdist.make_stream(args.seed)
     init = args.init
     if init.startswith("fixed:"):
@@ -247,61 +258,34 @@ def cmd_walk(args):
     else:
         cfg = walks.WalkConfig(p, args.kind, args.construction, args.steps, init)
         tr = walks.simulate_walk(cfg, rng)
-    with _output(args.out) as fh:
-        if args.format == "json":
-            payload = {
-                "meta": _meta(args),
-                "r": tr.r.tolist(),
-                "a": tr.a.tolist(),
-                "s": tr.s.tolist(),
-            }
-            print(json.dumps(payload), file=fh)
-            return 0
-        _csv_header(fh, args)
-        print("step,functional_name,value", file=fh)
-        columns = [
-            ("r_trace", matcore.trace(tr.r).tolist()),
-            ("r_logdet", matcore.logdet(tr.r).tolist()),
-            ("a_trace", matcore.trace(tr.a).tolist()),
-            ("a_logdet", matcore.logdet(tr.a).tolist()),
-        ]
-        s_trace = [None] + matcore.trace(tr.s).tolist()
-        for k in range(tr.r.shape[0]):
-            for name, values in columns:
-                print(f"{k},{name},{values[k]!r}", file=fh)
-            if k >= 1:
-                print(f"{k},s_trace,{s_trace[k]!r}", file=fh)
-    return 0
+
+    def rows():
+        cols = [fn(x).tolist() for x in (tr.r, tr.a) for fn in (matcore.trace, matcore.logdet)]
+        cols.append([None, *matcore.trace(tr.s).tolist()])
+        for k in range(len(tr.r)):
+            yield from ((k, name, c[k]) for name, c in zip(_WALK_COLUMNS, cols) if c[k] is not None)
+
+    return _write(
+        args,
+        lambda: {"r": tr.r.tolist(), "a": tr.a.tolist(), "s": tr.s.tolist()},
+        ["step", "functional_name", "value"],
+        rows,
+    )
 
 
 def cmd_dufresne(args):
-    if args.alpha is None or args.beta is None:
-        raise PosDefWalksError("dufresne needs --alpha and --beta")
-    p = ModelParams(args.d, args.alpha, args.beta)
+    p = _params(args)
     rng = matdist.make_stream(args.seed)
     draws, counts = walks.dufresne_series(
-        p,
-        rng,
-        size=args.n,
-        kind=args.kind,
-        tail_tol=args.tail_tol,
-        max_terms=args.max_terms,
+        p, rng, args.n, args.kind, tail_tol=args.tail_tol, max_terms=args.max_terms,
         return_counts=True,
     )
-    with _output(args.out) as fh:
-        if args.format == "json":
-            payload = {
-                "meta": _meta(args),
-                "samples": np.asarray(draws).tolist(),
-                "n_terms": [int(c) for c in counts],
-            }
-            print(json.dumps(payload), file=fh)
-            return 0
-        _csv_header(fh, args)
-        print("index," + ",".join(fn.__name__ for fn in _SCALAR_FUNCTIONALS) + ",n_terms", file=fh)
-        for idx, values in enumerate(_functional_rows(draws)):
-            print(",".join([str(idx), *values, str(int(counts[idx]))]), file=fh)
-    return 0
+    return _write(
+        args,
+        lambda: {"samples": draws.tolist(), "n_terms": counts.tolist()},
+        ["index", *_FUNCTIONAL_NAMES, "n_terms"],
+        lambda: zip(range(len(draws)), *_functional_columns(draws), counts.tolist()),
+    )
 
 
 def cmd_lyapunov(args):
@@ -316,27 +300,20 @@ def cmd_lyapunov(args):
         raise PosDefWalksError(f"{law.value} needs --beta")
     p = ModelParams(args.d, alpha, beta)
     rng = matdist.make_stream(args.seed)
+    run = (args.steps, args.replicas, rng)
     if args.method == "cholesky":
-        report = lyapunov.empirical_mu_cholesky(
-            law, p, args.steps, args.replicas, rng, seed=args.seed
-        )
+        report = lyapunov.empirical_mu_cholesky(law, p, *run, seed=args.seed)
     else:
-        report = lyapunov.empirical_mu_eigen(
-            law, p, args.kind, args.steps, args.replicas, rng, seed=args.seed
-        )
-    with _output(args.out) as fh:
-        if args.format == "json":
-            payload = {"meta": _meta(args), "report": json.loads(report.to_json())}
-            print(json.dumps(payload), file=fh)
-            return 0
-        _csv_header(fh, args)
-        print("k,mu_hat,std_err,mu_closed", file=fh)
-        for k in range(p.dim):
-            print(
-                f"{k + 1},{report.mu_hat[k]!r},{report.std_err[k]!r},{report.mu_closed[k]!r}",
-                file=fh,
-            )
-    return 0
+        report = lyapunov.empirical_mu_eigen(law, p, args.kind, *run, seed=args.seed)
+    return _write(
+        args,
+        lambda: {"report": json.loads(report.to_json())},
+        ["k", "mu_hat", "std_err", "mu_closed"],
+        lambda: zip(
+            range(1, p.dim + 1),
+            report.mu_hat.tolist(), report.std_err.tolist(), report.mu_closed.tolist(),
+        ),
+    )
 
 
 def cmd_verify(args):

@@ -1,5 +1,7 @@
 """Exact samplers for the matrix laws, built on Bartlett-type factors.
 
+The Wishart Bartlett factor itself is ``sample_factor(Law.WISHART, p, rng)``.
+
 Every sampler takes an explicit generator created by :func:`make_stream`;
 identical (seed, stream_id) pairs reproduce bit-identical output, distinct
 pairs give independent counter-based streams. Samplers return one matrix for
@@ -11,8 +13,6 @@ whole stack. A draw that is not finite, or whose triangular factor has a
 diagonal entry that is not > 0, raises DomainError naming the law's
 parameters.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +28,6 @@ def make_stream(seed, stream_id=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class BartlettSpec:
-    """Upper triangular law with independent entries.
-
-    Diagonal entry k is the square root of a unit-scale gamma variate with
-    shape alpha - (c_k - 1)/2; the strict upper triangle is centered normal
-    with variance 1/2.
-    """
-
-    alpha: float
-    c: tuple
-
-    def __post_init__(self):
-        shapes = self.shapes()
-        if np.any(shapes <= 0):
-            raise DomainError(
-                f"Bartlett shapes alpha - (c_k - 1)/2 must be positive, got {shapes}"
-            )
-
-    def shapes(self):
-        return self.alpha - (np.asarray(self.c, dtype=float) - 1.0) / 2.0
-
-    @property
-    def dim(self):
-        return len(self.c)
-
-
 def _count(value, name):
     n = 1 if value is None else int(value)
     if n < 0:
@@ -62,19 +35,21 @@ def _count(value, name):
     return n
 
 
-def _bartlett_blocks(specs, rng, size, blocks):
-    """Bartlett factors (blocks, len(specs), size, d, d), one block after another.
+def _bartlett_blocks(shapes, rng, size, blocks):
+    """Bartlett factors (blocks, len(shapes), size, d, d), one block after another.
 
-    ``None`` for size or blocks counts as 1. Within a block every spec draws
-    in turn, in a fixed order: its diagonal (k = 1..d), then its strict upper
-    triangle row-major. So a block consumes the stream exactly as one
-    sample_bartlett call per spec does, and m blocks as m rounds of them.
+    A Bartlett factor is upper triangular with independent entries: diagonal
+    entry k is the square root of a unit-scale gamma variate of shape
+    ``sh[k]``, and the strict upper triangle is centered normal with variance
+    1/2. ``None`` for size or blocks counts as 1. Within a block every shape
+    array ``sh`` of ``shapes`` draws in turn, in a fixed order: its diagonal
+    (k = 1..d), then its strict upper triangle row-major. So m blocks consume
+    the stream as m successive single-block calls do.
     """
     n, m = _count(size, "size"), _count(blocks, "blocks")
-    d = specs[0].dim
-    shapes = [spec.shapes() for spec in specs]
+    d = len(shapes[0])
     iu = np.triu_indices(d, k=1)
-    u = np.zeros((m, len(specs), n, d, d))
+    u = np.zeros((m, len(shapes), n, d, d))
     for block in u:
         for f, sh in zip(block, shapes):
             for k in range(d):
@@ -89,19 +64,6 @@ def _shaped(x, size, blocks):
     if size is None:
         x = x[:, 0]
     return x[0] if blocks is None else x
-
-
-def sample_bartlett(spec: BartlettSpec, rng, size=None):
-    """Draw upper triangular factors with the given Bartlett law."""
-    return _shaped(_bartlett_blocks((spec,), rng, size, None)[:, 0], size, None)
-
-
-def _wishart_spec(p: ModelParams):
-    return BartlettSpec(p.alpha, tuple(range(1, p.dim + 1)))
-
-
-def _inv_wishart_spec(p: ModelParams):
-    return BartlettSpec(p.beta, tuple(range(p.dim, 0, -1)))
 
 
 # Why a draw at a parameter that require_sampling() accepts can still fail.
@@ -148,14 +110,17 @@ def _triangular_inverse(b, law, p):
 
 
 def _cholesky_factor(law, p: ModelParams, rng, size, blocks):
-    p.require_sampling()
+    p.require_sampling()  # so every Bartlett gamma shape below is > 0
+    # Shapes alpha - (c_k - 1)/2 for c = 1..d (A) and beta's for c = d..1 (B).
+    half = np.arange(p.dim) / 2.0
+    a_shapes, b_shapes = p.alpha - half, p.beta - half[::-1]
     if law is Law.WISHART:
-        u = _bartlett_blocks((_wishart_spec(p),), rng, size, blocks)[:, 0]
+        u = _bartlett_blocks((a_shapes,), rng, size, blocks)[:, 0]
     elif law is Law.INV_WISHART:
-        b = _bartlett_blocks((_inv_wishart_spec(p),), rng, size, blocks)[:, 0]
+        b = _bartlett_blocks((b_shapes,), rng, size, blocks)[:, 0]
         u = _triangular_inverse(b, law, p)
     elif law is Law.BETA2:
-        ab = _bartlett_blocks((_wishart_spec(p), _inv_wishart_spec(p)), rng, size, blocks)
+        ab = _bartlett_blocks((a_shapes, b_shapes), rng, size, blocks)
         u = ab[:, 0] @ _triangular_inverse(ab[:, 1], law, p)
     else:
         raise DomainError(f"no triangular factor construction for law {law.value}")

@@ -346,8 +346,8 @@ def phi_d1(p: ModelParams, s):
     (and always at alpha < 0), the rule starts at t = -60, or lower where
     the mass near y = s lies below it (see ``_phi_head_edge``). Below that
     edge T, e^(-y) = 1 and (y+s)^(-alpha) = s^(-alpha), which adds
-    e^(beta T) s^(-alpha)/beta; where that is not finite at T = -60, phi
-    raises NonFiniteIntegrand. ``s`` may be a scalar, giving a float, or an array.
+    e^(beta T) s^(-alpha)/beta. Where phi leaves double range, it raises
+    NonFiniteIntegrand. ``s`` may be a scalar, giving a float, or an array.
     """
     if p.dim != 1:
         raise DomainError("phi is evaluated at d=1 only")
@@ -366,11 +366,10 @@ def phi_d1(p: ModelParams, s):
     with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked at once
         out = _phi_sums(a, b, t[lo:hi], w[lo:hi], y[lo:hi], s_arr, where)
         if lo == 0:
-            head = np.exp(b * _LOG_LO - a * np.log(s_arr)) / b
             t_edge = _phi_head_edge(a, b, s_min)
-            if t_edge < _LOG_LO and _all_finite(head):
-                head = _phi_sums(a, b, *_log_grid(t_edge, _LOG_LO), s_arr, where)
-                head = head + np.exp(b * t_edge - a * np.log(s_arr)) / b
+            head = np.exp(b * t_edge - a * np.log(s_arr)) / b
+            if t_edge < _LOG_LO:
+                head = _phi_sums(a, b, *_log_grid(t_edge, _LOG_LO), s_arr, where) + head
             out = out + head
     if not _all_finite(out):
         raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")

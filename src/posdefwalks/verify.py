@@ -539,11 +539,6 @@ def run_check(name, seed, stream_id=None, config=None):
     return report
 
 
-def run_all(seed):
-    """The CHECK_NAMES reports, each on the stream of its place in FULL_CONFIG."""
-    return [run_check(name, seed) for name in CHECK_NAMES]
-
-
 def calibration_meta(base_seed, n_reps=100):
     """Null-distribution pass counts of the REDUCED_CONFIG checks.
 

@@ -149,6 +149,9 @@ PHI_TINY_S = {
     (2.0, 1.0, 1e-26): 99999999999999999999999940.7100,
     (2.0, 2.0, 1e-40): 90.5261880548602945001131460973,
     (0.6, 0.55, 1e-40): 2092.33367644082228110608373819,
+    # phi = 1/s - e^s E1(s) at (2, 1), by mpmath at the double s (dps=80).
+    (2.0, 1.0, 1e-170): 1.00000000000000001665450095114e170,
+    (2.0, 1.0, 1e-300): 9.99999999999999974940908164791e299,
 }
 
 

@@ -3,11 +3,12 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from posdefwalks import __version__, cli, verify
+from posdefwalks import __version__, cli, matcore, verify
 from posdefwalks.cli import SEED_ENV, main
-from posdefwalks.errors import InsufficientBinCount
+from posdefwalks.errors import InsufficientBinCount, NotPositiveDefinite
 
 
 def run_to_file(tmp_path, name, argv):
@@ -143,6 +144,21 @@ def test_walk_unknown_init_exits_3(capsys):
     assert "init" in capsys.readouterr().err
 
 
+def test_walk_increments_refuse_the_closed_construction(capsys):
+    # Fixed increments run the recursive walk only; the header used to echo
+    # construction=closed over the recursive walk's rows.
+    argv = ["walk", "--d", "2", "--alpha", "2", "--beta", "5", "--increments", "2,3", "--kind", "sqrt"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--construction", "closed"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--increments" in captured.err and "--construction closed" in captured.err
+    for fmt, echo in (("csv", "# construction=recursive"), ("json", '"construction": "recursive"')):
+        assert main(argv + ["--format", fmt]) == 0
+        assert echo in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- dufresne
 
 
@@ -203,6 +219,59 @@ def test_lyapunov_missing_parameter_exits_3(capsys):
     code = main(["lyapunov", "--dist", "wishart", "--d", "2", "--steps", "50", "--replicas", "5"])
     assert code == 3
     assert "alpha" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ output
+
+_LYAPUNOV_CSV = ["lyapunov", "--dist", "wishart", "--d", "2", "--alpha", "3", "--steps", "30", "--replicas", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--dist", "beta2", "--d", "2", "--alpha", "2.5", "--beta", "6", "--n", "20", "--full"],
+        ["dufresne", "--d", "2", "--alpha", "2", "--beta", "5", "--n", "20", "--tail-tol", "1e-6"],
+        _LYAPUNOV_CSV + ["--method", "cholesky"],
+        _LYAPUNOV_CSV + ["--method", "eigen"],
+    ],
+    ids=["sample-full", "dufresne", "lyapunov-cholesky", "lyapunov-eigen"],
+)
+def test_csv_cells_read_back_as_the_json_values(tmp_path, argv):
+    # lyapunov's CSV used to print numpy's scalar repr, np.float64(...).
+    _, text = run_to_file(tmp_path, "run.csv", argv + ["--format", "csv", "--seed", "4"])
+    _, line = run_to_file(tmp_path, "run.json", argv + ["--format", "json", "--seed", "4"])
+    header, *rows = data_rows(text)
+    cells = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    table = dict(zip(header.split(","), cells.T))
+    payload = json.loads(line)
+    if argv[0] == "lyapunov":
+        expected = {name: payload["report"][name] for name in ("mu_hat", "std_err", "mu_closed")}
+    elif argv[0] == "dufresne":
+        expected = {"n_terms": payload["n_terms"]}
+    else:
+        samples = np.array(payload["samples"])
+        expected = {f"e_{i}_{j}": samples[:, i, j] for i in range(2) for j in range(2)}
+    for name, values in expected.items():
+        want = np.array(values, dtype=float)
+        np.testing.assert_array_equal(table[name].view(np.int64), want.view(np.int64), err_msg=name)
+
+
+@pytest.mark.parametrize("command", ["sample", "walk", "dufresne"])
+def test_each_format_computes_only_its_own_output(monkeypatch, capsys, command):
+    # A functional that fails on the stack fails the CSV run, which prints it,
+    # and leaves the JSON run alone.
+    def refuse(x):
+        raise NotPositiveDefinite("logdet refused")
+
+    monkeypatch.setattr(matcore, "logdet", refuse)
+    functionals = tuple(refuse if fn.__name__ == "logdet" else fn for fn in cli._SCALAR_FUNCTIONALS)
+    monkeypatch.setattr(cli, "_SCALAR_FUNCTIONALS", functionals)
+    argv = [command, "--d", "2", "--alpha", "2", "--beta", "5"]
+    argv += ["--steps", "3"] if command == "walk" else ["--n", "3"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["command"] == command
+    assert main(argv + ["--format", "csv"]) == 3
+    assert capsys.readouterr().err == "error: logdet refused\n"
 
 
 # -------------------------------------------------------------- bad values

@@ -357,7 +357,7 @@ GOLDEN = {
     'cli-lyapunov-sqrt': '8f0ca6f7cebc7c6aeaeadc3349fe06935e0e752abe931ef38f2568fbaac4be0d',
     'cli-sample-full': '0e60abf7f8fcdc1898e67832591adf5889a5675e6ac0bd3cec66da24e42321ad',
     'cli-sample-json': 'cb8ebba6dba44fba4e84bb4b5f5aa3186193d126c7692e6d4562dd5c5b5926c1',
-    'cli-lyapunov-cholesky-csv': '21a6e76902e77f015c404415aa9a64be75774a372e20af1a88aa8e5357db6df2',
+    'cli-lyapunov-cholesky-csv': 'a45a7f6ab3d9dc71a0e6e09b819d20a3d2cf1d91c1e32dd202362604f66910ca',
     'cli-config-sample': 'a88bdccd7f505484ef03814819c3e27d8a40644368c1ca39a954c0c5ea7fa06f',
     'cli-config-walk-steps': '4fe52acc4d4c077741d14e9e54ef1b6215b6d57682bc550d4d5644877b6b48de',
     'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',

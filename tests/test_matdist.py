@@ -11,10 +11,8 @@ from posdefwalks import matcore, matdist
 from posdefwalks.errors import DomainError
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import (
-    BartlettSpec,
     make_stream,
     sample,
-    sample_bartlett,
     sample_beta1,
     sample_beta2,
     sample_factor,
@@ -43,9 +41,12 @@ def ks_distance_to_cdf(sample_vals, grid, cdf_grid):
     return max(upper, lower)
 
 
+# The Wishart Cholesky factor is the Bartlett factor with c = 1..d.
+
+
 def test_bartlett_diagonal_mean():
     rng = make_stream(2024)
-    u = sample_bartlett(BartlettSpec(3.0, (1,)), rng, size=100_000)
+    u = sample_factor(Law.WISHART, ModelParams(1, 3.0, 3.0), rng, size=100_000)
     sq = u[:, 0, 0] ** 2
     se = sq.std(ddof=1) / math.sqrt(len(sq))
     assert abs(sq.mean() - 3.0) < 3 * se
@@ -53,7 +54,7 @@ def test_bartlett_diagonal_mean():
 
 def test_bartlett_offdiag_variance():
     rng = make_stream(2025)
-    u = sample_bartlett(BartlettSpec(3.0, (1, 2)), rng, size=100_000)
+    u = sample_factor(Law.WISHART, ModelParams(2, 3.0, 3.0), rng, size=100_000)
     off = u[:, 0, 1]
     # var of the variance estimator for N(0, 1/2): 2 sigma^4/(n-1).
     se = math.sqrt(2.0 * 0.25 / (len(off) - 1))
@@ -64,8 +65,10 @@ def test_bartlett_offdiag_variance():
 def test_bartlett_reverse_permutation_law():
     d = 3
     rng = make_stream(2026)
-    u_fwd = sample_bartlett(BartlettSpec(4.0, tuple(range(1, d + 1))), rng, size=30_000)
-    u_rev = sample_bartlett(BartlettSpec(4.0, tuple(range(d, 0, -1))), rng, size=30_000)
+    p = ModelParams(d, 4.0, 4.0)
+    u_fwd = sample_factor(Law.WISHART, p, rng, size=30_000)
+    # The inverse Wishart factor is B^-1 with B Bartlett at c = d..1.
+    u_rev = np.linalg.inv(sample_factor(Law.INV_WISHART, p, rng, size=30_000))
     omega = np.eye(d)[::-1]
     flipped = np.swapaxes(omega @ u_fwd @ omega, -1, -2)
     for k in range(d):

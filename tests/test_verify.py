@@ -309,7 +309,7 @@ def test_check_names_cover_the_suite():
         "construction_equivalence",
         "lukacs",
     )
-    # Key order is the stream id of the CLI and run_all, and the calibration order.
+    # Key order is the stream id of the CLI and run_check, and the calibration order.
     assert tuple(FULL_CONFIG) == CHECK_NAMES + ("beta_gamma",)
     assert tuple(REDUCED_CONFIG) == (
         "dufresne_d1",
