@@ -9,7 +9,10 @@ A ``--config`` file of ``key=value`` lines is read as the long options
 ``--key=value`` placed right after the subcommand, so the parser checks its
 values like flags and flags given on the command line override it; the
 seed's default comes from ``POSDEFWALKS_SEED`` when that is set.
-``walk --increments`` runs the recursive walk and refuses ``--construction closed``.
+``walk --increments`` runs the recursive walk and refuses ``--construction closed``;
+``lyapunov --method cholesky`` splits by Cholesky and refuses ``--kind sqrt``.
+Wishart reads ``--alpha`` only, inverse Wishart ``--beta`` only, and every
+other law, the walks' beta II increments among them, both.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
 """
 
@@ -113,7 +116,7 @@ def _parser():
     p.add_argument("--method", choices=("cholesky", "eigen"), default="eigen")
     p.add_argument("--kind", **kind)
     _add_common(p, "json")
-    p.set_defaults(run=cmd_lyapunov)
+    p.set_defaults(run=cmd_lyapunov, usage_error=p.error)
 
     p = subs.add_parser("verify", allow_abbrev=False, help="run verification checks")
     _add_common(p, "json", formats=("json",))  # reports are JSON lines only
@@ -205,18 +208,29 @@ def _functional_columns(stack):
     return [fn(stack).tolist() for fn in _SCALAR_FUNCTIONALS]
 
 
-def _params(args):
-    if args.alpha is None or args.beta is None:
-        raise PosDefWalksError(f"{args.command} needs --alpha and --beta")
-    return ModelParams(args.d, args.alpha, args.beta)
+# The one parameter a one-sided law reads; every other law reads both.
+_ONE_SIDED = {Law.WISHART: "alpha", Law.INV_WISHART: "beta"}
+
+
+def _params(args, law=Law.BETA2):
+    """ModelParams from the options ``law`` reads, each of them required and no other given.
+
+    A one-sided law's other field repeats its own value. The walks and series
+    move by beta II increments, so they read both.
+    """
+    reads = [_ONE_SIDED[law]] if law in _ONE_SIDED else ["alpha", "beta"]
+    for name in ("alpha", "beta"):
+        given = getattr(args, name) is not None
+        if given and name not in reads:
+            raise PosDefWalksError(f"{law.value} does not read --{name}, only --{reads[0]}")
+        if not given and name in reads:
+            raise PosDefWalksError(f"{law.value} needs --{name}")
+    values = [getattr(args, name) for name in reads]
+    return ModelParams(args.d, values[0], values[-1])
 
 
 def cmd_sample(args):
-    if args.alpha is None and args.beta is None:
-        raise PosDefWalksError("sample needs --alpha and/or --beta")
-    args.alpha = args.beta if args.alpha is None else args.alpha
-    args.beta = args.alpha if args.beta is None else args.beta
-    p = ModelParams(args.d, args.alpha, args.beta).require_sampling()
+    p = _params(args, Law(args.dist)).require_sampling()
     rng = matdist.make_stream(args.seed)
     draws = matdist.sample(args.dist, p, rng, size=args.n)
     columns = ["index", *_FUNCTIONAL_NAMES]
@@ -289,16 +303,10 @@ def cmd_dufresne(args):
 
 
 def cmd_lyapunov(args):
+    if args.method == "cholesky" and args.kind != SplitKind.CHOLESKY.value:
+        args.usage_error(f"--method cholesky reads no --kind {args.kind}, only --kind cholesky")
     law = Law(args.dist)
-    # unused parameter of a one-sided law still has to pass dim validation
-    placeholder = 0.5 * (args.d + 1)
-    alpha = args.alpha if args.alpha is not None else placeholder
-    beta = args.beta if args.beta is not None else placeholder
-    if law in (Law.WISHART, Law.BETA2) and args.alpha is None:
-        raise PosDefWalksError(f"{law.value} needs --alpha")
-    if law in (Law.INV_WISHART, Law.BETA2) and args.beta is None:
-        raise PosDefWalksError(f"{law.value} needs --beta")
-    p = ModelParams(args.d, alpha, beta)
+    p = _params(args, law)
     rng = matdist.make_stream(args.seed)
     run = (args.steps, args.replicas, rng)
     if args.method == "cholesky":

@@ -169,11 +169,12 @@ def sample_beta2(p: ModelParams, rng, size=None, blocks=None):
     return _gram_sample(Law.BETA2, p, rng, size, blocks)
 
 
-def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
+def sample_beta1(p: ModelParams, rng, size=None):
     """Beta type I draw as the sum-normalised part of a Wishart pair.
 
     Returns the alternative symmetrised product of Y_alpha by the inverse of
-    Y_alpha + Y_beta; the law does not depend on the split kind.
+    Y_alpha + Y_beta, by the Cholesky split; the law does not depend on the
+    split kind.
     """
     p.require_sampling()
     with np.errstate(**_QUIET):
@@ -183,11 +184,11 @@ def sample_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
         total = y_a + _gram(u_b)
     # The sum is finite exactly when both Wishart draws are.
     total_inv = matcore.invert(_checked(Law.BETA1, p, total, u_a, u_b))
-    return matcore.sym_product_alt(kind, total_inv, y_a)
+    return matcore.sym_product_alt(SplitKind.CHOLESKY, total_inv, y_a)
 
 
-def sample_inv_beta1(p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY):
-    return matcore.invert(sample_beta1(p, rng, size, kind))
+def sample_inv_beta1(p: ModelParams, rng, size=None):
+    return matcore.invert(sample_beta1(p, rng, size))
 
 
 def sample(law, p: ModelParams, rng, size=None, blocks=None):

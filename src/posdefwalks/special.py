@@ -7,11 +7,12 @@ computed in log space.
 
 The d=1 oracles (phi, the kernel identities in ``verify``, ``QuadratureCdf``)
 share one fixed-node engine, composite Gauss-Legendre in t = log x evaluated
-as array operations; adaptive quadrature remains in ``integrate_mu_d1``. The
-engine evaluates only where an integrand lives: phi sums a window of its
-grid outside which its mass is below one ulp by far, and ``_row_sums``
-skips the row blocks whose outer weight is exactly 0. Both keep the bits of
-a sum over the whole grid.
+as array operations. The one adaptive rule left is private: ``_tail_mass``
+gives a ``QuadratureCdf`` the mass below and above its grid. The engine
+evaluates only where an integrand lives: phi sums a window of its grid
+outside which its mass is below one ulp by far, and ``_row_sums`` skips the
+row blocks whose outer weight is exactly 0. Both keep the bits of a sum over
+the whole grid.
 """
 
 import enum
@@ -168,48 +169,6 @@ def density_wrt_mu(law, p: ModelParams, x):
         )
         return np.exp(logp)
     raise DomainError(f"no closed-form density for law {law.value}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
-def integrate_mu_d1(fn, spec=DEFAULT_QUAD, lo=None, hi=None):
-    """Integrate fn against dx/x over (lo, hi) in (0, inf).
-
-    Uses adaptive quadrature after the substitution x = e^t, which makes the
-    integrands treated here smooth and unimodal.
-    """
-    t_lo = _LOG_LO if lo is None else max(_LOG_LO, math.log(lo))
-    t_hi = _LOG_HI if hi is None else min(_LOG_HI, math.log(hi))
-    if t_hi <= t_lo:
-        return 0.0
-    val, err, info = integrate.quad(
-        lambda t: fn(math.exp(t)),
-        t_lo,
-        t_hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )[:3]
-    if err > 10.0 * max(spec.abs_tol, spec.rel_tol * abs(val)):
-        raise QuadratureNoConvergence(
-            f"achieved error {err:.3e} for value {val:.6e} under spec {spec}"
-        )
-    return val
 
 
 def _gauss_legendre(edges):
@@ -376,16 +335,34 @@ def phi_d1(p: ModelParams, s):
     return float(out) if out.ndim == 0 else out
 
 
-# Adaptive rule for the mass below and above a QuadratureCdf grid.
-_CDF_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+def _tail_mass(density, t_lo, t_hi):
+    """Mass of a scalar density against dx/x over t = log x in [t_lo, t_hi] within [-60, 60].
+
+    Adaptive quadrature in t; it raises QuadratureNoConvergence unless the
+    error estimate is within 10 times the tolerance.
+    """
+    t_lo, t_hi = max(_LOG_LO, t_lo), min(_LOG_HI, t_hi)
+    if t_hi <= t_lo:
+        return 0.0
+    abs_tol, rel_tol = 1e-11, 1e-9
+    val, err = integrate.quad(
+        lambda t: density(math.exp(t)), t_lo, t_hi, epsabs=abs_tol, epsrel=rel_tol, limit=2000,
+        full_output=1,
+    )[:2]
+    if err > 10.0 * max(abs_tol, rel_tol * abs(val)):
+        raise QuadratureNoConvergence(
+            f"QuadratureCdf mass over t in [{t_lo:.6g}, {t_hi:.6g}]: error {err:.3e} for value {val:.6e}"
+        )
+    return val
 
 
 class QuadratureCdf:
     """CDF of a density against dx/x from the fixed rule on each grid cell.
 
     The grid is uniform in t = log x from x_lo to x_hi; ``density`` is called
-    once per node with a float x, and the mass below and above the grid comes
-    from ``integrate_mu_d1``. The cumulative values are joined by a monotone
+    once per node with a float x, and the mass below and above the grid, over
+    t in [-60, t_lo] and [t_hi, 60], comes from the adaptive ``_tail_mass``,
+    two calls per table. The cumulative values are joined by a monotone
     interpolant in log x, which ``grid`` (x_lo to x_hi exactly) bounds; the
     CDF reads 0 below it and 1 above. ``total_mass`` records the full integral
     before normalization so callers can assert it is a probability density.
@@ -393,11 +370,11 @@ class QuadratureCdf:
 
     def __init__(self, density, x_lo, x_hi, n_grid=400):
         ts = np.linspace(math.log(x_lo), math.log(x_hi), n_grid)
-        head = integrate_mu_d1(density, _CDF_QUAD, hi=math.exp(ts[0]))
+        head = _tail_mass(density, _LOG_LO, ts[0])
         nodes, half, w = _gauss_legendre(ts)
         vals = np.array([density(math.exp(t)) for t in nodes.flat]).reshape(nodes.shape)
         segs = half * _rule_sums(vals, w, nodes, "QuadratureCdf density")
-        tail = integrate_mu_d1(density, _CDF_QUAD, lo=math.exp(ts[-1]))
+        tail = _tail_mass(density, ts[-1], _LOG_HI)
         cum = head + np.concatenate([[0.0], np.cumsum(segs)])
         self.total_mass = float(cum[-1] + tail)
         self.grid = np.exp(ts)

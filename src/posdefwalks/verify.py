@@ -203,11 +203,11 @@ def _qbar_cdf(alpha, beta, s0):
 # Distributional checks
 
 
-def check_dufresne(p: ModelParams, n_samples, rng, kind=SplitKind.CHOLESKY, seed=None):
-    """Series limit of the contracting walk vs the inverse Wishart target."""
+def check_dufresne(p: ModelParams, n_samples, rng, seed=None):
+    """Series limit of the contracting walk, Cholesky split, vs the inverse Wishart target."""
     p.require_contracting()
     nu = p.beta - p.alpha
-    series = walks.dufresne_series(p, rng, size=n_samples, kind=kind)
+    series = walks.dufresne_series(p, rng, size=n_samples)
     direct = matdist.sample_inv_wishart(ModelParams(p.dim, nu, nu), rng, size=n_samples)
     subs = [_ks2_sub(f.__name__, f(series), f(direct)) for f in KS_FUNCTIONALS]
     if p.dim == 1:
@@ -222,8 +222,8 @@ def check_dufresne(p: ModelParams, n_samples, rng, kind=SplitKind.CHOLESKY, seed
 FIXED_POINT_CHAINS = 64  # Kesten chains run side by side
 
 
-def check_fixed_point(alpha, beta, dims, burn_in, n_samples, rng, kind=SplitKind.CHOLESKY, seed=None):
-    """Stationarity of both recursion variants against the direct sampler, at each d in dims."""
+def check_fixed_point(alpha, beta, dims, burn_in, n_samples, rng, seed=None):
+    """Stationarity of both Cholesky-split recursions against the direct sampler, at each d in dims."""
     thin = max(1, burn_in // 10)
     subs = []
     for d in dims:
@@ -233,7 +233,7 @@ def check_fixed_point(alpha, beta, dims, burn_in, n_samples, rng, kind=SplitKind
         chains = {}
         for prime, label in ((False, "xi"), (True, "xi_prime")):
             chain = walks.kesten_samples(
-                p, kind, burn_in, thin, n_samples, rng, prime=prime, n_chains=FIXED_POINT_CHAINS
+                p, SplitKind.CHOLESKY, burn_in, thin, n_samples, rng, prime=prime, n_chains=FIXED_POINT_CHAINS
             )
             chains[label] = chain
             target = matdist.sample_beta2(stat, rng, size=n_samples)
@@ -243,7 +243,7 @@ def check_fixed_point(alpha, beta, dims, burn_in, n_samples, rng, kind=SplitKind
         # map must match fresh direct draws.
         direct = matdist.sample_beta2(stat, rng, size=n_samples)
         incs = matdist.sample_beta2(p, rng, size=n_samples)
-        pushed = matcore.sym_product(kind, incs, np.eye(d) + direct)
+        pushed = matcore.sym_product(SplitKind.CHOLESKY, incs, np.eye(d) + direct)
         fresh = matdist.sample_beta2(stat, rng, size=n_samples)
         for f in (TRACE, LOGDET):
             subs.append(_ks2_sub(f"push {f.__name__} {tag}", f(pushed), f(fresh)))
@@ -446,8 +446,8 @@ def check_lukacs(p: ModelParams, n_samples, kind, rng, seed=None):
     return _make_report(f"lukacs_d{p.dim}", subs, n_samples, n_samples, seed, extra=extra)
 
 
-def check_beta_gamma(alpha, beta, dims, n_samples, rng, kind=SplitKind.CHOLESKY, seed=None):
-    """Decomposition of a Wishart law through its Beta factor, both oriented ways."""
+def check_beta_gamma(alpha, beta, dims, n_samples, rng, seed=None):
+    """Decomposition of a Wishart law through its Beta factor, both oriented ways (Cholesky split)."""
     subs = []
     for d in dims:
         p = ModelParams(d, alpha, beta).require_sampling()
@@ -455,13 +455,13 @@ def check_beta_gamma(alpha, beta, dims, n_samples, rng, kind=SplitKind.CHOLESKY,
         target = ModelParams(d, alpha, alpha)
         y = matdist.sample_wishart(whole, rng, size=n_samples)
         u = matdist.sample_beta1(p, rng, size=n_samples)
-        combo = matcore.sym_product(kind, y, u)
+        combo = matcore.sym_product(SplitKind.CHOLESKY, y, u)
         direct = matdist.sample_wishart(target, rng, size=n_samples)
         for f in (TRACE, LOGDET):
             subs.append(_ks2_sub(f"sum-split d={d} {f.__name__}", f(combo), f(direct)))
         v = matdist.sample_inv_wishart(whole, rng, size=n_samples)
         w = matdist.sample_inv_beta1(p, rng, size=n_samples)
-        combo_inv = matcore.sym_product(kind, v, w)
+        combo_inv = matcore.sym_product(SplitKind.CHOLESKY, v, w)
         direct_inv = matdist.sample_inv_wishart(target, rng, size=n_samples)
         for f in (TRACE, LOGDET):
             subs.append(_ks2_sub(f"inverse-split d={d} {f.__name__}", f(combo_inv), f(direct_inv)))

@@ -111,7 +111,8 @@ def _recursive_states(kind, state, increments, n):
     r = _states(state, n)
     for k, x in enumerate(increments, start=1):
         try:
-            state = matcore.sym_product(kind, state, x)
+            with np.errstate(over="ignore", invalid="ignore"):  # _check_overflow reports it
+                state = matcore.sym_product(kind, state, x)
         except NotPositiveDefinite as exc:
             msg, _, index = str(exc).partition(" at batch index ")
             where = f" at step {k}" + (f", batch index {index}" if index else "")
@@ -126,8 +127,9 @@ def _closed_states(kind, state, factors, n):
     r = _states(state, n)
     v = matcore.split_factor(kind, state)
     for k, f in enumerate(factors, start=1):
-        v = f @ v
-        r[..., k, :, :] = state = matcore.symmetrize(matcore._gram(v))
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_overflow reports it
+            v = f @ v
+            r[..., k, :, :] = state = matcore.symmetrize(matcore._gram(v))
         _check_overflow(state, k)
     return r
 

@@ -71,6 +71,20 @@ def beta_integral(a, b):
     return val
 
 
+def mu_integral(fn, epsabs=1e-10, epsrel=1e-8):
+    """int_0^inf fn(x) dx/x by adaptive quadrature in t = log x over [-60, 60].
+
+    The integrands of the tests decay at least like x^(+-1/2), so the mass
+    outside the window is below 1e-13 of the total.
+    """
+    val, err = integrate.quad(
+        lambda t: fn(math.exp(t)), -60.0, 60.0, epsabs=epsabs, epsrel=epsrel, limit=2000,
+        full_output=1,
+    )[:2]
+    assert err <= 10.0 * max(epsabs, epsrel * abs(val))
+    return val
+
+
 def gamma_cdf_quadrature(shape, xs):
     """CDF of the unit-scale gamma law by quadrature of its density."""
     xs = np.atleast_1d(xs)

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from posdefwalks import __version__, cli, matcore, verify
+from posdefwalks import __version__, cli, matcore, matdist, verify
 from posdefwalks.cli import SEED_ENV, main
 from posdefwalks.errors import InsufficientBinCount, NotPositiveDefinite
+from posdefwalks.special import ModelParams
 
 
 def run_to_file(tmp_path, name, argv):
@@ -221,6 +222,57 @@ def test_lyapunov_missing_parameter_exits_3(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["sample", "--dist", "beta2", "--alpha", "3"], "beta2 needs --beta"),
+        (["sample", "--dist", "wishart", "--alpha", "3", "--beta", "0.5"], "wishart does not read --beta"),
+        (["sample", "--dist", "invwishart", "--alpha", "3", "--beta", "4"], "invwishart does not read --alpha"),
+        (["sample", "--dist", "invbeta1", "--beta", "4"], "invbeta1 needs --alpha"),
+        (["lyapunov", "--dist", "wishart", "--d", "3", "--alpha", "3", "--beta", "0.5"], "wishart does not read --beta"),
+        (["lyapunov", "--dist", "invwishart", "--d", "2"], "invwishart needs --beta"),
+        (["walk", "--alpha", "2", "--steps", "3"], "beta2 needs --beta"),
+        (["dufresne", "--beta", "5"], "beta2 needs --alpha"),
+    ],
+    ids=[
+        "sample-beta2-alpha-only", "sample-wishart-beta", "sample-invwishart-alpha",
+        "sample-invbeta1-beta-only", "lyapunov-wishart-beta", "lyapunov-invwishart-none",
+        "walk-alpha-only", "dufresne-beta-only",
+    ],
+)
+def test_a_law_reads_exactly_its_own_parameters(argv, error, capsys):
+    # sample --dist beta2 --alpha 3 used to draw Beta II(3, 3), and a Wishart
+    # lyapunov run failed on the range of a --beta it never reads.
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("law, given", [("wishart", "alpha"), ("invwishart", "beta")])
+def test_one_sided_law_repeats_its_parameter(law, given, capsys):
+    # The unread option is echoed as given; the report's unused field holds the law's own value.
+    common = ["--dist", law, "--d", "2", f"--{given}", "4", "--seed", "3"]
+    assert main(["sample", *common, "--n", "5", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["meta"]["alpha" if given == "beta" else "beta"] is None
+    draws = matdist.sample(law, ModelParams(2, 4.0, 4.0), matdist.make_stream(3), size=5)
+    assert np.array(payload["samples"]).tobytes() == draws.tobytes()
+    assert main(["lyapunov", *common, "--steps", "20", "--replicas", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["params"] == {"dim": 2, "alpha": 4.0, "beta": 4.0}
+
+
+def test_lyapunov_cholesky_method_refuses_the_sqrt_kind(capsys):
+    # The Cholesky estimator takes no split kind; --kind sqrt used to be echoed and ignored.
+    argv = ["lyapunov", "--d", "2", "--alpha", "3", "--beta", "4", "--steps", "20", "--replicas", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--method", "cholesky", "--kind", "sqrt"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--method cholesky" in err and "--kind sqrt" in err
+    assert main(argv + ["--method", "cholesky", "--kind", "cholesky"]) == 0
+    assert main(argv + ["--method", "eigen", "--kind", "sqrt"]) == 0
+
+
 # ------------------------------------------------------------------ output
 
 _LYAPUNOV_CSV = ["lyapunov", "--dist", "wishart", "--d", "2", "--alpha", "3", "--steps", "30", "--replicas", "4"]
@@ -268,6 +320,7 @@ def test_each_format_computes_only_its_own_output(monkeypatch, capsys, command):
     monkeypatch.setattr(cli, "_SCALAR_FUNCTIONALS", functionals)
     argv = [command, "--d", "2", "--alpha", "2", "--beta", "5"]
     argv += ["--steps", "3"] if command == "walk" else ["--n", "3"]
+    argv += ["--dist", "beta2"] if command == "sample" else []
     assert main(argv + ["--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["meta"]["command"] == command
     assert main(argv + ["--format", "csv"]) == 3
@@ -576,7 +629,7 @@ def test_zero_gamma_draw_exits_3_with_only_the_error_line(capsys):
     # divides by zero; numpy's warning must not come before the error.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["sample", "--dist", "invwishart", "--d", "1", "--alpha", "1", "--beta", "1e-6"])
+        code = main(["sample", "--dist", "invwishart", "--d", "1", "--beta", "1e-6"])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: invwishart draw is not finite at beta=1e-06: not representable in float64 at that "
@@ -601,3 +654,15 @@ def test_walk_init_out_of_range_exits_3_naming_init(capsys):
         code = main(["walk", "--alpha", "2", "--beta", "5", "--increments", "2", "--init", "fixed:1e308"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: init entries are out of range")
+
+
+def test_walk_overflow_exits_3_with_only_the_error_line(capsys):
+    # numpy's "overflow encountered in matmul" warning used to come before the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["walk", "--d", "1", "--alpha", "2", "--beta", "5",
+                     "--increments", "1e300,1e300,1e300", "--init", "fixed:1e300"])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: walk state left the representable range at step 1"
+    ]

@@ -356,12 +356,12 @@ GOLDEN = {
     'cli-dufresne': '72fbce2d9193c48a58014ae48de2facc1bf63d43c05202c0ced90e0b10227072',
     'cli-lyapunov-sqrt': '8f0ca6f7cebc7c6aeaeadc3349fe06935e0e752abe931ef38f2568fbaac4be0d',
     'cli-sample-full': '0e60abf7f8fcdc1898e67832591adf5889a5675e6ac0bd3cec66da24e42321ad',
-    'cli-sample-json': 'cb8ebba6dba44fba4e84bb4b5f5aa3186193d126c7692e6d4562dd5c5b5926c1',
+    'cli-sample-json': '5073df5cf417c265f2aa2e556cd2dacd74b0bde780a830a80a95e107ce78de55',
     'cli-lyapunov-cholesky-csv': 'a45a7f6ab3d9dc71a0e6e09b819d20a3d2cf1d91c1e32dd202362604f66910ca',
     'cli-config-sample': 'a88bdccd7f505484ef03814819c3e27d8a40644368c1ca39a954c0c5ea7fa06f',
     'cli-config-walk-steps': '4fe52acc4d4c077741d14e9e54ef1b6215b6d57682bc550d4d5644877b6b48de',
     'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',
-    'cli-env-seed': '276210f10a9ef26dc62eeeb3cb4eba4b7bf23508f2b184bba2a21085c085389d',
+    'cli-env-seed': '0ed08eb22aa5b7d4c6a6a52e95170729560f9abe8cb721f2143fb9db0465d84d',
     'cli-verify-lukacs-meta': '70ea35e39ffbc72996179c0976305629cae6a13d8394d22145fba65cc4a1c435',
     'kesten-ragged-sqrt-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
     'kesten-ragged-sqrt-prime0-d3': '13afafb7e1c64d363141a9a705611e72b1eabcb59254da40fd5c126fb6d91a3f',

@@ -1,22 +1,21 @@
 """Special functions, densities against the invariant measure, d=1 kernels."""
 
 import math
+import types
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import special as sps
 
-from posdefwalks import special
-from posdefwalks.errors import DomainError, NonFiniteIntegrand
+from posdefwalks import special, verify
+from posdefwalks.errors import DomainError, NonFiniteIntegrand, QuadratureNoConvergence
 from posdefwalks.special import (
-    DEFAULT_QUAD,
     Law,
     ModelParams,
     QuadratureCdf,
-    QuadratureSpec,
     density_wrt_mu,
     digamma,
-    integrate_mu_d1,
     kernel_densities_d1,
     log_multivariate_gamma,
     multivariate_beta,
@@ -99,13 +98,19 @@ def test_density_examples():
     assert b1 == 0.0
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0])
+def test_mu_integral_oracle_gives_gamma(a):
+    # Gamma(a) = int x^a e^-x dx/x checks the oracle the normalisation tests use.
+    got = oracles.mu_integral(lambda x: x**a * math.exp(-x), epsabs=1e-12, epsrel=1e-10)
+    assert abs(got - math.gamma(a)) < 1e-10 * math.gamma(a)
+
+
 def test_density_normalization_d1():
     # integral of each density against mu(dx) = dx/x must be 1.
     p = ModelParams(1, 2.0, 3.0)
     for law in (Law.WISHART, Law.INV_WISHART, Law.BETA1, Law.BETA2):
-        total = integrate_mu_d1(
-            lambda x: density_wrt_mu(law, p, np.array([[x]])),
-            spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10),
+        total = oracles.mu_integral(
+            lambda x: density_wrt_mu(law, p, np.array([[x]])), epsabs=1e-12, epsrel=1e-10
         )
         assert abs(total - 1.0) < 1e-8, law
 
@@ -294,6 +299,37 @@ def test_quadrature_cdf_of_gamma_law():
     assert short(8.0) == pytest.approx(sps.gammainc(2.0, 8.0), rel=1e-10)
 
 
+def test_only_a_quadrature_cdf_build_runs_the_adaptive_rule(monkeypatch):
+    # Two adaptive calls per table, for the mass below and above its grid;
+    # phi and the kernel identities run on the fixed-node engine alone.
+    calls = []
+
+    def quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate.quad(*args, **kwargs)
+
+    monkeypatch.setattr(special, "integrate", types.SimpleNamespace(quad=quad))
+    QuadratureCdf(lambda x: x * x * math.exp(-x), 1e-4, 8.0, n_grid=40)
+    assert calls == [(-60.0, math.log(1e-4)), (math.log(8.0), 60.0)]
+    calls.clear()
+    p = ModelParams(1, 2.0, 5.0)
+    phi_d1(p, 1.0)
+    phi_d1(p, np.array([0.5, 2.0]))
+    assert verify.check_intertwining_d1(p, s_grid=(1.0,)).passed
+    assert calls == []
+
+
+def test_quadrature_cdf_tail_that_does_not_converge_is_named():
+    # A near non-integrable spike at t = -30, below the grid, defeats the adaptive rule.
+    def dens(x):
+        return abs(math.log(x) + 30.0) ** -0.999
+
+    with pytest.raises(QuadratureNoConvergence, match=r"t in \[-60, -6.90776\]"):
+        QuadratureCdf(dens, 1e-3, 10.0, n_grid=50)
+    # Outside [-60, 60] there is no mass to add.
+    assert special._tail_mass(dens, 61.0, 70.0) == 0.0
+
+
 def test_quadrature_cdf_non_finite_density_is_named():
     def dens(x):
         return math.nan if 1.0 < x < 2.0 else math.exp(-x)
@@ -317,14 +353,14 @@ def test_kernel_q_is_killed_p():
 def test_p_density_normalised():
     bundle = kernel_densities_d1(ModelParams(1, 2.0, 5.0))
     for r in (0.5, 1.0, 2.0):
-        mass = integrate_mu_d1(lambda rn: bundle.p_density(r, rn))
+        mass = oracles.mu_integral(lambda rn: bundle.p_density(r, rn))
         assert abs(mass - 1.0) < 1e-8
 
 
 def test_qbar_normalised():
     bundle = kernel_densities_d1(ModelParams(1, 2.0, 5.0))
     for s in (0.5, 1.0, 2.0):
-        mass = integrate_mu_d1(lambda sn: bundle.qbar_density(s, sn))
+        mass = oracles.mu_integral(lambda sn: bundle.qbar_density(s, sn))
         assert abs(mass - 1.0) < 1e-6
 
 
@@ -339,9 +375,8 @@ def test_phi_eigenfunction_identity():
     p = ModelParams(1, 2.0, 5.0)
     bundle = kernel_densities_d1(p)
     for s in (0.25, 0.5, 1.0, 2.0, 4.0):
-        lhs = integrate_mu_d1(
-            lambda t: bundle.q_density(s, t) * bundle.phi(t),
-            spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10),
+        lhs = oracles.mu_integral(
+            lambda t: bundle.q_density(s, t) * bundle.phi(t), epsabs=1e-12, epsrel=1e-10
         )
         rhs = bundle.phi(s)
         assert abs(lhs - rhs) / rhs < 1e-6
@@ -349,16 +384,10 @@ def test_phi_eigenfunction_identity():
 
 def test_eta_is_probability():
     bundle = kernel_densities_d1(ModelParams(1, 2.0, 5.0))
-    mass = integrate_mu_d1(lambda t: bundle.eta_density(t))
+    mass = oracles.mu_integral(lambda t: bundle.eta_density(t))
     assert abs(mass - 1.0) < 1e-6
 
 
 def test_kernels_require_d1():
     with pytest.raises(DomainError):
         kernel_densities_d1(ModelParams(2, 3.0, 6.0))
-
-
-def test_quadrature_spec_defaults():
-    assert DEFAULT_QUAD.abs_tol == 1e-10
-    assert DEFAULT_QUAD.rel_tol == 1e-8
-    assert DEFAULT_QUAD.max_subdivisions == 2000

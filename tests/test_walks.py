@@ -1,5 +1,7 @@
 """Walk constructions, running-sum traces, Kesten recursions, two-row dynamics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -184,6 +186,19 @@ def test_trace_from_increments_overflow_names_step_and_batch_index():
         trace_from_increments(SplitKind.CHOLESKY, np.ones((3, 1, 1)), [x, x])
     with pytest.raises(StepOverflow, match=r"at step 2$"):
         trace_from_increments(SplitKind.CHOLESKY, np.ones((1, 1)), [x[1], x[1]])
+
+
+@pytest.mark.parametrize("kind", list(SplitKind), ids=lambda k: k.value)
+def test_overflow_to_inf_raises_step_overflow_without_a_warning(kind):
+    # The product 1e300 * 1e300 overflows to inf inside the step; numpy's
+    # warning used to come first and the filter below turned it into the error.
+    x = 1e300 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepOverflow, match=r"at step 2$"):
+            trace_from_increments(kind, np.eye(2), [x, x, x])
+        with pytest.raises(StepOverflow, match=r"at step 2$"):
+            walk_closed(kind, np.eye(2), [x, x, x])
 
 
 def test_trace_from_increments_batched_init_matches_single_traces():
