@@ -379,7 +379,10 @@ class QuadratureCdf:
         self.total_mass = float(cum[-1] + tail)
         self.grid = np.exp(ts)
         self.grid[[0, -1]] = x_lo, x_hi
-        self._interp = interpolate.PchipInterpolator(ts, cum / self.total_mass)
+        # Where the density underflows over whole cells, Pchip's harmonic mean
+        # of a zero secant overflows to 1/inf = 0, the slope it sets there anyway.
+        with np.errstate(over="ignore"):
+            self._interp = interpolate.PchipInterpolator(ts, cum / self.total_mass)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

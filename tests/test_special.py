@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,20 @@ def test_quadrature_cdf_tail_that_does_not_converge_is_named():
         QuadratureCdf(dens, 1e-3, 10.0, n_grid=50)
     # Outside [-60, 60] there is no mass to add.
     assert special._tail_mass(dens, 61.0, 70.0) == 0.0
+
+
+def test_quadrature_cdf_over_underflowed_cells_builds_without_a_warning():
+    # The inverse Wishart density underflows over whole cells near 1e-3, where
+    # Pchip's slope formula divides by a zero secant.
+    p = ModelParams(1, 2.5, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf = QuadratureCdf(lambda x: float(density_wrt_mu("invwishart", p, np.array([[x]]))), 1e-3, 1e3)
+        vals = cdf(np.geomspace(1e-4, 1e4, 801))
+    assert np.isfinite(vals).all()
+    assert np.all(np.diff(vals) >= 0.0)
+    assert vals[0] == 0.0 and vals[-1] == 1.0
+    assert cdf.total_mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_quadrature_cdf_non_finite_density_is_named():

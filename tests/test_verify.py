@@ -4,9 +4,16 @@ import collections
 import functools
 import hashlib
 import json
+import math
+import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
 from scipy import stats
 
 from posdefwalks import special, verify, walks
@@ -20,6 +27,7 @@ from posdefwalks.verify import (
     LAMBDA_MAX,
     LAMBDA_MIN,
     LOGDET,
+    P_THRESHOLD,
     REDUCED_CONFIG,
     TRACE,
     SubTest,
@@ -107,6 +115,102 @@ def test_ks_critical_values_invert_the_p_value():
     crit2 = ks_two_sample_critical(10_000, 20_000, p=1e-3)
     en = np.sqrt(10_000 * 20_000 / 30_000)
     assert stats.kstwobign.sf(crit2 * en) == pytest.approx(1e-3, rel=1e-6)
+
+
+# scipy.stats is the reference: the KS functions must give its numbers, and
+# a p-value that says what the gate says. The profile is derandomized with a
+# bounded example count, so every run draws the same examples.
+KS_PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+KS_CDFS = {"normal": stats.norm.cdf, "inverse gamma(3)": verify._inv_wishart_cdf_d1(3.0)}
+
+
+def _bits(*xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+@st.composite
+def _ks_sample(draw):
+    """1 to 3000 values from a drawn seed: normal draws, or integers 0..7
+    (heavy ties), moved by a drawn shift, with up to three entries at +-inf."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 3000)))
+    ties = draw(st.booleans())
+    shift = draw(st.integers(-2, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.integers(0, 8, n).astype(float) + shift if ties else rng.standard_normal(n) + shift / 4
+    n_inf = draw(st.integers(0, min(3, n)))
+    xs[rng.choice(n, n_inf, replace=False)] = rng.choice([-np.inf, np.inf], n_inf)
+    return xs
+
+
+@KS_PROFILE
+@given(_ks_sample(), _ks_sample())
+def test_ks_two_sample_distance_is_scipys_bit_for_bit(xs, ys):
+    dist, pval = ks_two_sample(xs, ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's finite-n p-value at n1 = n2 = 1
+        ref = stats.ks_2samp(xs, ys, method="asymp")
+    assert _bits(dist) == _bits(ref.statistic)
+    en = xs.size * ys.size / (xs.size + ys.size)
+    assert _bits(pval) == _bits(sp.kolmogorov(math.sqrt(en) * dist))
+
+
+@KS_PROFILE
+@given(_ks_sample(), st.sampled_from(list(KS_CDFS)))
+def test_ks_one_sample_is_scipys_asymptotic_test_bit_for_bit(xs, cdf_name):
+    cdf = KS_CDFS[cdf_name]
+    ref = stats.kstest(xs, cdf, method="asymp")
+    assert _bits(*ks_one_sample(xs, cdf)) == _bits(ref.statistic, ref.pvalue)
+
+
+def test_ks_nan_sample_gives_nan_distance_and_p():
+    # The sort puts a NaN last, where it would count as the largest value.
+    for xs, ys in (([1.0, np.nan, 3.0], [2.0, 3.0, 4.0]), ([2.0, 3.0], [np.nan, -np.inf])):
+        assert np.isnan(ks_two_sample(xs, ys)).all()
+        assert np.isnan(ks_two_sample(ys, xs)).all()
+        ref = stats.ks_2samp(xs, ys, method="asymp")
+        assert np.isnan([ref.statistic, ref.pvalue]).all()
+    assert np.isnan(ks_one_sample([0.3, np.nan, -1.0], stats.norm.cdf)).all()
+    assert np.isnan(stats.kstest([0.3, np.nan, -1.0], stats.norm.cdf, method="asymp")[:2]).all()
+
+
+def _agrees_with_the_gate(sub, pval):
+    # Ratio and p are rounded separately, so a 1e-12 band at 1 is left out.
+    return abs(sub.ratio - 1.0) <= 1e-12 or (sub.ratio <= 1.0) == (pval >= P_THRESHOLD)
+
+
+@KS_PROFILE
+@given(st.integers(1, 3000), st.integers(1, 3000), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+def test_two_sample_p_passes_exactly_when_the_ratio_does(n1, n2, c, seed):
+    # A location shift of 2.5 critical distances moves D by about one of them.
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal(n1)
+    ys = rng.standard_normal(n2) + 2.5 * c * ks_two_sample_critical(n1, n2)
+    assert _agrees_with_the_gate(verify._ks2_sub("x", xs, ys), ks_two_sample(xs, ys)[1])
+
+
+@KS_PROFILE
+@given(st.integers(1, 3000), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+def test_one_sample_p_passes_exactly_when_the_ratio_does(n, c, seed):
+    xs = np.random.default_rng(seed).standard_normal(n) + 2.5 * c * ks_one_sample_critical(n)
+    sub = verify._ks1_sub("x", xs, stats.norm.cdf)
+    assert _agrees_with_the_gate(sub, ks_one_sample(xs, stats.norm.cdf)[1])
+
+
+def test_a_two_sample_pass_just_inside_the_gate_prints_p_above_the_threshold():
+    # D = 66/575 against its own shift by 66: ratio 0.9983. The finite-n law
+    # kstwo(round(en)) gave p = 9.22e-4 here, below the threshold it passes.
+    xs = np.arange(575.0)
+    sub = verify._ks2_sub("shifted", xs, xs + 66.0)
+    assert 0.995 < sub.ratio <= 1.0
+    assert float(re.search(r"p=(\S+)", sub.note)[1]) >= P_THRESHOLD
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0, 2.5, 3.0, 7.0])
+def test_eta_cdf_window_is_the_gamma_quantiles(alpha, monkeypatch):
+    monkeypatch.setattr(verify, "QuadratureCdf", lambda density, lo, hi: (lo, hi))
+    lo, hi = verify._eta_cdf.__wrapped__(alpha, 5.0)
+    assert _bits(lo) == _bits(0.5 * stats.gamma.ppf(1e-12, alpha))
+    assert _bits(hi) == _bits(max(45.0, 1.5 * stats.gamma.isf(1e-13, alpha)))
 
 
 # ------------------------------------------------------------- TestReport
@@ -336,13 +440,13 @@ def test_run_check_is_deterministic():
 # SHA-256 of each report's JSON at seed 11 on stream 1000 + its place in
 # REDUCED_CONFIG: a change to a draw order, a config or a report format moves them.
 REDUCED_REPORT_SHA256 = {
-    "dufresne_d1": "269ac6b95ce32e4ca18f751b539cc93489db2eb8820ec243858c9a2e63687780",
-    "dufresne_d2": "3bb1316d3634615705821efa41adaee5966bb8d1f06e20136f16fb7a89771410",
+    "dufresne_d1": "0e602c0a4bdb851821de8147b9d470bc1b876fbb94c09813b53949c8e67ebab1",
+    "dufresne_d2": "12232319078dd74241c1db8daced96d2dec4e95107412c39f9eff9dbd78fd4b3",
     "my_markov_d1": "ddb2e2fa8658665dd6e599516906f420fc03898c2361a3382174c5d711f6b35c",
-    "fixed_point": "7fd3d62ee4d3aa466301e3806c54aa9040de46af7628056b012fad7ccc134190",
-    "construction_equivalence": "b6c3cc45f27090a20eaac9abaa38c11c9446898fd36030b0668b21d75c17175d",
+    "fixed_point": "989699470748b94b5c5043b840bccd6dd51a5bcab67e4beef8ddaea35d09a322",
+    "construction_equivalence": "d527b82752844e9e3314ca9fd56cd5549130e1a144d2b948fd74121ed8a81bcc",
     "lukacs": "c771f4a38fe54603b3761c4c160d7a4ec525d871cf5d967be143dc9dd1a825ff",
-    "beta_gamma": "3f6ab474fb077df57100a56e088cebe27ad0dc30f9fcfe7c118de2e506085b58",
+    "beta_gamma": "7989b3cd06c11d49adc45ae1b59fa43d74ba3133b1ada5240cb6f80bcbfffbe1",
 }
 
 
