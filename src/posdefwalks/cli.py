@@ -9,10 +9,11 @@ A ``--config`` file of ``key=value`` lines is read as the long options
 ``--key=value`` placed right after the subcommand, so the parser checks its
 values like flags and flags given on the command line override it; the
 seed's default comes from ``POSDEFWALKS_SEED`` when that is set.
-``walk --increments`` runs the recursive walk and refuses ``--construction closed``;
-``lyapunov --method cholesky`` splits by Cholesky and refuses ``--kind sqrt``.
+``walk --increments`` runs the given increments by either ``--construction``;
+``lyapunov --method cholesky`` splits by Cholesky and refuses ``--kind sqrt``,
+and ``lyapunov`` needs ``--replicas`` of at least 2.
 Wishart reads ``--alpha`` only, inverse Wishart ``--beta`` only, and every
-other law, the walks' beta II increments among them, both.
+other law, the walks' beta II increments among them, both (``Law.reads``).
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
 """
 
@@ -97,7 +98,7 @@ def _parser():
         default=walks.Construction.RECURSIVE.value,
     )
     _add_common(p, "csv")
-    p.set_defaults(run=cmd_walk, usage_error=p.error)
+    p.set_defaults(run=cmd_walk)
 
     p = subs.add_parser("dufresne", allow_abbrev=False, help="sample the truncated series limit")
     _add_params(p)
@@ -208,17 +209,13 @@ def _functional_columns(stack):
     return [fn(stack).tolist() for fn in _SCALAR_FUNCTIONALS]
 
 
-# The one parameter a one-sided law reads; every other law reads both.
-_ONE_SIDED = {Law.WISHART: "alpha", Law.INV_WISHART: "beta"}
-
-
 def _params(args, law=Law.BETA2):
     """ModelParams from the options ``law`` reads, each of them required and no other given.
 
     A one-sided law's other field repeats its own value. The walks and series
     move by beta II increments, so they read both.
     """
-    reads = [_ONE_SIDED[law]] if law in _ONE_SIDED else ["alpha", "beta"]
+    reads = law.reads
     for name in ("alpha", "beta"):
         given = getattr(args, name) is not None
         if given and name not in reads:
@@ -230,7 +227,7 @@ def _params(args, law=Law.BETA2):
 
 
 def cmd_sample(args):
-    p = _params(args, Law(args.dist)).require_sampling()
+    p = _params(args, Law(args.dist))
     rng = matdist.make_stream(args.seed)
     draws = matdist.sample(args.dist, p, rng, size=args.n)
     columns = ["index", *_FUNCTIONAL_NAMES]
@@ -255,8 +252,6 @@ def _positive(text, what):
 
 
 def cmd_walk(args):
-    if args.increments is not None and args.construction == walks.Construction.CLOSED.value:
-        args.usage_error("--increments runs the recursive walk, not --construction closed")
     p = _params(args)
     rng = matdist.make_stream(args.seed)
     init = args.init
@@ -268,7 +263,7 @@ def cmd_walk(args):
             raise PosDefWalksError("increments must be positive numbers")
         incs = [v * np.eye(p.dim) for v in values]
         init = walks.init_states(init, p, rng, 1)[0]
-        tr = walks.trace_from_increments(SplitKind(args.kind), init, incs)
+        tr = walks.trace_from_increments(SplitKind(args.kind), init, incs, args.construction)
     else:
         cfg = walks.WalkConfig(p, args.kind, args.construction, args.steps, init)
         tr = walks.simulate_walk(cfg, rng)

@@ -5,7 +5,10 @@ factor of single increments; the spectral estimator tracks eigenvalue growth
 of the accumulated product w(X_n)...w(X_1) of increment factors, drawn by
 :func:`matdist.sample_factor` for either split kind, with a QR rescale every
 RESCALE_EVERY steps. The factors of one rescale period are drawn in one
-blocked call, in step order. Both are consistent for the same exponents.
+blocked call, in step order. Both are consistent for the same exponents,
+and both report the mean of n_replicas >= 2 independent replicas with its
+standard error across them. closed_form_mu checks only the parameters its
+law reads (Law.reads).
 """
 
 import json
@@ -45,30 +48,28 @@ class LyapunovReport:
 def closed_form_mu(law, p: ModelParams):
     """Exponents mu_k, k = 1..d, as digamma evaluations."""
     law = Law(law)
+    p.require_sampling(law)
     d = p.dim
     ks = np.arange(1, d + 1, dtype=float)
     if law is Law.WISHART:
-        if not p.alpha > (d - 1) / 2.0:
-            raise DomainError("wishart exponents need alpha > (d-1)/2")
         return digamma(p.alpha - (ks - 1) / 2.0)
     if law is Law.INV_WISHART:
-        if not p.beta > (d - 1) / 2.0:
-            raise DomainError("inverse wishart exponents need beta > (d-1)/2")
         return -digamma(p.beta - (d - ks) / 2.0)
     if law is Law.BETA2:
-        p.require_sampling()
         return digamma(p.alpha - (ks - 1) / 2.0) - digamma(p.beta - (d - ks) / 2.0)
     raise DomainError(f"no closed form for law {law}")
 
 
-def _report(law, p, mu_hat, std_err, n_steps, n_replicas, method, seed):
+def _report(law, p, per_rep, n_steps, method, seed):
+    """The report of the per-replica estimates per_rep (n_replicas, d): mean and its standard error."""
+    n_replicas = len(per_rep)
     return LyapunovReport(
         law=Law(law).value,
         dim=p.dim,
         alpha=p.alpha,
         beta=p.beta,
-        mu_hat=np.asarray(mu_hat, dtype=float),
-        std_err=np.asarray(std_err, dtype=float),
+        mu_hat=per_rep.mean(axis=0),
+        std_err=per_rep.std(axis=0, ddof=1) / np.sqrt(n_replicas),
         mu_closed=closed_form_mu(law, p),
         n_steps=n_steps,
         n_replicas=n_replicas,
@@ -78,33 +79,24 @@ def _report(law, p, mu_hat, std_err, n_steps, n_replicas, method, seed):
 
 
 def _check_counts(n_steps, n_replicas):
-    for name, value in (("n_steps", n_steps), ("n_replicas", n_replicas)):
-        if value < 1:
-            raise DomainError(f"{name} must be at least 1, got {value}")
+    # The standard error is taken across replicas, so it needs two of them.
+    for name, value, least in (("n_steps", n_steps, 1), ("n_replicas", n_replicas, 2)):
+        if value < least:
+            raise DomainError(f"{name} must be at least {least}, got {value}")
 
 
 def empirical_mu_cholesky(law, p: ModelParams, n_steps, n_replicas, rng, seed=None):
     """Average log squared factor diagonals of i.i.d. increments.
 
     Each replica averages n_steps independent draws; the standard error is
-    taken across replicas, or across steps when n_replicas is 1.
+    taken across the n_replicas >= 2 replicas.
     """
     _check_counts(n_steps, n_replicas)
-    d = p.dim
-    per_rep = np.empty((n_replicas, d))
-    step_var = None
+    per_rep = np.empty((n_replicas, p.dim))
     for rep in range(n_replicas):
         fac = matdist.sample_factor(law, p, rng, size=n_steps)
-        logs = 2.0 * np.log(np.diagonal(fac, axis1=-2, axis2=-1))
-        per_rep[rep] = logs.mean(axis=0)
-        if n_replicas == 1:
-            step_var = logs.var(axis=0, ddof=1) / n_steps
-    mu_hat = per_rep.mean(axis=0)
-    if n_replicas > 1:
-        std_err = per_rep.std(axis=0, ddof=1) / np.sqrt(n_replicas)
-    else:
-        std_err = np.sqrt(step_var)
-    return _report(law, p, mu_hat, std_err, n_steps, n_replicas, "cholesky", seed)
+        per_rep[rep] = (2.0 * np.log(np.diagonal(fac, axis1=-2, axis2=-1))).mean(axis=0)
+    return _report(law, p, per_rep, n_steps, "cholesky", seed)
 
 
 def empirical_mu_eigen(law, p: ModelParams, kind, n_steps, n_replicas, rng, seed=None):
@@ -135,10 +127,4 @@ def empirical_mu_eigen(law, p: ModelParams, kind, n_steps, n_replicas, rng, seed
             raise StepOverflow("rescaling failed; product left the stable range")
         acc += 2.0 * np.log(growth)
         v = q
-    per_rep = acc / n_steps
-    mu_hat = per_rep.mean(axis=0)
-    if n_replicas > 1:
-        std_err = per_rep.std(axis=0, ddof=1) / np.sqrt(n_replicas)
-    else:
-        std_err = np.full(d, np.nan)
-    return _report(law, p, mu_hat, std_err, n_steps, n_replicas, "eigen", seed)
+    return _report(law, p, acc / n_steps, n_steps, "eigen", seed)

@@ -74,8 +74,7 @@ _CAUSES = {
 
 
 def _unrepresentable(law, p, what):
-    names = {Law.WISHART: ("alpha",), Law.INV_WISHART: ("beta",)}.get(law, ("alpha", "beta"))
-    at = ", ".join(f"{name}={getattr(p, name)!r}" for name in names)
+    at = ", ".join(f"{name}={getattr(p, name)!r}" for name in law.reads)
     why = f"not representable in float64 at that parameter ({_CAUSES[what]})"
     return DomainError(f"{law.value} draw {what} at {at}: {why}")
 
@@ -110,7 +109,7 @@ def _triangular_inverse(b, law, p):
 
 
 def _cholesky_factor(law, p: ModelParams, rng, size, blocks):
-    p.require_sampling()  # so every Bartlett gamma shape below is > 0
+    p.require_sampling(law)  # so every Bartlett gamma shape the law draws is > 0
     # Shapes alpha - (c_k - 1)/2 for c = 1..d (A) and beta's for c = d..1 (B).
     half = np.arange(p.dim) / 2.0
     a_shapes, b_shapes = p.alpha - half, p.beta - half[::-1]
@@ -204,6 +203,4 @@ def sample(law, p: ModelParams, rng, size=None, blocks=None):
         raise DomainError(f"blocks is not supported for law {law.value}, got blocks={blocks}")
     if law is Law.BETA1:
         return sample_beta1(p, rng, size)
-    if law is Law.INV_BETA1:
-        return sample_inv_beta1(p, rng, size)
-    raise DomainError(f"unknown law {law}")
+    return sample_inv_beta1(p, rng, size)

@@ -51,6 +51,19 @@ _PHI_TOL, _PHI_ALIGN = 2.0**-100, 32
 _PHI_HEAD_TOL, _PHI_HEAD_STEP = 2.0**-64, 8.0
 
 
+class Law(str, enum.Enum):
+    WISHART = "wishart"
+    INV_WISHART = "invwishart"
+    BETA1 = "beta1"
+    INV_BETA1 = "invbeta1"
+    BETA2 = "beta2"
+
+    @property
+    def reads(self):
+        """The parameters the law reads: Wishart alpha only, inverse Wishart beta only, the rest both."""
+        return {Law.WISHART: ("alpha",), Law.INV_WISHART: ("beta",)}.get(self, ("alpha", "beta"))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The triple (d, alpha, beta)."""
@@ -70,13 +83,15 @@ class ModelParams:
     def half_bound(self):
         return (self.dim - 1) / 2.0
 
-    def require_sampling(self):
-        """alpha, beta > (d-1)/2, needed by every exact sampler."""
-        if not (self.alpha > self.half_bound and self.beta > self.half_bound):
-            raise DomainError(
-                f"need alpha, beta > (d-1)/2 = {self.half_bound}, "
-                f"got alpha={self.alpha}, beta={self.beta}"
-            )
+    def require_sampling(self, law=Law.BETA2):
+        """Each parameter ``law`` reads is > (d-1)/2, as its sampler and closed forms need.
+
+        The default law is the walks' beta II increment, which reads both.
+        """
+        names = Law(law).reads
+        if not all(getattr(self, name) > self.half_bound for name in names):
+            got = ", ".join(f"{name}={getattr(self, name)}" for name in names)
+            raise DomainError(f"need {', '.join(names)} > (d-1)/2 = {self.half_bound}, got {got}")
         return self
 
     def require_contracting(self):
@@ -88,14 +103,6 @@ class ModelParams:
                 f"got beta - alpha = {self.beta - self.alpha}"
             )
         return self
-
-
-class Law(str, enum.Enum):
-    WISHART = "wishart"
-    INV_WISHART = "invwishart"
-    BETA1 = "beta1"
-    INV_BETA1 = "invbeta1"
-    BETA2 = "beta2"
 
 
 def digamma(x):
@@ -138,7 +145,7 @@ def density_wrt_mu(law, p: ModelParams, x):
     zero outside its support, where I - x stops being positive definite.
     """
     law = Law(law)
-    p.require_sampling()
+    p.require_sampling(law)
     x = np.asarray(x, dtype=float)
     d = p.dim
     if law is Law.WISHART:

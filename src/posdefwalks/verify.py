@@ -436,8 +436,10 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
     m = min(n_samples, 512)
     init = matdist.sample_inv_wishart(p, rng, size=m)
     incs = [matdist.sample_beta2(p, rng, size=m) for _ in range(n)]
-    recursive = walks.walk_recursive(SplitKind.CHOLESKY, init, incs)
-    closed = walks.walk_closed(SplitKind.CHOLESKY, init, incs)
+    recursive, closed = (
+        walks.trace_from_increments(SplitKind.CHOLESKY, init, incs, c).r[:, -1]
+        for c in walks.Construction
+    )
     gap = float(np.max(np.abs(recursive - closed)))
     subs.append(SubTest("shared-stream path gap", gap / 1e-10, f"max entry diff {gap:.2e}"))
     return _make_report(
@@ -445,14 +447,13 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
     )
 
 
-def check_lukacs(p: ModelParams, n_samples, kind, rng, seed=None):
-    """Independence of the normalised part from the total, with a control."""
+def check_lukacs(p: ModelParams, n_samples, rng, seed=None):
+    """Independence of the normalised part from the total (Cholesky split), with a control."""
     p.require_sampling()
-    kind = SplitKind(kind)
     x = matdist.sample_wishart(ModelParams(p.dim, p.alpha, p.alpha), rng, size=n_samples)
     y = matdist.sample_wishart(ModelParams(p.dim, p.beta, p.beta), rng, size=n_samples)
     total = x + y
-    part = matcore.sym_product_alt(kind, matcore.invert(total), x)
+    part = matcore.sym_product_alt(SplitKind.CHOLESKY, matcore.invert(total), x)
     bound = 4.0 / math.sqrt(n_samples)
     # Replacing the alternative symmetrised product by the plain one breaks
     # the independence at d >= 2: the strongest of the four correlations
@@ -463,8 +464,8 @@ def check_lukacs(p: ModelParams, n_samples, kind, rng, seed=None):
     # triangular one-sided product can. It is built before any functional
     # is held, which keeps the check's peak memory.
     control = None
-    if p.dim >= 2 and kind is SplitKind.CHOLESKY:
-        control = matcore.sym_product(kind, matcore.invert(total), x)
+    if p.dim >= 2:
+        control = matcore.sym_product(SplitKind.CHOLESKY, matcore.invert(total), x)
     # Each functional runs once per sample; each of the part's meets both of the total's.
     totals = [f(total) for f in (TRACE, LOGDET)]
     subs = []
@@ -480,8 +481,6 @@ def check_lukacs(p: ModelParams, n_samples, kind, rng, seed=None):
         controls = (f(control) for f in (TRACE, LOGDET))
         c_max = max(abs(float(np.corrcoef(u, v)[0, 1])) for u in controls for v in totals)
         subs.append(SubTest("negative control", bound / c_max, f"max |corr|={c_max:.5f}"))
-    elif p.dim >= 2:
-        extra += "; negative control needs the triangular split (symmetric roots commute into the valid form)"
     else:
         extra += "; negative control skipped at d=1 (the swapped form is genuinely independent there)"
     return _make_report(f"lukacs_d{p.dim}", subs, n_samples, n_samples, seed, extra=extra)
@@ -524,7 +523,7 @@ FULL_CONFIG = {
     "my_markov_d1": dict(dim=1, alpha=2.0, beta=5.0, n_traces=200_000, h=0.05),
     "fixed_point": dict(dims=(1, 2), alpha=2.5, beta=6.0, burn_in=500, n_samples=2000),
     "construction_equivalence": dict(dim=2, alpha=2.5, beta=6.0, n=5, n_samples=10_000),
-    "lukacs": dict(dim=2, alpha=2.0, beta=3.0, n_samples=100_000, kind="cholesky"),
+    "lukacs": dict(dim=2, alpha=2.0, beta=3.0, n_samples=100_000),
     "beta_gamma": dict(alpha=2.0, beta=3.0, dims=(1, 2, 3), n_samples=30_000),
 }
 
@@ -534,7 +533,7 @@ REDUCED_CONFIG = {
     "my_markov_d1": dict(dim=1, alpha=2.0, beta=5.0, n_traces=30_000, h=0.05),
     "fixed_point": dict(dims=(1, 2), alpha=2.5, beta=6.0, burn_in=300, n_samples=600),
     "construction_equivalence": dict(dim=2, alpha=2.5, beta=6.0, n=5, n_samples=2_500),
-    "lukacs": dict(dim=2, alpha=2.0, beta=3.0, n_samples=20_000, kind="cholesky"),
+    "lukacs": dict(dim=2, alpha=2.0, beta=3.0, n_samples=20_000),
     "beta_gamma": dict(alpha=2.0, beta=3.0, dims=(1, 2, 3), n_samples=4_000),
 }
 

@@ -8,7 +8,8 @@ They are equal in law for every split kind, and for the Cholesky split they
 coincide path by path. Every walk's states come from one of two private
 builders, _recursive_states (repeated symmetrised products) and
 _closed_states (Gram matrices of the accumulated factors), which check each
-step for overflow; walk_recursive and walk_closed return their last state.
+step for overflow. simulate_walks draws the increments; trace_from_increments
+takes them given, validates them and runs either construction on them.
 kesten_samples and dufresne_series keep their own loops. kesten_samples
 draws its increments a block of moves at a time (matdist's ``blocks``) and
 splits the whole block once for the plain chain, leaving one symmetrised
@@ -166,30 +167,21 @@ def simulate_walk(cfg: WalkConfig, rng):
     return WalkTrace(r=tr.r[0], a=tr.a[0], s=tr.s[0])
 
 
-def _validated_states(kind, init, increments):
-    init = matcore.posdef(init, name="init")
-    validated = (matcore.posdef(x, name="increment") for x in increments)
-    return _recursive_states(kind, init, validated, len(increments))
+def trace_from_increments(kind, init, increments, construction=Construction.RECURSIVE):
+    """WalkTrace of the walk driven by an explicit increment sequence, by either construction.
 
-
-def trace_from_increments(kind, init, increments):
-    """WalkTrace of the recursive walk driven by an explicit increment sequence.
-
-    init is one (d, d) start or a batch (..., d, d); each increment, validated
-    as positive definite, is one (d, d) matrix or a batch of init's shape.
+    init is one (d, d) start or a batch (..., d, d); each increment is one
+    (d, d) matrix or a batch of init's shape. init and every increment are
+    validated as positive definite, and a failure names its position
+    (``increment k``, counting from 1). The closed construction accumulates
+    the split factors of the validated increments.
     """
-    return _walk_trace(_validated_states(kind, init, increments))
-
-
-def walk_recursive(kind, init, increments):
-    """Last state of the recursive walk, validated as trace_from_increments, without its sums."""
-    return _validated_states(kind, init, increments)[..., -1, :, :]
-
-
-def walk_closed(kind, init, increments):
-    """Last state of the closed walk: the nested product built by factor accumulation."""
-    factors = (matcore.split_factor(kind, x) for x in increments)
-    return _closed_states(kind, init, factors, len(increments))[..., -1, :, :]
+    init = matcore.posdef(init, name="init")
+    xs = (matcore.posdef(x, name=f"increment {k}") for k, x in enumerate(increments, start=1))
+    if Construction(construction) is Construction.CLOSED:
+        factors = (matcore.split_factor(kind, x) for x in xs)
+        return _walk_trace(_closed_states(kind, init, factors, len(increments)))
+    return _walk_trace(_recursive_states(kind, init, xs, len(increments)))
 
 
 def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=False, n_chains=1):

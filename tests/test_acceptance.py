@@ -113,7 +113,7 @@ def test_criterion_07_construction_equivalence():
 
 def test_criterion_08_beta_gamma_and_independence():
     bg = verify.check_beta_gamma(2.0, 3.0, (1, 2, 3), 30_000, make_stream(9008), seed=9008)
-    lk = verify.check_lukacs(ModelParams(2, 2.0, 3.0), 100_000, SplitKind.CHOLESKY, make_stream(9018), seed=9018)
+    lk = verify.check_lukacs(ModelParams(2, 2.0, 3.0), 100_000, make_stream(9018), seed=9018)
     assert "negative control" in lk.details
     ok = bg.passed and lk.passed
     assert _line(

@@ -145,22 +145,26 @@ def test_walk_unknown_init_exits_3(capsys):
     assert "init" in capsys.readouterr().err
 
 
-def test_walk_increments_refuse_the_closed_construction(capsys):
-    # Fixed increments run the recursive walk only; the header used to echo
-    # construction=closed over the recursive walk's rows.
+def test_walk_increments_honour_the_closed_construction(tmp_path):
+    # Fixed increments used to run the recursive walk only, and
+    # --construction closed with them was a usage error.
     argv = ["walk", "--d", "2", "--alpha", "2", "--beta", "5", "--increments", "2,3", "--kind", "sqrt"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--construction", "closed"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--increments" in captured.err and "--construction closed" in captured.err
-    for fmt, echo in (("csv", "# construction=recursive"), ("json", '"construction": "recursive"')):
-        assert main(argv + ["--format", fmt]) == 0
-        assert echo in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------- dufresne
+    runs = {}
+    for fmt in ("json", "csv"):
+        for cons in ("recursive", "closed"):
+            code, text = run_to_file(tmp_path, f"{cons}.{fmt}", argv + ["--construction", cons, "--format", fmt])
+            assert code == 0
+            runs[fmt, cons] = text
+    assert header_map(runs["csv", "closed"])["construction"] == "closed"
+    payload = {cons: json.loads(runs["json", cons]) for cons in ("recursive", "closed")}
+    assert payload["closed"]["meta"]["construction"] == "closed"
+    np.testing.assert_allclose(payload["closed"]["r"], payload["recursive"]["r"], rtol=1e-12)
+    r_rows = {
+        cons: [float(row.split(",")[2]) for row in data_rows(runs["csv", cons])[1:] if ",r_" in row]
+        for cons in ("recursive", "closed")
+    }
+    assert len(r_rows["closed"]) == 6
+    np.testing.assert_allclose(r_rows["closed"], r_rows["recursive"], rtol=1e-12)
 
 
 def test_dufresne_csv_with_term_counts(tmp_path):
@@ -346,6 +350,8 @@ _LYAPUNOV_ARGS = ["lyapunov", "--d", "1", "--alpha", "2", "--beta", "5", "--step
         (_DUFRESNE_ARGS + ["--max-terms", "0"], "max_terms >= 1"),
         (_LYAPUNOV_ARGS + ["--method", "cholesky", "--replicas", "0"], "n_replicas"),
         (_LYAPUNOV_ARGS + ["--method", "eigen", "--replicas", "0"], "n_replicas"),
+        (_LYAPUNOV_ARGS + ["--method", "cholesky", "--replicas", "1"], "n_replicas must be at least 2"),
+        (_LYAPUNOV_ARGS + ["--method", "eigen", "--replicas", "1"], "n_replicas must be at least 2"),
     ],
     ids=[
         "fixed:abc",
@@ -357,15 +363,47 @@ _LYAPUNOV_ARGS = ["lyapunov", "--d", "1", "--alpha", "2", "--beta", "5", "--step
         "max-terms=0",
         "cholesky-replicas=0",
         "eigen-replicas=0",
+        "cholesky-replicas=1",
+        "eigen-replicas=1",
     ],
 )
 def test_bad_value_exits_3_naming_it(argv, expected, capsys):
-    # These used to exit 1 with a traceback, or (eigen, 0 replicas) print NaN and exit 0.
+    # These used to exit 1 with a traceback, or exit 0: eigen printed NaN at 0
+    # and 1 replicas, and cholesky at 1 took its standard error across steps.
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:")
     assert expected in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_JSON_RUNS = {
+    "sample": ["sample", "--dist", "beta2", "--d", "2", "--alpha", "2.5", "--beta", "6", "--n", "5"],
+    "walk-steps": _WALK_ARGS + ["--steps", "3"],
+    "walk-increments": _WALK_ARGS + ["--increments", "2,3"],
+    "dufresne": _DUFRESNE_ARGS,
+    **{
+        f"lyapunov-{method}-replicas={n}": _LYAPUNOV_ARGS + ["--method", method, "--replicas", n]
+        for method in ("cholesky", "eigen")
+        for n in ("1", "2")
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(_JSON_RUNS.values()), ids=list(_JSON_RUNS))
+def test_json_output_is_strict_json(argv, capsys):
+    # A run prints strict JSON or nothing: lyapunov --replicas 1 used to exit 0
+    # printing NaN, for which JSON has no token.
+    code = main(argv + ["--format", "json"])
+    out = capsys.readouterr().out
+    if code == 0:
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert out == ""
 
 
 # ------------------------------------------------------------------ verify

@@ -59,7 +59,7 @@ def _trace(kind):
 
 
 def _closed(kind):
-    return _digest(walks.walk_closed(kind, _fixed(2), _increments()))
+    return _digest(walks.trace_from_increments(kind, _fixed(2), _increments(), Construction.CLOSED).r[-1])
 
 
 def _dufresne(kind, d, init):
@@ -362,7 +362,7 @@ GOLDEN = {
     'cli-config-walk-steps': '4fe52acc4d4c077741d14e9e54ef1b6215b6d57682bc550d4d5644877b6b48de',
     'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',
     'cli-env-seed': '0ed08eb22aa5b7d4c6a6a52e95170729560f9abe8cb721f2143fb9db0465d84d',
-    'cli-verify-lukacs-meta': '70ea35e39ffbc72996179c0976305629cae6a13d8394d22145fba65cc4a1c435',
+    'cli-verify-lukacs-meta': '940b21ab2388b31f519d44a91b74ffb2d7f719204159aef4de17ba1dcaad3846',
     'kesten-ragged-sqrt-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
     'kesten-ragged-sqrt-prime0-d3': '13afafb7e1c64d363141a9a705611e72b1eabcb59254da40fd5c126fb6d91a3f',
     'kesten-ragged-sqrt-prime1-d1': '4b3513e52a461a84cb08d7c5ed2506c5d43c43e79ca5cb0c16949b64d5b5ac6f',

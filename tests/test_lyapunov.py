@@ -59,6 +59,18 @@ def test_closed_form_domain_errors():
         closed_form_mu(Law.BETA2, ModelParams(2, 0.3, 6.0))
 
 
+def test_one_sided_laws_read_one_parameter():
+    # Wishart reads alpha only and inverse Wishart beta only; the estimator
+    # used to refuse a value of the other that its closed form accepted.
+    for law, p in ((Law.WISHART, ModelParams(3, 3.0, 0.5)), (Law.INV_WISHART, ModelParams(3, 0.5, 3.0))):
+        rep = empirical_mu_cholesky(law, p, 20, 2, make_stream(612))
+        np.testing.assert_array_equal(rep.mu_closed, closed_form_mu(law, ModelParams(3, 3.0, 3.0)))
+    with pytest.raises(DomainError, match=r"^need alpha > \(d-1\)/2 = 1.0, got alpha=0.9$"):
+        closed_form_mu(Law.WISHART, ModelParams(3, 0.9, 3.0))
+    with pytest.raises(DomainError, match=r"^need beta > \(d-1\)/2 = 0.5, got beta=0.4$"):
+        closed_form_mu(Law.INV_WISHART, ModelParams(2, 2.0, 0.4))
+
+
 def test_closed_form_strictly_decreasing_in_k():
     for law, p in (
         (Law.BETA2, ModelParams(4, 5.0, 9.0)),
@@ -86,13 +98,17 @@ def test_cholesky_estimator_wishart_pair():
     np.testing.assert_allclose(rep.mu_closed, [PSI_3, PSI_2_5], rtol=1e-12)
 
 
-def test_cholesky_estimator_single_replica_uses_step_variance():
+@pytest.mark.parametrize("method", ["cholesky", "eigen"])
+def test_estimators_refuse_a_single_replica(method):
+    # The standard error is taken across replicas. With one replica the
+    # Cholesky estimator used to switch to a variance across steps, and the
+    # eigen one reported NaN, which the CLI printed as invalid JSON.
     p = ModelParams(2, 4.0, 8.0)
-    rep = empirical_mu_cholesky(Law.BETA2, p, n_steps=5000, n_replicas=1, rng=make_stream(602))
-    assert rep.std_err.shape == (2,)
-    assert np.all(np.isfinite(rep.std_err)) and np.all(rep.std_err > 0)
-    for k in range(2):
-        assert abs(rep.mu_hat[k] - rep.mu_closed[k]) < 5 * rep.std_err[k]
+    with pytest.raises(DomainError, match=r"^n_replicas must be at least 2, got 1$"):
+        if method == "cholesky":
+            empirical_mu_cholesky(Law.BETA2, p, 50, 1, make_stream(602))
+        else:
+            empirical_mu_eigen(Law.BETA2, p, SplitKind.CHOLESKY, 50, 1, make_stream(602))
 
 
 def test_cholesky_estimator_rejects_zero_steps():
@@ -124,18 +140,20 @@ def test_eigen_estimator_cross_method_agreement():
 
 def test_eigen_estimator_sum_rule_matches_log_det():
     # the accumulated channels must sum to (1/n) log det of the product,
-    # reconstructed here by replaying the same stream of factors
+    # reconstructed here by replaying the same blocked draws of factors
     p = ModelParams(3, 4.0, 8.0)
-    n_steps = 500
+    n_steps, n_replicas = 500, 2
     rep = empirical_mu_eigen(
-        Law.BETA2, p, SplitKind.CHOLESKY, n_steps=n_steps, n_replicas=1, rng=make_stream(607)
+        Law.BETA2, p, SplitKind.CHOLESKY, n_steps=n_steps, n_replicas=n_replicas,
+        rng=make_stream(607),
     )
     replay = make_stream(607)
-    log_det = 0.0
-    for _ in range(n_steps):
-        fac = sample_factor(Law.BETA2, p, replay, size=1)
-        log_det += 2.0 * np.sum(np.log(np.diagonal(fac, axis1=-2, axis2=-1)))
-    assert np.sum(rep.mu_hat) == pytest.approx(log_det / n_steps, abs=1e-8)
+    log_det = np.zeros(n_replicas)
+    for start in range(0, n_steps, lyapunov.RESCALE_EVERY):
+        m = min(lyapunov.RESCALE_EVERY, n_steps - start)
+        fac = sample_factor(Law.BETA2, p, replay, size=n_replicas, blocks=m)
+        log_det += 2.0 * np.sum(np.log(np.diagonal(fac, axis1=-2, axis2=-1)), axis=(0, 2))
+    assert np.sum(rep.mu_hat) == pytest.approx(np.mean(log_det) / n_steps, abs=1e-8)
 
 
 def test_eigen_estimator_contracting_regime_is_negative():
@@ -174,13 +192,6 @@ def test_estimators_reject_replicas_below_one(method, n_replicas):
             empirical_mu_cholesky(Law.BETA2, p, 10, n_replicas, make_stream(611))
         else:
             empirical_mu_eigen(Law.BETA2, p, SplitKind.CHOLESKY, 10, n_replicas, make_stream(611))
-
-
-def test_eigen_estimator_single_replica_flags_unknown_error():
-    rep = empirical_mu_eigen(
-        Law.BETA2, ModelParams(1, 3.0, 6.0), SplitKind.CHOLESKY, 64, 1, make_stream(611)
-    )
-    assert np.all(np.isnan(rep.std_err))
 
 
 # ------------------------------------------------------------- consistency

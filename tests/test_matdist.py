@@ -20,7 +20,7 @@ from posdefwalks.matdist import (
     sample_inv_wishart,
     sample_wishart,
 )
-from posdefwalks.special import Law, ModelParams
+from posdefwalks.special import Law, ModelParams, density_wrt_mu
 
 import oracles
 
@@ -215,6 +215,22 @@ def test_wishart_additivity():
     direct = sample_wishart(ModelParams(2, 3.5, 3.5), rng, size=n)
     for f in (matcore.trace, matcore.logdet, matcore.lambda_max):
         assert two_sample_ok(f(s), f(direct)), f.__name__
+
+
+@pytest.mark.parametrize("law", [Law.WISHART, Law.INV_WISHART], ids=lambda law: law.value)
+def test_one_sided_law_draws_ignore_the_parameter_it_does_not_read(law):
+    # Wishart reads alpha only and inverse Wishart beta only; both samplers
+    # and the density used to refuse a value of the other below (d-1)/2.
+    both = ModelParams(3, 3.0, 3.0)
+    p = ModelParams(3, 3.0, 0.5) if law is Law.WISHART else ModelParams(3, 0.5, 3.0)
+    for draw in (sample, sample_factor):
+        got, want = (draw(law, q, make_stream(27), size=5) for q in (p, both))
+        assert got.tobytes() == want.tobytes()
+    x = 2.0 * np.eye(3)
+    assert density_wrt_mu(law, p, x) == density_wrt_mu(law, both, x)
+    (read,) = law.reads
+    with pytest.raises(DomainError, match=rf"^need {read} > \(d-1\)/2 = 1.0, got {read}=0.5$"):
+        sample(law, ModelParams(3, 0.5, 0.5), make_stream(27))
 
 
 def test_lukacs_independence_both_kinds():

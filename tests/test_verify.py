@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from posdefwalks import special, verify, walks
+from posdefwalks import special, verify
 from posdefwalks.errors import DomainError, EmptySample, InsufficientBinCount, NonFiniteIntegrand
-from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream
 from posdefwalks.special import ModelParams
 from posdefwalks.verify import (
@@ -366,30 +365,14 @@ def test_check_construction_equivalence_passes():
     assert "shared-stream path gap" in rep.details
 
 
-def test_construction_equivalence_shared_stream_path_builds_no_trace(monkeypatch):
-    # The path gap needs only the last recursive state, not running sums or their inverses.
-    def no_trace(*args):
-        raise AssertionError("shared-stream path built a WalkTrace")
-
-    monkeypatch.setattr(walks, "trace_from_increments", no_trace)
-    rep = check_construction_equivalence(ModelParams(2, 2.5, 6.0), 5, 600, make_stream(712), seed=712)
-    assert "shared-stream path gap" in rep.details
-
-
 def test_check_lukacs_matrix_has_negative_control():
-    rep = check_lukacs(ModelParams(2, 2.0, 3.0), 20_000, SplitKind.CHOLESKY, make_stream(710), seed=710)
+    rep = check_lukacs(ModelParams(2, 2.0, 3.0), 20_000, make_stream(710), seed=710)
     assert rep.passed
     assert "negative control" in rep.details
 
 
-def test_check_lukacs_square_root_kind_passes_without_control():
-    rep = check_lukacs(ModelParams(2, 2.0, 3.0), 20_000, SplitKind.SQUARE_ROOT, make_stream(711), seed=711)
-    assert rep.passed
-    assert "commute into the valid form" in rep.details
-
-
 def test_check_lukacs_scalar_case():
-    rep = check_lukacs(ModelParams(1, 2.0, 3.0), 20_000, SplitKind.CHOLESKY, make_stream(712), seed=712)
+    rep = check_lukacs(ModelParams(1, 2.0, 3.0), 20_000, make_stream(712), seed=712)
     assert rep.passed
     assert "skipped at d=1" in rep.details
 

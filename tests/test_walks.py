@@ -25,8 +25,6 @@ from posdefwalks.walks import (
     simulate_walk,
     simulate_walks,
     trace_from_increments,
-    walk_closed,
-    walk_recursive,
 )
 
 import oracles
@@ -79,7 +77,12 @@ def test_two_steps_from_identity_square_root_form():
     np.testing.assert_allclose(s2, rt @ x2 @ rt, rtol=1e-10)
 
 
-# -------------------------------------------------------------- walk_closed
+# ------------------------------------------------------ the closed construction
+
+
+def walk_closed(kind, init, increments):
+    """Last state of the closed walk on the given increments."""
+    return trace_from_increments(kind, init, increments, Construction.CLOSED).r[..., -1, :, :]
 
 
 def test_walk_closed_empty_is_init():
@@ -101,6 +104,27 @@ def test_walk_closed_cholesky_matches_iterated_steps():
     state = trace_from_increments(SplitKind.CHOLESKY, init, incs).r[-1]
     closed = walk_closed(SplitKind.CHOLESKY, init, incs)
     np.testing.assert_allclose(closed, state, rtol=1e-10)
+
+
+@pytest.mark.parametrize("construction", list(Construction), ids=lambda c: c.value)
+def test_trace_from_increments_refuses_what_is_not_positive_definite(construction):
+    # The closed walk used to split an increment as given: Cholesky reads only
+    # the lower triangle, so this asymmetric one passed as the identity.
+    asymmetric = np.array([[1.0, 5.0], [0.0, 1.0]])
+    with pytest.raises(NotPositiveDefinite, match=r"^increment 1 is not positive definite"):
+        trace_from_increments(SplitKind.CHOLESKY, np.eye(2), [asymmetric], construction)
+    with pytest.raises(NotPositiveDefinite, match=r"^init is not positive definite"):
+        trace_from_increments(SplitKind.CHOLESKY, np.diag([1.0, -1.0]), [np.eye(2)], construction)
+
+
+@pytest.mark.parametrize("construction", list(Construction), ids=lambda c: c.value)
+def test_trace_from_increments_names_the_failing_increment(construction):
+    incs = [2.0 * np.eye(2), 3.0 * np.eye(2), -np.eye(2), np.eye(2)]
+    with pytest.raises(NotPositiveDefinite, match=r"^increment 3 is not positive definite"):
+        trace_from_increments(SplitKind.CHOLESKY, np.eye(2), incs, construction)
+    ok, bad = np.stack([np.eye(2)] * 3), np.stack([np.eye(2), np.eye(2), -np.eye(2)])
+    with pytest.raises(NotPositiveDefinite, match=r"^increment 2 is not positive definite at batch index 2$"):
+        trace_from_increments(SplitKind.CHOLESKY, ok, [ok, bad], construction)
 
 
 # ------------------------------------------------------------ walk traces
@@ -211,23 +235,6 @@ def test_trace_from_increments_batched_init_matches_single_traces():
         single = trace_from_increments(SplitKind.CHOLESKY, init[i], [x[i] for x in incs])
         for got, want in zip((batched.r, batched.a, batched.s), (single.r, single.a, single.s)):
             np.testing.assert_array_equal(got[i], want)
-
-
-def test_walk_recursive_is_last_trace_state_without_sums(monkeypatch):
-    rng = np.random.default_rng(20)
-    init = np.stack([rand_posdef(rng, 2, eps=0.5) for _ in range(3)])
-    incs = [np.stack([rand_posdef(rng, 2, eps=0.5) for _ in range(3)]) for _ in range(4)]
-    want = {kind: trace_from_increments(kind, init, incs).r[:, -1] for kind in SplitKind}
-
-    def no_trace(r):
-        raise AssertionError("walk_recursive built running sums")
-
-    monkeypatch.setattr(walks, "_walk_trace", no_trace)
-    for kind in SplitKind:
-        got = walk_recursive(kind, init, incs)
-        assert got.tobytes() == want[kind].tobytes()
-    with pytest.raises(NotPositiveDefinite, match="increment"):
-        walk_recursive(SplitKind.CHOLESKY, init, [-incs[0]])
 
 
 def test_growth_regime_raises_step_overflow():
