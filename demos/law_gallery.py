@@ -45,7 +45,8 @@ p1 = ModelParams(1, 2.5, 4.0)
 for law in (Law.WISHART, Law.INV_WISHART, Law.BETA2):
 
     def density(x):
-        return float(density_wrt_mu(law, p1, np.array([[x]])))
+        # x is a float or an array of nodes; each value becomes a 1x1 matrix.
+        return density_wrt_mu(law, p1, np.asarray(x)[..., None, None])
 
     # The CDF table's total mass: its grid over [1e-2, 1e2] plus both tails.
     total = QuadratureCdf(density, 1e-2, 1e2).total_mass

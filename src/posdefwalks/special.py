@@ -7,12 +7,14 @@ computed in log space.
 
 The d=1 oracles (phi, the kernel identities in ``verify``, ``QuadratureCdf``)
 share one fixed-node engine, composite Gauss-Legendre in t = log x evaluated
-as array operations. The one adaptive rule left is private: ``_tail_mass``
-gives a ``QuadratureCdf`` the mass below and above its grid. The engine
-evaluates only where an integrand lives: phi sums a window of its grid
-outside which its mass is below one ulp by far, and ``_row_sums`` skips the
-row blocks whose outer weight is exactly 0. Both keep the bits of a sum over
-the whole grid.
+as array operations. A ``QuadratureCdf`` calls its density once on all its
+nodes, or once per node with a float where the density cannot take an array.
+The one adaptive rule left is private: ``_tail_mass`` gives a
+``QuadratureCdf`` the mass below and above its grid. The engine evaluates
+only where an integrand lives: phi sums a window of its grid outside which
+its mass is below one ulp by far, one window per block of _PHI_BLOCK sorted
+s, and ``_row_sums`` skips the row blocks whose outer weight is exactly 0.
+Both keep the bits of a sum over the whole grid.
 """
 
 import enum
@@ -49,6 +51,9 @@ _PHI_TOL, _PHI_ALIGN = 2.0**-100, 32
 # _PHI_HEAD_TOL of phi, 2^-12 of an ulp, and so keeps its bits; elsewhere
 # the rule extends below -60 by steps of _PHI_HEAD_STEP.
 _PHI_HEAD_TOL, _PHI_HEAD_STEP = 2.0**-64, 8.0
+# A large array of s is summed _PHI_BLOCK sorted values at a time, each block
+# on its own window, which is far narrower than one window over a wide range.
+_PHI_BLOCK = 64
 
 
 class Law(str, enum.Enum):
@@ -301,6 +306,23 @@ def _phi_sums(a, b, t, w, y, s_arr, where):
     return _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
 
 
+def _phi_window(a, b, s_arr, s_min, s_max, where):
+    """phi at every s in ``s_arr`` by the rule on one window that holds [s_min, s_max]."""
+    t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
+    lo, hi = (_phi_lo(a, b, s_min, s_max), _phi_hi(b)) if a >= 0 else (0, len(t))
+    with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked at once
+        out = _phi_sums(a, b, t[lo:hi], w[lo:hi], y[lo:hi], s_arr, where)
+        if lo == 0:
+            t_edge = _phi_head_edge(a, b, s_min)
+            head = np.exp(b * t_edge - a * np.log(s_arr)) / b
+            if t_edge < _LOG_LO:
+                head = _phi_sums(a, b, *_log_grid(t_edge, _LOG_LO), s_arr, where) + head
+            out = out + head
+    if not _all_finite(out):
+        raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")
+    return out
+
+
 def phi_d1(p: ModelParams, s):
     """phi(s) = int_0^inf x^(alpha-beta) (1+sx)^(-alpha) e^(-1/x) dx/x, s > 0.
 
@@ -314,6 +336,11 @@ def phi_d1(p: ModelParams, s):
     edge T, e^(-y) = 1 and (y+s)^(-alpha) = s^(-alpha), which adds
     e^(beta T) s^(-alpha)/beta. Where phi leaves double range, it raises
     NonFiniteIntegrand. ``s`` may be a scalar, giving a float, or an array.
+    An array of more than _PHI_BLOCK values is sorted once and each run of
+    _PHI_BLOCK sorted values is summed on its own window. BLAS orders a
+    row's terms by the row count of the product, so each such value has the
+    bits of the whole grid's sum in a _PHI_BLOCK-row product, wherever it
+    stands in the array.
     """
     if p.dim != 1:
         raise DomainError("phi is evaluated at d=1 only")
@@ -325,21 +352,22 @@ def phi_d1(p: ModelParams, s):
     if s_arr.size == 0:
         return np.empty(s_arr.shape)
     a, b = p.alpha, p.beta
-    s_min, s_max = (float(s_arr),) * 2 if s_arr.ndim == 0 else (float(s_arr.min()), float(s_arr.max()))
-    t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
-    lo, hi = (_phi_lo(a, b, s_min, s_max), _phi_hi(b)) if a >= 0 else (0, len(t))
     where = f"phi_d1 at alpha={a}, beta={b}"
-    with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked at once
-        out = _phi_sums(a, b, t[lo:hi], w[lo:hi], y[lo:hi], s_arr, where)
-        if lo == 0:
-            t_edge = _phi_head_edge(a, b, s_min)
-            head = np.exp(b * t_edge - a * np.log(s_arr)) / b
-            if t_edge < _LOG_LO:
-                head = _phi_sums(a, b, *_log_grid(t_edge, _LOG_LO), s_arr, where) + head
-            out = out + head
-    if not _all_finite(out):
-        raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")
-    return float(out) if out.ndim == 0 else out
+    if s_arr.ndim == 0:
+        return float(_phi_window(a, b, s_arr, float(s_arr), float(s_arr), where))
+    if s_arr.size <= _PHI_BLOCK:
+        return _phi_window(a, b, s_arr, float(s_arr.min()), float(s_arr.max()), where)
+    flat = s_arr.ravel()
+    order = np.argsort(flat)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _PHI_BLOCK):
+        # The last block ends at the end, overlapping the one before, so that
+        # every block is _PHI_BLOCK rows and each phi(s) has the same bits.
+        start = min(start, flat.size - _PHI_BLOCK)
+        idx = order[start : start + _PHI_BLOCK]
+        run = flat[idx]
+        out[idx] = _phi_window(a, b, run, float(run[0]), float(run[-1]), where)
+    return out.reshape(s_arr.shape)
 
 
 def _tail_mass(density, t_lo, t_hi):
@@ -363,13 +391,32 @@ def _tail_mass(density, t_lo, t_hi):
     return val
 
 
+def _array_values(density, x):
+    """density(x) if that is a float array of x's shape, else None.
+
+    None also where the call raises TypeError or ValueError, as float(),
+    math.* and a Python ``if`` do on an array (numpy's LinAlgError is a
+    ValueError): such a density takes floats only.
+    """
+    try:
+        vals = density(x)
+    except (TypeError, ValueError):
+        return None
+    ok = isinstance(vals, np.ndarray) and vals.shape == x.shape and vals.dtype.kind == "f"
+    return vals if ok else None
+
+
 class QuadratureCdf:
     """CDF of a density against dx/x from the fixed rule on each grid cell.
 
-    The grid is uniform in t = log x from x_lo to x_hi; ``density`` is called
-    once per node with a float x, and the mass below and above the grid, over
-    t in [-60, t_lo] and [t_hi, 60], comes from the adaptive ``_tail_mass``,
-    two calls per table. The cumulative values are joined by a monotone
+    The grid is uniform in t = log x from x_lo to x_hi. ``density`` is probed
+    on the first cell's nodes; if it gives a float array of their shape, it
+    is called once on the whole (cells, 8) node array, and otherwise once per
+    node with a float x (a density that cannot take an array raises
+    TypeError or ValueError, as float(), math.* and ``if`` do on one). The
+    mass below and above the grid, over t in [-60, t_lo] and [t_hi, 60],
+    comes from the adaptive ``_tail_mass``, which calls ``density`` with
+    floats, two calls per table. The cumulative values are joined by a monotone
     interpolant in log x, which ``grid`` (x_lo to x_hi exactly) bounds; the
     CDF reads 0 below it and 1 above. ``total_mass`` records the full integral
     before normalization so callers can assert it is a probability density.
@@ -379,7 +426,10 @@ class QuadratureCdf:
         ts = np.linspace(math.log(x_lo), math.log(x_hi), n_grid)
         head = _tail_mass(density, _LOG_LO, ts[0])
         nodes, half, w = _gauss_legendre(ts)
-        vals = np.array([density(math.exp(t)) for t in nodes.flat]).reshape(nodes.shape)
+        xs = np.exp(nodes)
+        vals = None if _array_values(density, xs[0]) is None else _array_values(density, xs)
+        if vals is None:
+            vals = np.array([density(math.exp(t)) for t in nodes.flat]).reshape(nodes.shape)
         segs = half * _rule_sums(vals, w, nodes, "QuadratureCdf density")
         tail = _tail_mass(density, ts[-1], _LOG_HI)
         cum = head + np.concatenate([[0.0], np.cumsum(segs)])

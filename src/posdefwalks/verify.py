@@ -74,7 +74,11 @@ class TestReport:
             self.passed = bool(self.statistic <= self.threshold)
 
     def to_json(self):
-        return json.dumps(asdict(self))
+        """One strict JSON object; a non-finite statistic is written as null."""
+        fields = asdict(self)
+        if not math.isfinite(self.statistic):
+            fields["statistic"] = None
+        return json.dumps(fields, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -226,18 +230,16 @@ def _eta_cdf(alpha, beta):
     # The Gamma(alpha) quantiles at 1e-12 from below and 1e-13 from above.
     lo = 0.5 * sp.gammaincinv(alpha, 1e-12)
     hi = max(45.0, 1.5 * sp.gammainccinv(alpha, 1e-13))
-    return QuadratureCdf(lambda s: float(bundle.eta_density(s)), lo, hi)
+    return QuadratureCdf(bundle.eta_density, lo, hi)
 
 
 def _qbar_cdf(alpha, beta, s0):
     """CDF of the one-step transition law from s0 at d=1."""
     bundle = kernel_densities_d1(ModelParams(1, alpha, beta))
     phi_s0 = bundle.phi(s0)
-
-    def dens(s_new):
-        return float(bundle.qbar_density(s0, s_new, phi_s=phi_s0))
-
-    return QuadratureCdf(dens, max(1e-12, s0 * 1e-7), 45.0 + 3.0 * s0)
+    return QuadratureCdf(
+        lambda s: bundle.qbar_density(s0, s, phi_s=phi_s0), max(1e-12, s0 * 1e-7), 45.0 + 3.0 * s0
+    )
 
 
 # ---------------------------------------------------------------------------

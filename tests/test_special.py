@@ -207,6 +207,16 @@ def _phi_whole_grid(a, b, s):
     return out + np.exp(b * special._LOG_LO - a * np.log(s)) / b
 
 
+def _phi_whole_grid_in_blocks(a, b, s):
+    # BLAS's matrix-vector product adds a row's terms in an order that depends
+    # on the product's row count, so an array larger than one block is summed
+    # in products of special._PHI_BLOCK rows, as phi_d1 sums it.
+    flat = np.asarray(s, dtype=float).ravel()
+    n_rows = -(-flat.size // special._PHI_BLOCK) * special._PHI_BLOCK
+    rows = np.resize(flat, n_rows).reshape(-1, special._PHI_BLOCK)
+    return _phi_whole_grid(a, b, rows).ravel()[: flat.size].reshape(np.shape(s))
+
+
 @pytest.mark.parametrize("a, b", [(2.0, 5.0), (3.0, 4.0), (0.6, 0.55), (0.1, 3.0), (8.0, 9.0)])
 def test_phi_window_keeps_the_whole_grid_bits(a, b):
     # The window drops mass below 2^-100 of phi and adds the rest in the
@@ -221,6 +231,22 @@ def test_phi_window_keeps_the_whole_grid_bits(a, b):
         np.testing.assert_array_equal(
             phi_d1(p, near).view(np.int64), _phi_whole_grid(a, b, near).view(np.int64)
         )
+    # Larger arrays are sorted and summed a block at a time, each block on
+    # its own window: unsorted, 2-D, and 65 to 5000 values over many blocks.
+    rng = np.random.default_rng(18)
+    cases = [np.exp(rng.uniform(-28.0, 18.0, n)) for n in (65, 66, 67, 200, 1000)]
+    cases += [np.exp(rng.uniform(-28.0, 18.0, shape)) for shape in ((50, 8), (9, 13))]
+    cases += [np.geomspace(1e-12, 1e8, 5000)]
+    for s in cases:
+        np.testing.assert_array_equal(
+            phi_d1(p, s).view(np.int64), _phi_whole_grid_in_blocks(a, b, s).view(np.int64)
+        )
+    # A QuadratureCdf's (cells, 8) node array, which the whole grid sums in
+    # 8-row products, keeps the bits of that sum too.
+    nodes = np.exp(special._gauss_legendre(np.linspace(-25.0, 4.0, 400))[0])
+    np.testing.assert_array_equal(
+        phi_d1(p, nodes).view(np.int64), _phi_whole_grid(a, b, nodes).view(np.int64)
+    )
 
 
 def test_phi_window_skips_the_closed_form_where_it_is_inaccurate():
@@ -286,7 +312,9 @@ def test_quadrature_cdf_of_gamma_law():
         return x * x * math.exp(-x)
 
     cdf = QuadratureCdf(dens, 1e-4, 60.0, n_grid=120)
-    assert set(seen) == {float}
+    # math.exp refuses the one probe on an array of nodes; every later call takes a float.
+    probe = seen.index(np.ndarray)
+    assert set(seen[:probe] + seen[probe + 1 :]) == {float}
     assert abs(cdf.total_mass - 1.0) < 1e-12
     # Exact at the grid points, x_lo included (the mass below it is in the
     # table); the monotone interpolant fills in between.
@@ -298,6 +326,54 @@ def test_quadrature_cdf_of_gamma_law():
     # x_hi reads the table too: the tail mass above it is in the total.
     short = QuadratureCdf(dens, 1e-4, 8.0, n_grid=120)
     assert short(8.0) == pytest.approx(sps.gammainc(2.0, 8.0), rel=1e-10)
+
+
+def test_quadrature_cdf_gives_the_same_table_from_an_array_or_a_float_density():
+    bundle = kernel_densities_d1(ModelParams(1, 2.0, 5.0))
+    shapes = {"array": [], "float": []}
+
+    def array_density(x):
+        shapes["array"].append(np.shape(x))
+        return bundle.eta_density(x)
+
+    def float_density(x):
+        shapes["float"].append(np.shape(x))
+        return float(bundle.eta_density(x))
+
+    by_array = QuadratureCdf(array_density, 1e-6, 45.0)
+    by_float = QuadratureCdf(float_density, 1e-6, 45.0)
+    nodes = (399, 8)
+    # The probe on the first cell, then one call on every node; the float
+    # density refuses the probe and takes a float per node.
+    assert [sh for sh in shapes["array"] if sh] == [(8,), nodes]
+    assert [sh for sh in shapes["float"] if sh] == [(8,)]
+    assert len(shapes["float"]) - len(shapes["array"]) == math.prod(nodes) - 1
+    np.testing.assert_array_equal(by_array.grid, by_float.grid)
+    assert abs(by_array.total_mass - by_float.total_mass) <= 1e-15
+    np.testing.assert_allclose(by_array(by_array.grid), by_float(by_float.grid), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        lambda x: 1.0,
+        lambda x: [v * math.exp(-v) for v in x],
+        lambda x: (x * np.exp(-x))[:4],
+        lambda x: (x > 1.0).astype(int),
+    ],
+    ids=["float", "list", "short", "int"],
+)
+def test_quadrature_cdf_takes_only_a_float_array_of_the_node_shape(density):
+    # Anything else sends the table to one call per node, whatever it does with floats.
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.ndim(x))
+        return density(x) if np.ndim(x) else x * math.exp(-x)
+
+    cdf = QuadratureCdf(wrapped, 1e-3, 10.0, n_grid=20)
+    assert calls.count(1) == 1
+    assert cdf.total_mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_only_a_quadrature_cdf_build_runs_the_adaptive_rule(monkeypatch):

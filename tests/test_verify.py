@@ -233,6 +233,39 @@ def test_report_json_round_trip():
     assert payload["seed"] == 42
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_report_json_is_strict_with_a_non_finite_statistic():
+    # One draw gives NaN correlations (numpy warns), so the statistic is NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = check_lukacs(ModelParams(2, 2.0, 3.0), 1, make_stream(0))
+    payload = json.loads(rep.to_json(), parse_constant=_refuse_constant)
+    assert payload["statistic"] is None
+    assert payload["passed"] is False
+    for bad in (math.inf, -math.inf, math.nan):
+        rep = TestReport("x", bad, 1.0, 1, 1, False, 0, "")
+        assert json.loads(rep.to_json(), parse_constant=_refuse_constant)["statistic"] is None
+
+
+def test_qbar_cdf_evaluates_phi_on_its_nodes_in_one_call(monkeypatch):
+    calls = []
+    phi = special.phi_d1
+
+    def counted(p, s):
+        calls.append(np.size(s))
+        return phi(p, s)
+
+    monkeypatch.setattr(special, "phi_d1", counted)
+    verify._qbar_cdf(2.0, 5.0, 1.05)
+    # phi(s0), the probe on one cell, one call on the 3192 nodes, and the
+    # floats of the two adaptive tail masses; a call per node made 3319.
+    assert len(calls) <= 140
+    assert calls.count(3192) == 1
+
+
 def test_report_fails_on_nan_after_a_finite_ratio():
     # max() would skip this NaN because it is not first in the list.
     rep = verify._make_report("x", [SubTest("a", 0.5), SubTest("b", float("nan"))], 0, 0, None)
