@@ -17,10 +17,6 @@ class DomainError(PosDefWalksError):
     """Parameter outside the admissible range of an operation."""
 
 
-class QuadratureNoConvergence(PosDefWalksError):
-    """Adaptive quadrature failed to meet the requested tolerance."""
-
-
 class NonFiniteIntegrand(PosDefWalksError):
     """A fixed-node quadrature met a NaN or infinite integrand value."""
 

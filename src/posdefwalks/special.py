@@ -7,14 +7,16 @@ computed in log space.
 
 The d=1 oracles (phi, the kernel identities in ``verify``, ``QuadratureCdf``)
 share one fixed-node engine, composite Gauss-Legendre in t = log x evaluated
-as array operations. A ``QuadratureCdf`` calls its density once on all its
-nodes, or once per node with a float where the density cannot take an array.
-The one adaptive rule left is private: ``_tail_mass`` gives a
-``QuadratureCdf`` the mass below and above its grid. The engine evaluates
-only where an integrand lives: phi sums a window of its grid outside which
-its mass is below one ulp by far, one window per block of _PHI_BLOCK sorted
-s, and ``_row_sums`` skips the row blocks whose outer weight is exactly 0.
-Both keep the bits of a sum over the whole grid.
+as array operations; nothing integrates adaptively. A ``QuadratureCdf``
+takes the mass below and above its grid from the same rule on widening
+panels, calls its density once on all its nodes (or once per node with a
+float where the density cannot take an array), and joins its table with a
+port of scipy's monotone cubic, so the package imports numpy and
+``scipy.special`` only. The engine evaluates only where an integrand lives:
+phi sums a window of its grid outside which its mass is below one ulp by
+far, one window per block of _PHI_BLOCK sorted s, and ``_row_sums`` skips
+the row blocks whose outer weight is exactly 0. Both keep the bits of a sum
+over the whole grid.
 """
 
 import enum
@@ -23,11 +25,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, interpolate
 from scipy import special as sp
 
 from . import matcore
-from .errors import DomainError, NonFiniteIntegrand, QuadratureNoConvergence
+from .errors import DomainError, NonFiniteIntegrand
+
+# Nothing here integrates adaptively; perfbench's tracer still rebinds this name.
+integrate = None
 
 # Window for log-substituted quadrature on (0, inf). Integrands handled here
 # decay at least like x^(+-1/2) in linear space, so the truncation error at
@@ -201,6 +205,16 @@ def _log_grid(t_lo=_LOG_LO, t_hi=_LOG_HI):
     return grid
 
 
+def _out_edges(t0, t_end):
+    """Panel edges from t0 out to t_end = -60 or 60, the first _GL_PANEL wide and
+    each later one 1.5 times the one before, the last cut at t_end; [t0] past it."""
+    edges, width, step = [t0], _GL_PANEL, math.copysign(1.0, t_end)
+    while (t_end - edges[-1]) * step > 0:
+        edges.append(t_end if (t_end - edges[-1]) * step <= width else edges[-1] + step * width)
+        width *= 1.5
+    return np.array(edges)
+
+
 def _all_finite(x):
     """np.isfinite(x).all() for a numpy value; a 0-d one takes math.isfinite.
 
@@ -370,27 +384,6 @@ def phi_d1(p: ModelParams, s):
     return out.reshape(s_arr.shape)
 
 
-def _tail_mass(density, t_lo, t_hi):
-    """Mass of a scalar density against dx/x over t = log x in [t_lo, t_hi] within [-60, 60].
-
-    Adaptive quadrature in t; it raises QuadratureNoConvergence unless the
-    error estimate is within 10 times the tolerance.
-    """
-    t_lo, t_hi = max(_LOG_LO, t_lo), min(_LOG_HI, t_hi)
-    if t_hi <= t_lo:
-        return 0.0
-    abs_tol, rel_tol = 1e-11, 1e-9
-    val, err = integrate.quad(
-        lambda t: density(math.exp(t)), t_lo, t_hi, epsabs=abs_tol, epsrel=rel_tol, limit=2000,
-        full_output=1,
-    )[:2]
-    if err > 10.0 * max(abs_tol, rel_tol * abs(val)):
-        raise QuadratureNoConvergence(
-            f"QuadratureCdf mass over t in [{t_lo:.6g}, {t_hi:.6g}]: error {err:.3e} for value {val:.6e}"
-        )
-    return val
-
-
 def _array_values(density, x):
     """density(x) if that is a float array of x's shape, else None.
 
@@ -406,45 +399,93 @@ def _array_values(density, x):
     return vals if ok else None
 
 
+def _pchip_end(h, m):
+    """Moler's one-sided three-point slope, kept monotone, at the end where h and m start."""
+    d = ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1])
+    if np.sign(d) != np.sign(m[0]):
+        return 0.0
+    return 3.0 * m[0] if np.sign(m[0]) != np.sign(m[1]) and abs(d) > 3.0 * abs(m[0]) else d
+
+
+def _pchip(x, y):
+    """Coefficients (4, n - 1) of scipy's PchipInterpolator through (x, y), in its arithmetic.
+
+    Fritsch-Carlson slopes: 0 where the secants change sign or one is 0, else
+    their weighted harmonic mean; ``_pchip_end`` at the ends; a line for n = 2.
+    x is strictly increasing.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if len(x) == 2:
+            dk = np.array([m[0], m[0]])
+        else:
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            # A tiny secant overflows the harmonic mean to 1/inf = 0, the slope it would set anyway.
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            dk = np.r_[_pchip_end(h, m), inner, _pchip_end(h[::-1], m[::-1])]
+        t = (dk[:-1] + dk[1:] - 2 * m) / h
+        return np.stack([t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]])
+
+
+def _pchip_eval(x, c, xi):
+    """The cubic of the cell holding each xi (the end cells extrapolate), summed as scipy's PPoly does."""
+    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
+    s = xi - x[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # as the compiled loop, far outside the grid
+        return ((0.0 + c[3, i]) + c[2, i] * s) + c[1, i] * (s * s) + c[0, i] * (s * s * s)
+
+
 class QuadratureCdf:
     """CDF of a density against dx/x from the fixed rule on each grid cell.
 
-    The grid is uniform in t = log x from x_lo to x_hi. ``density`` is probed
-    on the first cell's nodes; if it gives a float array of their shape, it
-    is called once on the whole (cells, 8) node array, and otherwise once per
-    node with a float x (a density that cannot take an array raises
-    TypeError or ValueError, as float(), math.* and ``if`` do on one). The
-    mass below and above the grid, over t in [-60, t_lo] and [t_hi, 60],
-    comes from the adaptive ``_tail_mass``, which calls ``density`` with
-    floats, two calls per table. The cumulative values are joined by a monotone
-    interpolant in log x, which ``grid`` (x_lo to x_hi exactly) bounds; the
-    CDF reads 0 below it and 1 above. ``total_mass`` records the full integral
-    before normalization so callers can assert it is a probability density.
+    The grid is uniform in t = log x from x_lo to x_hi. The mass below and
+    above it, over t in [-60, t_lo] and [t_hi, 60], comes from the same rule
+    on panels that start _GL_PANEL wide at the grid's edge and widen 1.5 times
+    each (``_out_edges``). ``density`` is probed on the first panel's nodes;
+    if it gives a float array of their shape, it is called once on the whole
+    (panels, 8) node array, and otherwise once per node with a float x (a
+    density that cannot take an array raises TypeError or ValueError, as
+    float(), math.* and ``if`` do on one). The cumulative values are joined
+    by the monotone cubic of Fritsch and Carlson in log x (``_pchip``), which
+    ``grid`` (x_lo to x_hi exactly) bounds; the CDF reads 0 below it and 1
+    above. ``total_mass`` records the full integral before normalization so
+    callers can assert it is a probability density.
     """
 
     def __init__(self, density, x_lo, x_hi, n_grid=400):
+        if not (math.isfinite(x_lo) and x_lo > 0):
+            raise DomainError(f"QuadratureCdf needs a finite x_lo > 0, got x_lo={x_lo}")
+        if not (x_lo < x_hi < math.inf):
+            raise DomainError(f"QuadratureCdf needs a finite x_hi > x_lo = {x_lo}, got x_hi={x_hi}")
+        if n_grid < 2:
+            raise DomainError(f"QuadratureCdf needs n_grid >= 2, got n_grid={n_grid}")
         ts = np.linspace(math.log(x_lo), math.log(x_hi), n_grid)
-        head = _tail_mass(density, _LOG_LO, ts[0])
-        nodes, half, w = _gauss_legendre(ts)
+        if not (np.diff(ts) > 0).all():
+            raise DomainError(f"QuadratureCdf's {n_grid} grid points coincide in log x on [{x_lo}, {x_hi}]")
+        below = _out_edges(ts[0], _LOG_LO)[:0:-1]
+        nodes, half, w = _gauss_legendre(np.concatenate([below, ts, _out_edges(ts[-1], _LOG_HI)[1:]]))
         xs = np.exp(nodes)
         vals = None if _array_values(density, xs[0]) is None else _array_values(density, xs)
         if vals is None:
             vals = np.array([density(math.exp(t)) for t in nodes.flat]).reshape(nodes.shape)
-        segs = half * _rule_sums(vals, w, nodes, "QuadratureCdf density")
-        tail = _tail_mass(density, ts[-1], _LOG_HI)
+        cells = slice(len(below), len(below) + n_grid - 1)
+        segs = half[cells] * _rule_sums(vals[cells], w, nodes[cells], "QuadratureCdf density")
+        head, tail = (
+            _rule_sums(vals[r], w, nodes[r], f"QuadratureCdf mass {side} the grid") @ half[r]
+            for r, side in ((slice(0, cells.start), "below"), (slice(cells.stop, None), "above"))
+        )
         cum = head + np.concatenate([[0.0], np.cumsum(segs)])
         self.total_mass = float(cum[-1] + tail)
         self.grid = np.exp(ts)
         self.grid[[0, -1]] = x_lo, x_hi
-        # Where the density underflows over whole cells, Pchip's harmonic mean
-        # of a zero secant overflows to 1/inf = 0, the slope it sets there anyway.
-        with np.errstate(over="ignore"):
-            self._interp = interpolate.PchipInterpolator(ts, cum / self.total_mass)
+        self._ts, self._coef = ts, _pchip(ts, cum / self.total_mass)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         # The table holds the head and tail masses, so x_lo and x_hi read it too.
-        inside = self._interp(np.log(np.clip(x, self.grid[0], self.grid[-1])))
+        inside = _pchip_eval(self._ts, self._coef, np.log(np.clip(x, self.grid[0], self.grid[-1])))
         vals = np.where(x < self.grid[0], 0.0, np.where(x > self.grid[-1], 1.0, inside))
         return np.clip(vals, 0.0, 1.0)
 

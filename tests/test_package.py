@@ -20,16 +20,25 @@ def test_all_lists_every_public_name_the_package_binds():
     assert set(posdefwalks.__all__) == bound | {"__version__"}
 
 
-def test_the_package_never_imports_scipy_stats():
-    # scipy.stats would add about half a second to every process's start;
-    # the KS tests and the eta CDF window take their numbers from scipy.special.
+def test_the_package_never_imports_scipy_stats_integrate_or_interpolate():
+    # Each of these would add a third to a half of a second to every process's
+    # start; the KS tests, the eta CDF window and the CDF tables take their
+    # numbers from numpy and scipy.special alone.
     code = (
-        "import sys, posdefwalks, posdefwalks.cli\n"
-        "from posdefwalks import verify\n"
-        "assert 'scipy.stats' not in sys.modules, 'imported by the package'\n"
+        "import math, sys, posdefwalks, posdefwalks.cli\n"
+        "from posdefwalks import special, verify\n"
+        "BANNED = ('scipy.stats', 'scipy.integrate', 'scipy.interpolate')\n"
+        "def check(by):\n"
+        "    assert not [m for m in BANNED if m in sys.modules], f'imported by {by}'\n"
+        "check('the package')\n"
         "for idx, name in enumerate(verify.REDUCED_CONFIG):\n"
         "    verify.run_check(name, 11, stream_id=1000 + idx, config=verify.REDUCED_CONFIG)\n"
-        "    assert 'scipy.stats' not in sys.modules, f'imported by {name}'\n"
+        "    check(name)\n"
+        "verify.check_intertwining_d1(special.ModelParams(1, 2.0, 5.0), s_grid=(1.0,))\n"
+        "check('intertwining_d1')\n"
+        "cdf = special.QuadratureCdf(lambda x: x * x * math.exp(-x), 1e-4, 60.0)\n"
+        "cdf(1.0)\n"
+        "check('a QuadratureCdf of a float-only density')\n"
     )
     src = str(Path(posdefwalks.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,16 +1,19 @@
 """Special functions, densities against the invariant measure, d=1 kernels."""
 
 import math
-import types
+import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import interpolate
 from scipy import special as sps
 
-from posdefwalks import special, verify
-from posdefwalks.errors import DomainError, NonFiniteIntegrand, QuadratureNoConvergence
+from posdefwalks import special
+from posdefwalks.errors import DomainError, NonFiniteIntegrand
 from posdefwalks.special import (
     Law,
     ModelParams,
@@ -326,6 +329,8 @@ def test_quadrature_cdf_of_gamma_law():
     # x_hi reads the table too: the tail mass above it is in the total.
     short = QuadratureCdf(dens, 1e-4, 8.0, n_grid=120)
     assert short(8.0) == pytest.approx(sps.gammainc(2.0, 8.0), rel=1e-10)
+    # 0.3% of the mass lies above 8, in the tail panels.
+    assert abs(short.total_mass * (1.0 - short(8.0)) - sps.gammaincc(2.0, 8.0)) <= 1e-13
 
 
 def test_quadrature_cdf_gives_the_same_table_from_an_array_or_a_float_density():
@@ -342,8 +347,9 @@ def test_quadrature_cdf_gives_the_same_table_from_an_array_or_a_float_density():
 
     by_array = QuadratureCdf(array_density, 1e-6, 45.0)
     by_float = QuadratureCdf(float_density, 1e-6, 45.0)
-    nodes = (399, 8)
-    # The probe on the first cell, then one call on every node; the float
+    # 399 cells, and 10 panels each from log(1e-6) down to -60 and from log(45) up to 60.
+    nodes = (10 + 399 + 10, 8)
+    # The probe on the first panel, then one call on every node; the float
     # density refuses the probe and takes a float per node.
     assert [sh for sh in shapes["array"] if sh] == [(8,), nodes]
     assert [sh for sh in shapes["float"] if sh] == [(8,)]
@@ -376,35 +382,150 @@ def test_quadrature_cdf_takes_only_a_float_array_of_the_node_shape(density):
     assert cdf.total_mass == pytest.approx(1.0, abs=1e-9)
 
 
-def test_only_a_quadrature_cdf_build_runs_the_adaptive_rule(monkeypatch):
-    # Two adaptive calls per table, for the mass below and above its grid;
-    # phi and the kernel identities run on the fixed-node engine alone.
-    calls = []
-
-    def quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return integrate.quad(*args, **kwargs)
-
-    monkeypatch.setattr(special, "integrate", types.SimpleNamespace(quad=quad))
-    QuadratureCdf(lambda x: x * x * math.exp(-x), 1e-4, 8.0, n_grid=40)
-    assert calls == [(-60.0, math.log(1e-4)), (math.log(8.0), 60.0)]
-    calls.clear()
-    p = ModelParams(1, 2.0, 5.0)
-    phi_d1(p, 1.0)
-    phi_d1(p, np.array([0.5, 2.0]))
-    assert verify.check_intertwining_d1(p, s_grid=(1.0,)).passed
-    assert calls == []
+def test_head_and_tail_panels_widen_out_to_the_window_ends():
+    below = special._out_edges(-6.5, -60.0)
+    widths = -np.diff(below)
+    assert below[0] == -6.5 and below[-1] == -60.0
+    np.testing.assert_allclose(widths[:-1], 0.5 * 1.5 ** np.arange(len(widths) - 1), rtol=1e-14)
+    assert 0.0 < widths[-1] <= 0.5 * 1.5 ** (len(widths) - 1)
+    above = special._out_edges(3.0, 60.0)
+    assert above[0] == 3.0 and above[-1] == 60.0 and np.all(np.diff(above) > 0)
+    # No room left: no panel.
+    np.testing.assert_array_equal(special._out_edges(-61.0, -60.0), [-61.0])
+    np.testing.assert_array_equal(special._out_edges(60.0, 60.0), [60.0])
 
 
-def test_quadrature_cdf_tail_that_does_not_converge_is_named():
-    # A near non-integrable spike at t = -30, below the grid, defeats the adaptive rule.
+def _law_cdf(law, p, x):
+    if law == "wishart":
+        return sps.gammainc(p.alpha, x)
+    if law == "invwishart":
+        return sps.gammaincc(p.beta, 1.0 / x)
+    return sps.betainc(p.alpha, p.beta, x / (1.0 + x))
+
+
+_TAIL_SHAPES = (0.55, 0.6, 2.5, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("window", [(1e-2, 1e2), (1e-3, 1e3)], ids=["1e-2..1e2", "1e-3..1e3"])
+@pytest.mark.parametrize(
+    "law, alpha, beta",
+    [("wishart", a, 1.0) for a in _TAIL_SHAPES]
+    + [("invwishart", 1.0, b) for b in _TAIL_SHAPES]
+    + [("beta2", a, b) for a in _TAIL_SHAPES for b in _TAIL_SHAPES],
+)
+def test_quadrature_cdf_head_and_tail_masses_match_closed_forms(law, alpha, beta, window):
+    # Heavy heads and tails: at alpha or beta = 0.55, up to 8% of the mass lies outside the grid.
+    p = ModelParams(1, alpha, beta)
+    x_lo, x_hi = window
+    cdf = QuadratureCdf(lambda x: density_wrt_mu(law, p, x[..., None, None]), x_lo, x_hi, n_grid=200)
+    assert abs(cdf.total_mass - 1.0) <= 1e-13
+    head, tail = cdf.total_mass * cdf(x_lo), cdf.total_mass * (1.0 - cdf(x_hi))
+    assert abs(head - _law_cdf(law, p, x_lo)) <= 1e-13
+    assert abs(tail - (1.0 - _law_cdf(law, p, x_hi))) <= 1e-13
+
+
+def test_quadrature_cdf_without_room_below_or_above_has_no_head_or_tail():
+    seen = []
+
     def dens(x):
-        return abs(math.log(x) + 30.0) ** -0.999
+        seen.append(x)
+        return x * np.exp(-x)
 
-    with pytest.raises(QuadratureNoConvergence, match=r"t in \[-60, -6.90776\]"):
+    x_lo, x_hi = math.exp(-61.0), math.exp(61.0)
+    cdf = QuadratureCdf(dens, x_lo, x_hi, n_grid=400)
+    # Every node lies in the grid's own cells.
+    assert x_lo <= min(v.min() for v in seen) and max(v.max() for v in seen) <= x_hi
+    assert cdf(x_lo) == 0.0 and cdf(x_hi) == 1.0
+    assert cdf.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((0.0, 10.0, 50), "x_lo=0.0"),
+        ((-1.0, 10.0, 50), "x_lo=-1.0"),
+        ((math.nan, 10.0, 50), "x_lo=nan"),
+        ((math.inf, 10.0, 50), "x_lo=inf"),
+        ((2.0, 1.0, 50), "x_hi=1.0"),
+        ((2.0, 2.0, 50), "x_hi=2.0"),
+        ((2.0, math.inf, 50), "x_hi=inf"),
+        ((2.0, math.nan, 50), "x_hi=nan"),
+        ((1e10, math.nextafter(1e10, math.inf), 400), "coincide in log x"),
+        ((1e-3, 10.0, 1), "n_grid=1"),
+        ((1e-3, 10.0, 0), "n_grid=0"),
+    ],
+)
+def test_quadrature_cdf_rejects_a_bad_window(args, match):
+    with pytest.raises(DomainError, match=re.escape(match)):
+        QuadratureCdf(lambda x: np.exp(-x), *args)
+
+
+def test_quadrature_cdf_non_finite_density_below_the_grid_is_named():
+    def dens(x):
+        return math.nan if 1e-6 < x < 1e-5 else math.exp(-x)
+
+    with pytest.raises(NonFiniteIntegrand, match=r"QuadratureCdf mass below the grid.*t = -1[1-3]\."):
         QuadratureCdf(dens, 1e-3, 10.0, n_grid=50)
-    # Outside [-60, 60] there is no mass to add.
-    assert special._tail_mass(dens, 61.0, 70.0) == 0.0
+    with pytest.raises(NonFiniteIntegrand, match=r"QuadratureCdf mass above the grid.*t = "):
+        QuadratureCdf(lambda x: np.where(x > 20.0, np.inf, np.exp(-x)), 1e-3, 10.0, n_grid=50)
+
+
+PCHIP_PROFILE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+@st.composite
+def _pchip_data(draw):
+    """Breakpoints, values and probes for the monotone cubic.
+
+    2 to 40 breakpoints, evenly or unevenly spaced. The values rise (with flat
+    runs and subnormal steps, as a CDF table over underflowed cells), wander
+    (slopes of both signs, zero secants) or stay flat. The probes are the
+    breakpoints, points between them, points outside, NaN and +-inf.
+    """
+    n = draw(st.one_of(st.integers(2, 3), st.integers(2, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = np.linspace(math.log(1e-6), math.log(45.0), n)
+    else:
+        x = np.cumsum(rng.uniform(1e-3, 2.0, n)) - 1.0
+    kind = draw(st.sampled_from(["rising", "wandering", "flat"]))
+    if kind == "rising":
+        steps = rng.exponential(1.0, n - 1) * rng.choice([0.0, 1e-320, 1e-300, 1e-3, 1.0], n - 1)
+        y = np.concatenate([[0.0], np.cumsum(steps)])
+        y = y / y[-1] if y[-1] > 0 else y
+    elif kind == "wandering":
+        y = rng.integers(-2, 3, n) * draw(st.sampled_from([1.0, 0.3, 1e-310]))
+        y = y + rng.standard_normal(n) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    else:
+        y = np.full(n, draw(st.sampled_from([0.0, 1.0, -2.5])))
+    mids = 0.5 * (x[1:] + x[:-1])
+    outside = [x[0] - 1.0, x[-1] + 1.0, x[0] - 1e3, x[-1] + 1e200]
+    xi = np.concatenate([x, mids, rng.uniform(x[0], x[-1], 20), outside, [np.nan, np.inf, -np.inf]])
+    return x, y.astype(float), rng.permutation(xi)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and all(
+        (math.isnan(u) and math.isnan(v)) or struct.pack("<d", u) == struct.pack("<d", v)
+        for u, v in zip(a.ravel().tolist(), b.ravel().tolist())
+    )
+
+
+@PCHIP_PROFILE
+@given(_pchip_data())
+def test_pchip_is_scipys_bit_for_bit(data):
+    x, y, xi = data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = interpolate.PchipInterpolator(x, y)
+        ref_vals = ref(xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coef = special._pchip(x, y)
+        vals = special._pchip_eval(x, coef, xi)
+    assert _same_bits(coef, ref.c)
+    assert _same_bits(vals, ref_vals)
 
 
 def test_quadrature_cdf_over_underflowed_cells_builds_without_a_warning():

@@ -260,10 +260,9 @@ def test_qbar_cdf_evaluates_phi_on_its_nodes_in_one_call(monkeypatch):
 
     monkeypatch.setattr(special, "phi_d1", counted)
     verify._qbar_cdf(2.0, 5.0, 1.05)
-    # phi(s0), the probe on one cell, one call on the 3192 nodes, and the
-    # floats of the two adaptive tail masses; a call per node made 3319.
-    assert len(calls) <= 140
-    assert calls.count(3192) == 1
+    # phi(s0), the probe on one panel, and one call on the 3192 nodes of the
+    # grid and the 160 of the 20 panels below and above it; a call per node made 3319.
+    assert calls == [1, 8, 3192 + 160]
 
 
 def test_report_fails_on_nan_after_a_finite_ratio():
