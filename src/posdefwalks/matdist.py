@@ -5,13 +5,15 @@ The Wishart Bartlett factor itself is ``sample_factor(Law.WISHART, p, rng)``.
 Every sampler takes an explicit generator created by :func:`make_stream`;
 identical (seed, stream_id) pairs reproduce bit-identical output, distinct
 pairs give independent counter-based streams. Samplers return one matrix for
-``size=None`` or a stack of shape ``(size, d, d)``. For the Wishart,
-inverse Wishart and beta II laws, and for :func:`sample_factor`, ``blocks=m``
-adds a leading axis of m blocks: the same bits as m successive calls, with each
+``size=None`` or a stack of shape ``(size, d, d)``. For the Wishart, inverse
+Wishart and beta II laws, and for :func:`sample_factor`, ``blocks=m`` adds a
+leading axis of m blocks: the same bits as m successive calls, with each
 transform (triangular inverse, Gram matrix, split factor) run once on the
-whole stack. A draw that is not finite, or whose triangular factor has a
-diagonal entry that is not > 0, raises DomainError naming the law's
-parameters.
+whole stack. The gamma and normal variates of the Bartlett factors are drawn
+in place into two buffers, in the stream order of one draw call per diagonal
+entry and one per strict upper triangle (see ``_bartlett_blocks``). A draw
+that is not finite, or whose triangular factor has a diagonal entry that is
+not > 0, raises DomainError naming the law's parameters.
 """
 
 import numpy as np
@@ -45,17 +47,35 @@ def _bartlett_blocks(shapes, rng, size, blocks):
     array ``sh`` of ``shapes`` draws in turn, in a fixed order: its diagonal
     (k = 1..d), then its strict upper triangle row-major. So m blocks consume
     the stream as m successive single-block calls do.
+
+    The variates are drawn in place, in that order, into two contiguous
+    buffers, gammas (blocks, shapes, d, size) and standard normals (blocks,
+    shapes, size, d(d-1)/2); the square roots, the scaling and the writes
+    into the factors then run once on the whole stack. At d = 1 the gammas
+    are drawn into the factors' own array, which has their layout. numpy's
+    ``normal(0, s)`` is ``0 + s z`` for a standard normal z, so the normals
+    are scaled by sqrt(1/2) and then added to 0.0, which gives its bits down
+    to the sign of a zero.
     """
     n, m = _count(size, "size"), _count(blocks, "blocks")
     d = len(shapes[0])
     iu = np.triu_indices(d, k=1)
     u = np.zeros((m, len(shapes), n, d, d))
-    for block in u:
-        for f, sh in zip(block, shapes):
+    gammas = u.reshape(m, len(shapes), d, n) if d == 1 else np.empty((m, len(shapes), d, n))
+    normals = np.empty((m, len(shapes), n, len(iu[0])))
+    for g_block, z_block in zip(gammas, normals):
+        for g, z, sh in zip(g_block, z_block, shapes):
             for k in range(d):
-                f[:, k, k] = np.sqrt(rng.gamma(shape=sh[k], scale=1.0, size=n))
+                rng.standard_gamma(sh[k], out=g[k])
             if d > 1:
-                f[:, iu[0], iu[1]] = rng.normal(0.0, np.sqrt(0.5), size=(n, len(iu[0])))
+                rng.standard_normal(out=z)
+    if d == 1:
+        return np.sqrt(u, out=u)
+    for k in range(d):
+        np.sqrt(gammas[:, :, k], out=u[..., k, k])
+    normals *= np.sqrt(0.5)
+    normals += 0.0
+    u[..., iu[0], iu[1]] = normals
     return u
 
 

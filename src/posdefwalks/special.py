@@ -45,6 +45,17 @@ _LOG_HI = 60.0
 # (it stays in cache) against 29 MB for a whole one. phi's integrand is below
 # e^-1000 of its peak past t = 7.
 _GL_ORDER, _GL_PANEL, _ROW_BLOCK, _PHI_T_HI = 8, 0.5, 8, 7.0
+# The rule's nodes on [-1, 1] and weights, bit for bit scipy.special's
+# roots_legendre(8), whose first call would import scipy.linalg; numpy's
+# leggauss(8) differs from it in the last bits. The rule is symmetric, so
+# the upper half is written out and mirrored.
+_GL_NODES_UP = [float.fromhex(h) for h in ("0x1.77ac94f3c7346p-3", "0x1.0d129583284b4p-1",
+                                           "0x1.97e4ab249f41ep-1", "0x1.ebab1cb0acc67p-1")]
+_GL_WEIGHTS_UP = [float.fromhex(h) for h in ("0x1.736360b199344p-2", "0x1.413c50a25561bp-2",
+                                             "0x1.c76fb531d2b9fp-3", "0x1.9ea1d04ca0346p-4")]
+_GL_NODES = np.array([-x for x in _GL_NODES_UP[::-1]] + _GL_NODES_UP)
+_GL_WEIGHTS = np.array(_GL_WEIGHTS_UP[::-1] + _GL_WEIGHTS_UP)
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 # phi sums only a window of that grid, outside which its mass is below
 # _PHI_TOL of phi. OpenBLAS's AVX-512 dot kernel adds 32 lanes and leaves the
 # last n mod 32 terms to a scalar loop, so a window that starts and ends on a
@@ -189,9 +200,8 @@ def density_wrt_mu(law, p: ModelParams, x):
 
 def _gauss_legendre(edges):
     """Nodes (cells, 8), half-widths and [-1, 1] weights of the rule on each cell."""
-    x, w = sp.roots_legendre(_GL_ORDER)
     half = 0.5 * np.diff(edges)
-    return edges[:-1, None] + half[:, None] * (1.0 + x), half, w
+    return edges[:-1, None] + half[:, None] * (1.0 + _GL_NODES), half, _GL_WEIGHTS
 
 
 @lru_cache(maxsize=8)
@@ -430,11 +440,17 @@ def _pchip(x, y):
 
 
 def _pchip_eval(x, c, xi):
-    """The cubic of the cell holding each xi (the end cells extrapolate), summed as scipy's PPoly does."""
+    """The cubic of the cell holding each xi (the end cells extrapolate), summed as scipy's PPoly does.
+
+    Each coefficient row of c is gathered with ``take``, a third of the cost
+    of ``c[k, i]``; one gather of (n, 4) rows instead is slower from about
+    30000 sorted points on, where its strided columns leave the cache.
+    """
     i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
-    s = xi - x[i]
+    s = xi - x.take(i)
+    c0, c1, c2, c3 = (row.take(i) for row in c)
     with np.errstate(over="ignore", invalid="ignore"):  # as the compiled loop, far outside the grid
-        return ((0.0 + c[3, i]) + c[2, i] * s) + c[1, i] * (s * s) + c[0, i] * (s * s * s)
+        return ((0.0 + c3) + c2 * s) + c1 * (s * s) + c0 * (s * s * s)
 
 
 class QuadratureCdf:

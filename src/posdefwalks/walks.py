@@ -9,7 +9,10 @@ coincide path by path. Every walk's states come from one of two private
 builders, _recursive_states (repeated symmetrised products) and
 _closed_states (Gram matrices of the accumulated factors), which check each
 step for overflow. simulate_walks draws the increments; trace_from_increments
-takes them given, validates them and runs either construction on them.
+takes them given, validates them and runs either construction on them. Both
+return a WalkTrace that holds the states only: its running sums and their
+inverse differences are built on first read, so a caller that reads the
+states alone makes no sum and no inverse.
 kesten_samples and dufresne_series keep their own loops. kesten_samples
 draws its increments a block of moves at a time (matdist's ``blocks``) and
 splits the whole block once for the plain chain, leaving one symmetrised
@@ -20,6 +23,7 @@ products, partial sums, last trace ratios and original indices) and writes a
 row's sum out once, when the row finishes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -61,12 +65,21 @@ class WalkTrace:
     """One realisation: states r[0..n], running sums a[0..n], ratios s[1..n].
 
     Arrays may carry a leading batch axis. s[k] is the symmetric value
-    a[k-1]^-1 - a[k]^-1, which reconstructs a[k-1]^-1 r[k] a[k]^-1.
+    a[k-1]^-1 - a[k]^-1, which reconstructs a[k-1]^-1 r[k] a[k]^-1. Only r
+    is stored; a and s are computed from it on first read and kept, so a
+    caller that reads the states alone pays for no sum or inverse.
     """
 
     r: np.ndarray
-    a: np.ndarray
-    s: np.ndarray
+
+    @functools.cached_property
+    def a(self):
+        return np.cumsum(self.r, axis=-3)
+
+    @functools.cached_property
+    def s(self):
+        a_inv = matcore.invert(self.a)
+        return a_inv[..., :-1, :, :] - a_inv[..., 1:, :, :]
 
 
 def init_states(init, p: ModelParams, rng, n):
@@ -135,13 +148,6 @@ def _closed_states(kind, state, factors, n):
     return r
 
 
-def _walk_trace(r):
-    """WalkTrace of the states r (..., n+1, d, d): running sums and ratios."""
-    a = np.cumsum(r, axis=-3)
-    a_inv = matcore.invert(a)
-    return WalkTrace(r=r, a=a, s=a_inv[..., :-1, :, :] - a_inv[..., 1:, :, :])
-
-
 def simulate_walks(cfg: WalkConfig, rng, n_traces):
     """Simulate a batch of walks with independent increments per trace.
 
@@ -156,15 +162,14 @@ def simulate_walks(cfg: WalkConfig, rng, n_traces):
         factors = (
             matdist.sample_factor(Law.BETA2, p, rng, size=n_traces, kind=kind) for _ in range(n)
         )
-        return _walk_trace(_closed_states(kind, state, factors, n))
+        return WalkTrace(_closed_states(kind, state, factors, n))
     increments = (matdist.sample_beta2(p, rng, size=n_traces) for _ in range(n))
-    return _walk_trace(_recursive_states(kind, state, increments, n))
+    return WalkTrace(_recursive_states(kind, state, increments, n))
 
 
 def simulate_walk(cfg: WalkConfig, rng):
     """Single-trace convenience wrapper around simulate_walks."""
-    tr = simulate_walks(cfg, rng, 1)
-    return WalkTrace(r=tr.r[0], a=tr.a[0], s=tr.s[0])
+    return WalkTrace(simulate_walks(cfg, rng, 1).r[0])
 
 
 def trace_from_increments(kind, init, increments, construction=Construction.RECURSIVE):
@@ -180,8 +185,8 @@ def trace_from_increments(kind, init, increments, construction=Construction.RECU
     xs = (matcore.posdef(x, name=f"increment {k}") for k, x in enumerate(increments, start=1))
     if Construction(construction) is Construction.CLOSED:
         factors = (matcore.split_factor(kind, x) for x in xs)
-        return _walk_trace(_closed_states(kind, init, factors, len(increments)))
-    return _walk_trace(_recursive_states(kind, init, xs, len(increments)))
+        return WalkTrace(_closed_states(kind, init, factors, len(increments)))
+    return WalkTrace(_recursive_states(kind, init, xs, len(increments)))
 
 
 def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=False, n_chains=1):
@@ -275,10 +280,12 @@ def dufresne_series(
         ratio = term_trace / sum_trace
         done = term_trace < tail_tol * sum_trace
         if done.any():
-            total[rows[done]] = partial[done]
-            counts[rows[done]] = term_idx
-            left = ~done
-            rows, v, partial, ratio = rows[left], v[left], partial[left], ratio[left]
+            # Gathers by index; a boolean mask costs several times more per row.
+            finished, left = np.flatnonzero(done), np.flatnonzero(~done)
+            total[rows[finished]] = partial.take(finished, axis=0)
+            counts[rows[finished]] = term_idx
+            rows, ratio = rows.take(left), ratio.take(left)
+            v, partial = v.take(left, axis=0), partial.take(left, axis=0)
     if rows.size > 0:
         raise TruncationFailure(
             f"{rows.size} of {n} series unfinished after {max_terms} terms; "

@@ -200,3 +200,23 @@ def eigen_lhs_nested(alpha, beta, s):
     val, err = integrate.quad(outer, lo, hi, points=[math.log(s)], epsabs=0.0, epsrel=1e-11, limit=200)
     assert err < 1e-10 * val
     return val
+
+
+def bartlett_blocks_reference(shapes, rng, size, blocks):
+    """Bartlett factors (blocks, len(shapes), size, d, d), one variate call at a time.
+
+    Block after block, each shape array sh draws its diagonal k = 1..d as
+    square roots of unit-scale gamma(sh[k]) variates, then its strict upper
+    triangle row-major as normal(0, sqrt(1/2)) variates, each call on its own
+    rows of a zero matrix stack.
+    """
+    d = len(shapes[0])
+    iu = np.triu_indices(d, k=1)
+    u = np.zeros((blocks, len(shapes), size, d, d))
+    for block in u:
+        for f, sh in zip(block, shapes):
+            for k in range(d):
+                f[:, k, k] = np.sqrt(rng.gamma(shape=sh[k], scale=1.0, size=size))
+            if d > 1:
+                f[:, iu[0], iu[1]] = rng.normal(0.0, np.sqrt(0.5), size=(size, len(iu[0])))
+    return u

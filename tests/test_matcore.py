@@ -236,6 +236,39 @@ def test_nan_fails_the_factorizations_naming_its_batch_index(fn, d):
         fn(x)
 
 
+# Matrices that fail the pivot tolerance only: at d = 1 an infinite x00
+# (inf > 1e-13 * inf fails), at d = 2 a pivot 1 - rho^2 of about 2e-15.
+_LOW_PIVOT = {1: [[np.inf]], 2: [[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "where, value",
+    [((0, 0), -1.0), ((0, 0), np.nan), ((-1, -1), np.nan), ((-1, 0), np.nan)],
+    ids=["x00<0", "x00 nan", "x11 nan", "x10 nan"],
+)
+def test_cholesky_reports_a_nonpositive_pivot_before_a_pivot_below_tolerance(d, where, value):
+    # The stack fails one pass/fail test; the message keeps cholesky's
+    # precedence: index 3 is not positive definite, which outranks index 1's
+    # pivot below tolerance although index 1 comes first.
+    low = np.array(_LOW_PIVOT[d])
+    bad = np.eye(d)
+    bad[where] = value
+    x = np.broadcast_to(np.eye(d), (5, d, d)).copy()
+    x[1], x[3] = low, bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite, match="^state is not positive definite at batch index 3$"):
+            matcore.cholesky(x, name="state")
+        with pytest.raises(NotPositiveDefinite, match="^state is not positive definite$"):
+            matcore.cholesky(bad, name="state")
+        # Without the nonpositive pivot, index 1's pivot below tolerance is named.
+        with pytest.raises(NotPositiveDefinite, match="^state has a Cholesky pivot below tolerance at batch index 1$"):
+            matcore.cholesky(x[:3], name="state")
+        with pytest.raises(NotPositiveDefinite, match="^state has a Cholesky pivot below tolerance$"):
+            matcore.cholesky(low, name="state")
+
+
 def test_posdef_rejects_entries_out_of_range_without_warning():
     for big in (1e308, np.inf, np.nan):
         with warnings.catch_warnings():

@@ -20,14 +20,15 @@ def test_all_lists_every_public_name_the_package_binds():
     assert set(posdefwalks.__all__) == bound | {"__version__"}
 
 
-def test_the_package_never_imports_scipy_stats_integrate_or_interpolate():
-    # Each of these would add a third to a half of a second to every process's
-    # start; the KS tests, the eta CDF window and the CDF tables take their
-    # numbers from numpy and scipy.special alone.
+def test_the_package_never_imports_scipy_stats_integrate_interpolate_or_linalg():
+    # Each of the first three would add a third to a half of a second to every
+    # process's start, and scipy.linalg (loaded by roots_legendre's first
+    # call) a tenth; the KS tests, the eta CDF window, the rule's nodes and
+    # the CDF tables take their numbers from numpy and scipy.special alone.
     code = (
         "import math, sys, posdefwalks, posdefwalks.cli\n"
         "from posdefwalks import special, verify\n"
-        "BANNED = ('scipy.stats', 'scipy.integrate', 'scipy.interpolate')\n"
+        "BANNED = ('scipy.stats', 'scipy.integrate', 'scipy.interpolate', 'scipy.linalg')\n"
         "def check(by):\n"
         "    assert not [m for m in BANNED if m in sys.modules], f'imported by {by}'\n"
         "check('the package')\n"

@@ -6,7 +6,10 @@ at exponents of +-1000, and fail where LAPACK fails; the references below
 call LAPACK one matrix at a time. The d = 3 inverse rests on an emulated
 fused multiply-add, checked against exact rational arithmetic. Gram
 products take BLAS gemm where numpy would take syrk, and must keep syrk's
-bits; traces, summed in order, must keep np.trace's. The samplers, at parameters just inside (d-1)/2, give nonsingular
+bits; traces, summed in order, must keep np.trace's. The Bartlett draw
+kernel, which draws its variates in place, must give the bits and leave the
+stream where one variate call per diagonal entry and per upper triangle
+does. The samplers, at parameters just inside (d-1)/2, give nonsingular
 draws or raise. The profile is derandomized with a bounded example count,
 so every run draws the same examples.
 """
@@ -18,11 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posdefwalks import matcore
+from posdefwalks import matcore, matdist
 from posdefwalks.errors import DomainError, NotPositiveDefinite
 from posdefwalks.matcore import PIVOT_RTOL, SplitKind
 from posdefwalks.matdist import make_stream, sample, sample_factor
 from posdefwalks.special import Law, ModelParams
+
+import oracles
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -349,3 +354,29 @@ def test_draws_just_inside_the_bound_are_nonsingular_or_raise(d, law, log2_da, l
     _assert_same_bits(x, matcore.symmetrize(np.swapaxes(u, -1, -2) @ u))
     if d == 1:
         assert matcore.is_posdef(x)
+
+
+@PROFILE
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(st.sampled_from(["A", "B"]), st.integers(-12, 3)), min_size=1, max_size=2),
+    st.integers(0, 70),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_bartlett_blocks_are_the_per_call_draws_bit_for_bit(d, laws, size, blocks, seed):
+    """Shapes are c - (k - 1)/2 for k = 1..d (A) or d..1 (B), c = (d-1)/2 + 2^e.
+
+    At e = -12 the smallest shape is 2^-12, where most gamma variates
+    underflow to 0. The factors' bits, zero signs included, and the stream
+    position afterwards must be those of the reference's per-block calls.
+    """
+    half = np.arange(d) / 2.0
+    shapes = tuple(
+        (d - 1) / 2 + 2.0**e - (half if law == "A" else half[::-1]) for law, e in laws
+    )
+    got_rng, want_rng = make_stream(seed, d), make_stream(seed, d)
+    got = matdist._bartlett_blocks(shapes, got_rng, size, blocks)
+    want = oracles.bartlett_blocks_reference(shapes, want_rng, size, blocks)
+    _assert_same_bits(got, want)
+    np.testing.assert_array_equal(got_rng.random(3), want_rng.random(3))

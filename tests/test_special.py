@@ -306,6 +306,16 @@ def test_row_sums_names_a_non_finite_value_in_a_kept_block():
     assert np.isfinite(out).all()
 
 
+def test_gauss_legendre_nodes_and_weights_are_scipys_bit_for_bit():
+    # The engine writes the 8-point rule out as literals, so that no call of
+    # roots_legendre imports scipy.linalg; every sum in the engine rests on their bits.
+    x, w = sps.roots_legendre(8)
+    weights = special._gauss_legendre(np.array([-1.0, 1.0]))[2]
+    for got, want in ((special._GL_NODES, x), (special._GL_WEIGHTS, w), (weights, w)):
+        assert got.shape == (8,)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_quadrature_cdf_of_gamma_law():
     # x^2 e^-x against dx/x is the Gamma(2) density x e^-x dx.
     seen = []

@@ -1,5 +1,6 @@
 """Walk constructions, running-sum traces, Kesten recursions, two-row dynamics."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import stats
 from scipy.special import digamma
 
-from posdefwalks import matcore, matdist, walks
+from posdefwalks import matcore, matdist, verify, walks
 from posdefwalks.errors import DomainError, NotPositiveDefinite, StepOverflow, TruncationFailure
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream
@@ -223,6 +224,56 @@ def test_overflow_to_inf_raises_step_overflow_without_a_warning(kind):
             trace_from_increments(kind, np.eye(2), [x, x, x])
         with pytest.raises(StepOverflow, match=r"at step 2$"):
             walk_closed(kind, np.eye(2), [x, x, x])
+
+
+def _eager_sums(r):
+    """Running sums and ratios of the states r, computed as soon as the walk ends."""
+    a = np.cumsum(r, axis=-3)
+    a_inv = matcore.invert(a)
+    return a, a_inv[..., :-1, :, :] - a_inv[..., 1:, :, :]
+
+
+def test_construction_equivalence_makes_no_inverse_of_walk_sums(monkeypatch):
+    # It reads the final states only, so the walks it simulates must not
+    # build their running sums' inverses.
+    calls = []
+    invert = matcore.invert
+
+    def counting_invert(x):
+        calls.append(sys._getframe(1).f_globals["__name__"])
+        return invert(x)
+
+    monkeypatch.setattr(matcore, "invert", counting_invert)
+    report = verify.run_check("construction_equivalence", 23, config=verify.REDUCED_CONFIG)
+    assert report.n1 == verify.REDUCED_CONFIG["construction_equivalence"]["n_samples"]
+    assert "posdefwalks.walks" not in calls
+
+
+@pytest.mark.parametrize("construction", list(Construction))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_walk_sums_read_later_are_the_eager_ones_bit_for_bit(d, construction):
+    cfg = WalkConfig(params=ModelParams(d, d + 1.0, d + 4.0), construction=construction, steps=6)
+    batch = simulate_walks(cfg, make_stream(104, d), n_traces=5)
+    one = simulate_walk(cfg, make_stream(104, d))
+    one_batch = simulate_walks(cfg, make_stream(104, d), n_traces=1)
+    rng = np.random.default_rng(d)
+    init = np.stack([rand_posdef(rng, d, eps=0.5) for _ in range(4)])
+    incs = [np.stack([rand_posdef(rng, d, eps=0.5) for _ in range(4)]) for _ in range(5)]
+    given = trace_from_increments(SplitKind.CHOLESKY, init, incs, construction)
+    given_one = trace_from_increments(SplitKind.CHOLESKY, init[2], [x[2] for x in incs], construction)
+    eager_one = [x[0] for x in _eager_sums(one_batch.r)]
+    eager_given_one = [x[2] for x in _eager_sums(given.r)]
+    for tr, (a, s) in (
+        (batch, _eager_sums(batch.r)),
+        (one, eager_one),
+        (given, _eager_sums(given.r)),
+        (given_one, eager_given_one),
+    ):
+        assert "a" not in vars(tr) and "s" not in vars(tr)
+        for got, want in ((tr.s, s), (tr.a, a)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert tr.s is tr.s and tr.a is tr.a  # built once
 
 
 def test_trace_from_increments_batched_init_matches_single_traces():
