@@ -12,11 +12,16 @@ takes the mass below and above its grid from the same rule on widening
 panels, calls its density once on all its nodes (or once per node with a
 float where the density cannot take an array), and joins its table with a
 port of scipy's monotone cubic, so the package imports numpy and
-``scipy.special`` only. The engine evaluates only where an integrand lives:
-phi sums a window of its grid outside which its mass is below one ulp by
-far, one window per block of _PHI_BLOCK sorted s, and ``_row_sums`` skips
-the row blocks whose outer weight is exactly 0. Both keep the bits of a sum
-over the whole grid.
+``scipy.special`` only. The engine evaluates only where an integrand lives,
+by one rule: a sum over the grid takes a window of it, derived in closed
+form, outside which the integrand's mass is below a fixed fraction far
+under one ulp (_PHI_TOL of phi for phi, _ROW_TOL of the kernel's mass for a
+kernel table), and whose ends are multiples of _PHI_ALIGN nodes, so that
+what is kept is added in the lanes the whole grid's sum uses. phi takes one
+window per block of _PHI_BLOCK sorted s; ``_row_sums`` takes one per block
+of _ROW_BLOCK rows, as its caller derives it, and skips the row blocks
+whose outer weight is exactly 0. All keep the bits of a sum over the whole
+grid.
 """
 
 import enum
@@ -69,6 +74,17 @@ _PHI_HEAD_TOL, _PHI_HEAD_STEP = 2.0**-64, 8.0
 # A large array of s is summed _PHI_BLOCK sorted values at a time, each block
 # on its own window, which is far narrower than one window over a wide range.
 _PHI_BLOCK = 64
+# Sorted probes of a Pchip take their cells by runs from this many per grid
+# point on; below about 5 per point a search of the grid for each is faster.
+_PCHIP_RUNS = 4
+# A node exponent of phi below this cannot overflow exp(), nor a sum of its terms.
+_PHI_EXP_SAFE = 700.0
+# A row block of a kernel table (``_row_sums``) sums an aligned window outside
+# which its density holds below _ROW_TOL of its mass. A row's test function
+# may fall away where its density peaks and so move the row's mass into the
+# density's tail: there 2^-100 moved the last bit of some intertwining rows,
+# and 2^-200 keeps every table's bits.
+_ROW_TOL = 2.0**-200
 
 
 class Law(str, enum.Enum):
@@ -238,42 +254,69 @@ def _rule_sums(values, w, t, where):
     """``values @ w`` over nodes ``t``; NonFiniteIntegrand names ``where`` and t.
 
     Weights are nonzero, so a non-finite node value makes its sum non-finite.
+    ``where`` is a string, or a function giving one, called only on that error.
     """
     out = values @ w
     if not _all_finite(out):
         bad = np.argwhere(~np.isfinite(values))
         at = f"t = {t[tuple(bad[0])[-t.ndim:]]:.6g}" if bad.size else "an overflowing sum"
-        raise NonFiniteIntegrand(f"{where}: non-finite integrand at {at}")
+        raise NonFiniteIntegrand(f"{where() if callable(where) else where}: non-finite integrand at {at}")
     return out
+
+
+def _cols(t, t_lo, t_hi):
+    """The columns of the nodes t in [t_lo, t_hi], widened to multiples of _PHI_ALIGN."""
+    lo = int(np.searchsorted(t, t_lo)) // _PHI_ALIGN * _PHI_ALIGN
+    hi = -(-int(np.searchsorted(t, t_hi, side="right")) // _PHI_ALIGN) * _PHI_ALIGN
+    return slice(lo, min(hi, len(t)))
+
+
+def _block_values(block, lo, hi):
+    """block(lo, hi) as (columns, arrays); bare arrays span every column."""
+    vals = block(lo, hi)
+    return vals if isinstance(vals, tuple) else (slice(None), vals)
 
 
 def _row_sums(block, w, t, where, weight):
     """Sums of node matrices with rows at the nodes ``t``, _ROW_BLOCK at a time.
 
-    ``block(lo, hi)`` gives a list of (hi - lo, len(t)) arrays for rows lo:hi.
+    ``block(lo, hi)`` gives an iterable of (hi - lo, len(t)) arrays for rows
+    lo:hi, or a window: a pair of a slice ``cols`` of aligned columns
+    (``_cols``) and an iterable of (hi - lo, width) arrays at the nodes
+    t[cols], whose rows are summed against w[cols]. The columns outside the
+    window count as 0. Each array is summed as soon as the iterable gives
+    it, so a generator holds one at a time: held all at once, arrays of the
+    windows' varying widths fragment the heap, which raised the peak RSS of
+    an intertwining check by about 0.6 MB.
     ``weight`` is the outer weight the sums get multiplied by, or any array
     that is nonzero wherever one of several such weights is. A block whose
     weights are all exactly 0.0 is never evaluated and its sums read 0, so a
-    non-finite value there goes unseen; every evaluated value is checked.
-    Kept blocks keep their boundaries, so each sum has the same bits.
+    non-finite value there goes unseen, as it does outside a window; every
+    evaluated value is checked. Kept blocks keep their boundaries, so each
+    sum has the same bits as long as a window drops only terms far below one
+    ulp of it and starts and ends on a multiple of _PHI_ALIGN nodes.
     """
     out = None
     for lo in range(0, len(t), _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, len(t))
         if not weight[lo:hi].any():
             continue
-        rows = f"{where}, outer t in [{t[lo]:.6g}, {t[hi - 1]:.6g}]"
-        sums = [_rule_sums(v, w, t, rows) for v in block(lo, hi)]
+        cols, vals = _block_values(block, lo, hi)
+
+        def rows():
+            return f"{where}, outer t in [{t[lo]:.6g}, {t[hi - 1]:.6g}]"
+
+        sums = [_rule_sums(v, w[cols], t[cols], rows) for v in vals]
         if out is None:
             out = np.zeros((len(sums), len(t)))
         out[:, lo:hi] = sums
     # With no weight left, block(0, 0) evaluates no node and gives the count of sums.
-    return np.zeros((len(block(0, 0)), len(t))) if out is None else out
+    return np.zeros((len(list(_block_values(block, 0, 0)[1])), len(t))) if out is None else out
 
 
 @lru_cache(maxsize=64)
-def _phi_hi(beta):
-    """End node of phi's window, past whose panel edge t >= 0 the mass is negligible.
+def _phi_hi(beta, tol=_PHI_TOL):
+    """End node of phi's window, past whose panel edge t >= 0 the mass is below ``tol`` of phi.
 
     For t >= 0 and alpha >= 0, (e^t + s)^(-alpha) <= (1 + s)^(-alpha), so the
     mass above t is at most (1 + s)^(-alpha) Gamma(beta, e^t), and phi is at
@@ -285,22 +328,22 @@ def _phi_hi(beta):
         if t_end < 0.0:
             continue
         tail = sp.gammaincc(beta, math.exp(t_end))  # Gamma(beta, e^t) / Gamma(beta)
-        if tail == 0.0 or 1.0 + math.log(beta) + sp.gammaln(beta) + math.log(tail) <= math.log(_PHI_TOL):
+        if tail == 0.0 or 1.0 + math.log(beta) + sp.gammaln(beta) + math.log(tail) <= math.log(tol):
             return end
     return n
 
 
-def _phi_lo(alpha, beta, s_min, s_max):
+def _phi_lo(alpha, beta, s_min, s_max, tol=_PHI_TOL):
     """Start node of phi's window for every s in [s_min, s_max]; 0 at t = -60.
 
     With alpha >= 0, phi(s) >= (1 + s)^(-alpha) / (e beta), and the mass below
     T is at most s^(-alpha) e^(beta T) / beta, and if beta > alpha also
     e^((beta - alpha) T) / (beta - alpha). The edge T where the first falls
-    to _PHI_TOL of phi rises with s and that of the second falls, so the
+    to ``tol`` of phi rises with s and that of the second falls, so the
     larger of the first's at s_min and the second's at s_max lies below the
     edge of every s between them.
     """
-    log_tol = math.log(_PHI_TOL) - 1.0
+    log_tol = math.log(tol) - 1.0
     # An edge that is -inf or NaN (s at the ends of double range) gives t = -60.
     t_lo = max(_LOG_LO, (log_tol - alpha * math.log1p(1.0 / s_min)) / beta)
     if beta > alpha:
@@ -308,6 +351,12 @@ def _phi_lo(alpha, beta, s_min, s_max):
         t_lo = max(t_lo, (log_tol - math.log(beta / c) - alpha * math.log1p(s_max)) / c)
     step = _PHI_ALIGN * (_GL_PANEL / _GL_ORDER)
     return math.floor((t_lo - _LOG_LO) / step) * _PHI_ALIGN
+
+
+def _phi_span(alpha, beta, s_min, s_max, tol):
+    """Panel edges [t_lo, t_hi] of phi's window at ``tol`` for every s in [s_min, s_max], alpha >= 0."""
+    step = _GL_PANEL / _GL_ORDER
+    return _LOG_LO + _phi_lo(alpha, beta, s_min, s_max, tol) * step, _LOG_LO + _phi_hi(beta, tol) * step
 
 
 def _phi_head_edge(alpha, beta, s_min):
@@ -326,24 +375,34 @@ def _phi_head_edge(alpha, beta, s_min):
     return _LOG_LO - _PHI_HEAD_STEP * max(0, math.ceil((_LOG_LO - t_edge) / _PHI_HEAD_STEP))
 
 
-def _phi_sums(a, b, t, w, y, s_arr, where):
-    return _rule_sums(np.exp(b * t - a * np.log(y + s_arr[..., None]) - y), w, t, where)
+def _phi_sums(a, b, t, w, y, s_col, where):
+    return _rule_sums(np.exp(b * t - a * np.log(y + s_col) - y), w, t, where)
 
 
-def _phi_window(a, b, s_arr, s_min, s_max, where):
-    """phi at every s in ``s_arr`` by the rule on one window that holds [s_min, s_max]."""
+def _phi_window(a, b, s, s_min, s_max, where):
+    """phi at a float ``s``, or at each value of an array ``s``, by the rule on
+    one window that holds [s_min, s_max].
+    """
     t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
     lo, hi = (_phi_lo(a, b, s_min, s_max), _phi_hi(b)) if a >= 0 else (0, len(t))
+    s_col = s if isinstance(s, float) else s[..., None]
+    # With alpha >= 0 a node's exponent is at most beta log beta - beta -
+    # alpha log s_min, since log(y + s) >= log s and beta t - e^t peaks at
+    # t = log beta. Below _PHI_EXP_SAFE, and with s finite, no term or sum can
+    # overflow or be NaN, so no floating-point warning can arise and
+    # np.errstate (1.7 us a call) is not needed.
+    if lo > 0 and s_max < math.inf and b * math.log(b) - b - a * math.log(s_min) < _PHI_EXP_SAFE:
+        return _phi_sums(a, b, t[lo:hi], w[lo:hi], y[lo:hi], s_col, where)
     with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked at once
-        out = _phi_sums(a, b, t[lo:hi], w[lo:hi], y[lo:hi], s_arr, where)
+        out = _phi_sums(a, b, t[lo:hi], w[lo:hi], y[lo:hi], s_col, where)
         if lo == 0:
             t_edge = _phi_head_edge(a, b, s_min)
-            head = np.exp(b * t_edge - a * np.log(s_arr)) / b
+            head = np.exp(b * t_edge - a * np.log(s)) / b
             if t_edge < _LOG_LO:
-                head = _phi_sums(a, b, *_log_grid(t_edge, _LOG_LO), s_arr, where) + head
+                head = _phi_sums(a, b, *_log_grid(t_edge, _LOG_LO), s_col, where) + head
             out = out + head
     if not _all_finite(out):
-        raise NonFiniteIntegrand(f"{where}: phi overflows below t = {_LOG_LO}")
+        raise NonFiniteIntegrand(f"{where()}: phi overflows below t = {_LOG_LO}")
     return out
 
 
@@ -370,13 +429,20 @@ def phi_d1(p: ModelParams, s):
         raise DomainError("phi is evaluated at d=1 only")
     if p.beta <= 0:
         raise DomainError("phi requires beta > 0")
+    a, b = p.alpha, p.beta
+
+    def where():
+        return f"phi_d1 at alpha={a}, beta={b}"
+
+    if isinstance(s, float):  # a Python float or np.float64, as a CDF table's density passes
+        if not s > 0:
+            raise DomainError("phi requires s > 0")
+        return float(_phi_window(a, b, s, s, s, where))
     s_arr = np.asarray(s, dtype=float)
     if not (float(s_arr) > 0 if s_arr.ndim == 0 else (s_arr > 0).all()):
         raise DomainError("phi requires s > 0")
     if s_arr.size == 0:
         return np.empty(s_arr.shape)
-    a, b = p.alpha, p.beta
-    where = f"phi_d1 at alpha={a}, beta={b}"
     if s_arr.ndim == 0:
         return float(_phi_window(a, b, s_arr, float(s_arr), float(s_arr), where))
     if s_arr.size <= _PHI_BLOCK:
@@ -442,13 +508,24 @@ def _pchip(x, y):
 def _pchip_eval(x, c, xi):
     """The cubic of the cell holding each xi (the end cells extrapolate), summed as scipy's PPoly does.
 
-    Each coefficient row of c is gathered with ``take``, a third of the cost
-    of ``c[k, i]``; one gather of (n, 4) rows instead is slower from about
-    30000 sorted points on, where its strided columns leave the cache.
+    The cell of xi is the count of grid points x <= xi, less one, clipped to
+    the end cells. Each coefficient row of c is gathered with ``take``, a
+    third of the cost of ``c[k, i]``; one gather of (n, 4) rows instead is
+    slower from about 30000 sorted points on, where its strided columns
+    leave the cache. A sorted 1-D xi of at least _PCHIP_RUNS times as many
+    points as x, as ``ks_one_sample`` passes, is checked in one pass; each
+    inner grid point is then found among xi, and the cells' left ends and
+    coefficients are repeated over their runs of xi in one call, in place of
+    a search of x and a gather for every xi.
     """
-    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
-    s = xi - x.take(i)
-    c0, c1, c2, c3 = (row.take(i) for row in c)
+    if xi.ndim == 1 and xi.size >= _PCHIP_RUNS * len(x) and (xi[1:] >= xi[:-1]).all():
+        # Cell k >= 1 starts at the first xi >= x[k].
+        runs = np.diff(np.searchsorted(xi, x[1:-1]), prepend=0, append=xi.size)
+        left, c0, c1, c2, c3 = np.repeat(np.vstack([x[:-1], c]), runs, axis=1)
+    else:
+        i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
+        left, c0, c1, c2, c3 = (row.take(i) for row in (x, *c))
+    s = xi - left
     with np.errstate(over="ignore", invalid="ignore"):  # as the compiled loop, far outside the grid
         return ((0.0 + c3) + c2 * s) + c1 * (s * s) + c0 * (s * s * s)
 

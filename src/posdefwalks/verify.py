@@ -36,12 +36,16 @@ from .errors import DomainError, EmptySample, InsufficientBinCount
 from .matcore import SplitKind
 from .matdist import make_stream
 from .special import (
+    _ROW_TOL,
     ModelParams,
     QuadratureCdf,
+    _cols,
     _log_grid,
+    _phi_span,
     _row_sums,
     _rule_sums,
     kernel_densities_d1,
+    log_multivariate_beta,
     phi_d1,
 )
 
@@ -304,6 +308,13 @@ def check_intertwining_d1(p: ModelParams, s_grid=None, test_fns=None, seed=None)
     the equality of the two initial-measure compositions. Nested integrals are
     node-matrix sums on the composite Gauss-Legendre grid of ``special``; test
     functions get arrays (r, a), and a scalar return is broadcast.
+
+    Each row block of a push sums only a window of the grid, outside which
+    its kernel density holds below ``_ROW_TOL`` of its mass (see
+    ``special._row_sums``). The windows assume test functions bounded by 1
+    in absolute value, as the four defaults are: then what a window drops
+    is below that fraction of the kernel's mass, and the sums keep the bits
+    of sums over the whole grid.
     """
     if p.dim != 1:
         raise DomainError("the intertwining check runs at d=1 only")
@@ -319,21 +330,37 @@ def check_intertwining_d1(p: ModelParams, s_grid=None, test_fns=None, seed=None)
     bundle = kernel_densities_d1(p)
     t, w, x = _log_grid()
     where = f"intertwining_d1 at alpha={p.alpha}, beta={p.beta}"
+    # With rho = r_new/r, P(r; r_new) <= min(rho^alpha, rho^-beta) / B, so the
+    # mass of P below log rho = u_lo and above u_hi is at most
+    # e^(alpha u_lo) / (alpha B) + e^(-beta u_hi) / (beta B); each is half the tolerance.
+    log_tol, log_b = math.log(_ROW_TOL / 2.0), log_multivariate_beta(1, p.alpha, p.beta)
+    u_lo = (log_tol + math.log(p.alpha) + log_b) / p.alpha
+    u_hi = -(log_tol + math.log(p.beta) + log_b) / p.beta
 
     def p_push(r, weight, what):
         # integral of P(r_j; r_new) f(r_new, a_j + r_new) against mu(dr_new)
         # for every f, at a_j = x_j and the given r_j, times the outer weight
+        with np.errstate(divide="ignore"):  # r = 0 takes every column from t = -60 on
+            log_r = np.log(r)
+
         def block(lo, hi):
-            dens = bundle.p_density(r[lo:hi, None], x)
-            return [dens * fn(x, x[lo:hi, None] + x) for fn in fns]
+            rows = log_r[lo:hi]
+            cols = _cols(t, rows.min(initial=np.inf) + u_lo, rows.max(initial=-np.inf) + u_hi)
+            xc = x[cols]
+            dens = bundle.p_density(r[lo:hi, None], xc)
+            return cols, (dens * fn(xc, x[lo:hi, None] + xc) for fn in fns)
 
         return weight * _row_sums(block, w, t, f"{where}, {what}", weight)
 
     def k_block(lo, hi):
-        # integral of k(s_new; a) f(r_point(s_new, a), a) against mu(da), s_new = x_i
-        s_new = x[lo:hi, None]
-        dens, r_point = bundle.k_density(s_new, x), bundle.k_point_mass_r(s_new, x)
-        return [dens * fn(r_point, x) for fn in fns]
+        # integral of k(s_new; a) f(r_point(s_new, a), a) against mu(da), s_new = x_i.
+        # k(s; a) is phi's integrand in y = 1/a, so phi's window for the block's
+        # s at the row tolerance, mirrored through t = 0, holds its mass.
+        y_lo, y_hi = _phi_span(p.alpha, p.beta, x[lo], x[hi - 1], _ROW_TOL)
+        cols = _cols(t, -y_hi, -y_lo)
+        s_new, xc = x[lo:hi, None], x[cols]
+        dens, r_point = bundle.k_density(s_new, xc), bundle.k_point_mass_r(s_new, xc)
+        return cols, (dens * fn(r_point, xc) for fn in fns)
 
     # The k push table over s_new does not depend on the start point; it is
     # needed wherever one of its outer weights is nonzero.

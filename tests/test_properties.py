@@ -380,3 +380,21 @@ def test_bartlett_blocks_are_the_per_call_draws_bit_for_bit(d, laws, size, block
     want = oracles.bartlett_blocks_reference(shapes, want_rng, size, blocks)
     _assert_same_bits(got, want)
     np.testing.assert_array_equal(got_rng.random(3), want_rng.random(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bartlett_blocks_staged_one_shape_array_at_a_time_are_the_per_call_draws(d, monkeypatch):
+    # One block of _STAGE_ROWS draws or more is staged one shape array at a
+    # time; smaller stacks are staged whole. Both give the per-call bits and
+    # leave the stream where the per-call draws do.
+    half = np.arange(d) / 2.0
+    shapes = ((d - 1) / 2 + 2.0**-12 - half, (d - 1) / 2 + 1.5 - half[::-1])
+    cases = [(matdist._STAGE_ROWS, matdist._STAGE_ROWS, None), (matdist._STAGE_ROWS, 37, 1)]
+    cases += [(1, size, blocks) for size in (1, 37) for blocks in (None, 1)]
+    for seed, (stage_rows, size, blocks) in enumerate(cases):
+        monkeypatch.setattr(matdist, "_STAGE_ROWS", stage_rows)
+        for sh in (shapes, shapes[1:]):
+            got_rng, want_rng = make_stream(seed, d), make_stream(seed, d)
+            got = matdist._bartlett_blocks(sh, got_rng, size, blocks)
+            _assert_same_bits(got, oracles.bartlett_blocks_reference(sh, want_rng, size, 1))
+            np.testing.assert_array_equal(got_rng.random(3), want_rng.random(3))

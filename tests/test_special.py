@@ -306,6 +306,32 @@ def test_row_sums_names_a_non_finite_value_in_a_kept_block():
     assert np.isfinite(out).all()
 
 
+def test_row_sums_sums_a_window_against_its_weights():
+    t, w, x = special._log_grid()
+    calls = []
+
+    def block(lo, hi):
+        # A window of the nodes within 5 of the rows' t, with a NaN past it.
+        cols = special._cols(t, t[lo] - 5.0, t[hi - 1] + 5.0)
+        calls.append(cols)
+        vals = np.where(np.abs(t[lo:hi, None] - t) < 8.0, np.exp(-np.abs(t[lo:hi, None] - t)), np.nan)
+        return cols, [vals[:, cols], np.ones((hi - lo, cols.stop - cols.start))]
+
+    got = special._row_sums(block, w, t, "test", np.ones(len(t)))
+    for cols in calls:
+        assert cols.start % special._PHI_ALIGN == 0 and cols.stop % special._PHI_ALIGN == 0
+    lo = 8 * 100
+    cols = calls[100]
+    assert t[cols.start] <= t[lo] - 5.0 < t[lo] + 5.0 <= t[cols.stop - 1]
+    assert cols.stop - cols.start < 200
+    want = np.exp(-np.abs(t[lo:lo + 8, None] - t[cols])) @ w[cols]
+    np.testing.assert_array_equal(got[0, lo:lo + 8], want)
+    np.testing.assert_array_equal(got[1, lo:lo + 8], np.ones((8, cols.stop - cols.start)) @ w[cols])
+    # The edges clip to the grid, and a block that gives no window spans it.
+    assert special._cols(t, -np.inf, np.inf) == slice(0, len(t))
+    assert special._cols(t, t[40], t[40]) == slice(32, 64)
+
+
 def test_gauss_legendre_nodes_and_weights_are_scipys_bit_for_bit():
     # The engine writes the 8-point rule out as literals, so that no call of
     # roots_legendre imports scipy.linalg; every sum in the engine rests on their bits.
@@ -536,6 +562,28 @@ def test_pchip_is_scipys_bit_for_bit(data):
         vals = special._pchip_eval(x, coef, xi)
     assert _same_bits(coef, ref.c)
     assert _same_bits(vals, ref_vals)
+
+
+@PCHIP_PROFILE
+@given(_pchip_data())
+def test_pchip_of_sorted_probes_is_scipys_bit_for_bit(data):
+    # Sorted probes, _PCHIP_RUNS or more per grid point, take their cells by
+    # runs, which must give scipy's values, with ties on grid points, runs of
+    # one value and probes past both ends; fewer or unsorted ones are searched.
+    x, y, xi = data
+    rng = np.random.default_rng(len(xi))
+    finite = np.sort(np.concatenate([xi[np.isfinite(xi)], x, rng.choice(x, 5), [-np.inf, np.inf]]))
+    many = np.repeat(finite, 2)
+    assert many.size >= special._PCHIP_RUNS * len(x)
+    coef = special._pchip(x, y)
+    for probes in (many, np.full(special._PCHIP_RUNS * len(x), x[1]), many[::-1], finite[: len(x)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = interpolate.PchipInterpolator(x, y)(probes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = special._pchip_eval(x, coef, probes)
+        assert _same_bits(got, ref)
 
 
 def test_quadrature_cdf_over_underflowed_cells_builds_without_a_warning():

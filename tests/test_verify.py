@@ -371,6 +371,20 @@ def test_check_intertwining_names_a_non_finite_node():
     fns = {"bad": lambda r, a: np.where(a > 1e20, np.nan, 1.0)}
     with pytest.raises(NonFiniteIntegrand, match=r"alpha=2\.0, beta=5\.0.*t = "):
         check_intertwining_d1(ModelParams(1, 2.0, 5.0), s_grid=(1.0,), test_fns=fns)
+    # A NaN inside the k push's windows, at 1 < a < 1.1, is named with its t.
+    fns = {"bad": lambda r, a: np.where((a > 1.0) & (a < 1.1), np.nan, 1.0)}
+    with pytest.raises(NonFiniteIntegrand, match=r"beta=5\.0, k push, outer t in .*t = 0\.0\d"):
+        check_intertwining_d1(ModelParams(1, 2.0, 5.0), s_grid=(1.0,), test_fns=fns)
+    # A NaN at a < e^-8 lies outside every window of every kept row block (the
+    # k push's start near t = -6, the P pushes' a = x_j + r_new exceeds x_j,
+    # and rows below t = -7 have zero weight), so it is never evaluated, as in
+    # a skipped block, and the identity holds as it does for f = 1.
+    fns = {"bad": lambda r, a: np.where(a < math.exp(-8.0), np.nan, 1.0), "const_1": lambda r, a: 1.0}
+    rep = check_intertwining_d1(ModelParams(1, 2.0, 5.0), s_grid=(1.0,), test_fns=fns)
+    assert rep.passed
+    ratios = dict(sub.split(": ", 1) for sub in rep.details.split("; "))
+    assert ratios["operator f=bad"] == ratios["eigenfunction f=1"]
+    assert ratios["initial measures f=bad"] == ratios["initial measures f=const_1"]
 
 
 def test_check_intertwining_rejects_matrix_dims():
@@ -523,3 +537,73 @@ def test_d3_beta_gamma_never_calls_lapack_inverse(monkeypatch):
     idx = list(REDUCED_CONFIG).index("beta_gamma")
     rep = run_check("beta_gamma", 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256["beta_gamma"]
+
+
+# The default test functions and each custom set the tests above pass.
+_CUSTOM_FNS = (
+    {"exp(-r-a)": lambda r, a: np.exp(-r - a), "const_1": lambda r, a: 1.0},
+    {"exp(-a)": lambda r, a: np.exp(-a)},
+    {"exp(-a)": lambda r, a: np.exp(-a), "const_1": lambda r, a: 1.0},
+)
+
+
+def _intertwining_tables(monkeypatch, p, s_grid, fns, whole_rows=False):
+    """The report and, for each push, its row sums and the share of the kept rows' columns evaluated."""
+    tables = []
+    row_sums = verify._row_sums
+
+    def spy(block, w, t, where, weight):
+        cells = []
+
+        def counted(lo, hi):
+            cols, vals = special._block_values(block, lo, hi)
+            cells.append((hi - lo) * len(range(*cols.indices(len(t)))))
+            return cols, vals
+
+        out = row_sums(counted, w, t, where, weight)
+        kept = sum(min(8, len(t) - lo) for lo in range(0, len(t), 8) if weight[lo : lo + 8].any())
+        tables.append((where.rsplit(", ", 1)[1], out, sum(cells) / (kept * len(t))))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_row_sums", spy)
+        if whole_rows:
+            m.setattr(verify, "_cols", lambda t, t_lo, t_hi: slice(0, len(t)))
+        rep = check_intertwining_d1(p, s_grid=s_grid, test_fns=fns)
+    return rep, tables
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 5.0), (3.0, 4.0), (0.6, 0.55), (2.5, 6.0), (1.0, 1.5)])
+def test_row_sums_windows_keep_the_whole_grid_bits(a, b, monkeypatch):
+    # Each row block of the P, k and initial pushes sums only its window; every
+    # table must have the bits of the sums over whole rows. A function's row
+    # sums are summed on their own, so the custom sets are compared with the
+    # default set's rows of the same label.
+    p, s_grid = ModelParams(1, a, b), (0.1, 0.8, 1.0, 1.25, 10.0)
+    rep, windowed = _intertwining_tables(monkeypatch, p, s_grid, None)
+    whole_rep, whole = _intertwining_tables(monkeypatch, p, s_grid, None, whole_rows=True)
+    assert rep.to_json() == whole_rep.to_json()
+    assert [what for what, _, _ in windowed] == [what for what, _, _ in whole] == [
+        "k push", *(f"p push from s={s}" for s in s_grid), "initial p push"
+    ]
+    for (what, got, share), (_, want, whole_share) in zip(windowed, whole):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=what)
+        assert whole_share == 1.0, what
+    labels = ["exp(-r-a)", "rational", "exp(-a)", "const_1"]
+    for fns in _CUSTOM_FNS:
+        rows = [labels.index(label) for label in fns]
+        _, custom = _intertwining_tables(monkeypatch, p, s_grid, fns)
+        for (what, got, _), (_, want, _) in zip(custom, whole):
+            np.testing.assert_array_equal(got.view(np.int64), want[rows].view(np.int64), err_msg=what)
+
+
+def test_row_sums_windows_evaluate_a_pinned_share_of_the_grid(monkeypatch):
+    # The share of each push's kept rows' columns that its windows evaluate,
+    # at the suite's parameters, so that the saving cannot quietly go away.
+    cfg = FULL_CONFIG["intertwining_d1"]
+    p = ModelParams(cfg["dim"], cfg["alpha"], cfg["beta"])
+    _, tables = _intertwining_tables(monkeypatch, p, cfg["s_grid"], None)
+    shares = {what: share for what, _, share in tables}
+    want = {"k push": 0.377, "initial p push": 0.769}
+    want.update({f"p push from s={s}": v for s, v in zip(cfg["s_grid"], (0.765, 0.766, 0.766, 0.767, 0.767))})
+    assert shares == pytest.approx(want, abs=1e-3)
