@@ -74,9 +74,6 @@ _PHI_HEAD_TOL, _PHI_HEAD_STEP = 2.0**-64, 8.0
 # A large array of s is summed _PHI_BLOCK sorted values at a time, each block
 # on its own window, which is far narrower than one window over a wide range.
 _PHI_BLOCK = 64
-# Sorted probes of a Pchip take their cells by runs from this many per grid
-# point on; below about 5 per point a search of the grid for each is faster.
-_PCHIP_RUNS = 4
 # A node exponent of phi below this cannot overflow exp(), nor a sum of its terms.
 _PHI_EXP_SAFE = 700.0
 # A row block of a kernel table (``_row_sums``) sums an aligned window outside
@@ -271,20 +268,14 @@ def _cols(t, t_lo, t_hi):
     return slice(lo, min(hi, len(t)))
 
 
-def _block_values(block, lo, hi):
-    """block(lo, hi) as (columns, arrays); bare arrays span every column."""
-    vals = block(lo, hi)
-    return vals if isinstance(vals, tuple) else (slice(None), vals)
-
-
 def _row_sums(block, w, t, where, weight):
     """Sums of node matrices with rows at the nodes ``t``, _ROW_BLOCK at a time.
 
-    ``block(lo, hi)`` gives an iterable of (hi - lo, len(t)) arrays for rows
-    lo:hi, or a window: a pair of a slice ``cols`` of aligned columns
-    (``_cols``) and an iterable of (hi - lo, width) arrays at the nodes
-    t[cols], whose rows are summed against w[cols]. The columns outside the
-    window count as 0. Each array is summed as soon as the iterable gives
+    ``block(lo, hi)`` gives the window of rows lo:hi: a pair of a slice
+    ``cols`` of aligned columns (``_cols``, or ``slice(None)`` for whole
+    rows) and an iterable of (hi - lo, width) arrays at the nodes t[cols],
+    whose rows are summed against w[cols]. The columns outside the window
+    count as 0. Each array is summed as soon as the iterable gives
     it, so a generator holds one at a time: held all at once, arrays of the
     windows' varying widths fragment the heap, which raised the peak RSS of
     an intertwining check by about 0.6 MB.
@@ -301,7 +292,7 @@ def _row_sums(block, w, t, where, weight):
         hi = min(lo + _ROW_BLOCK, len(t))
         if not weight[lo:hi].any():
             continue
-        cols, vals = _block_values(block, lo, hi)
+        cols, vals = block(lo, hi)
 
         def rows():
             return f"{where}, outer t in [{t[lo]:.6g}, {t[hi - 1]:.6g}]"
@@ -311,7 +302,7 @@ def _row_sums(block, w, t, where, weight):
             out = np.zeros((len(sums), len(t)))
         out[:, lo:hi] = sums
     # With no weight left, block(0, 0) evaluates no node and gives the count of sums.
-    return np.zeros((len(list(_block_values(block, 0, 0)[1])), len(t))) if out is None else out
+    return np.zeros((len(list(block(0, 0)[1])), len(t))) if out is None else out
 
 
 @lru_cache(maxsize=64)
@@ -434,17 +425,18 @@ def phi_d1(p: ModelParams, s):
     def where():
         return f"phi_d1 at alpha={a}, beta={b}"
 
-    if isinstance(s, float):  # a Python float or np.float64, as a CDF table's density passes
+    # A scalar s is summed as a Python float, with no 0-d array; the isinstance
+    # test spares np.ndim's cost on the floats a CDF table's density passes.
+    if isinstance(s, float) or np.ndim(s) == 0:
+        s = float(s)
         if not s > 0:
             raise DomainError("phi requires s > 0")
         return float(_phi_window(a, b, s, s, s, where))
     s_arr = np.asarray(s, dtype=float)
-    if not (float(s_arr) > 0 if s_arr.ndim == 0 else (s_arr > 0).all()):
+    if not (s_arr > 0).all():
         raise DomainError("phi requires s > 0")
     if s_arr.size == 0:
         return np.empty(s_arr.shape)
-    if s_arr.ndim == 0:
-        return float(_phi_window(a, b, s_arr, float(s_arr), float(s_arr), where))
     if s_arr.size <= _PHI_BLOCK:
         return _phi_window(a, b, s_arr, float(s_arr.min()), float(s_arr.max()), where)
     flat = s_arr.ravel()
@@ -508,24 +500,13 @@ def _pchip(x, y):
 def _pchip_eval(x, c, xi):
     """The cubic of the cell holding each xi (the end cells extrapolate), summed as scipy's PPoly does.
 
-    The cell of xi is the count of grid points x <= xi, less one, clipped to
-    the end cells. Each coefficient row of c is gathered with ``take``, a
-    third of the cost of ``c[k, i]``; one gather of (n, 4) rows instead is
-    slower from about 30000 sorted points on, where its strided columns
-    leave the cache. A sorted 1-D xi of at least _PCHIP_RUNS times as many
-    points as x, as ``ks_one_sample`` passes, is checked in one pass; each
-    inner grid point is then found among xi, and the cells' left ends and
-    coefficients are repeated over their runs of xi in one call, in place of
-    a search of x and a gather for every xi.
+    Each coefficient row of c is gathered with ``take``, a third of the cost
+    of ``c[k, i]``; one gather of (n, 4) rows instead is slower from about
+    30000 sorted points on, where its strided columns leave the cache.
     """
-    if xi.ndim == 1 and xi.size >= _PCHIP_RUNS * len(x) and (xi[1:] >= xi[:-1]).all():
-        # Cell k >= 1 starts at the first xi >= x[k].
-        runs = np.diff(np.searchsorted(xi, x[1:-1]), prepend=0, append=xi.size)
-        left, c0, c1, c2, c3 = np.repeat(np.vstack([x[:-1], c]), runs, axis=1)
-    else:
-        i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
-        left, c0, c1, c2, c3 = (row.take(i) for row in (x, *c))
-    s = xi - left
+    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
+    s = xi - x.take(i)
+    c0, c1, c2, c3 = (row.take(i) for row in c)
     with np.errstate(over="ignore", invalid="ignore"):  # as the compiled loop, far outside the grid
         return ((0.0 + c3) + c2 * s) + c1 * (s * s) + c0 * (s * s * s)
 

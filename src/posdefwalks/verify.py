@@ -314,7 +314,10 @@ def check_intertwining_d1(p: ModelParams, s_grid=None, test_fns=None, seed=None)
     ``special._row_sums``). The windows assume test functions bounded by 1
     in absolute value, as the four defaults are: then what a window drops
     is below that fraction of the kernel's mass, and the sums keep the bits
-    of sums over the whole grid.
+    of sums over the whole grid. Nothing checks the bound. A custom test
+    function that grows in the tails loses its mass outside the windows,
+    and its values there are never evaluated, so a NaN or inf there goes
+    unreported.
     """
     if p.dim != 1:
         raise DomainError("the intertwining check runs at d=1 only")

@@ -556,7 +556,7 @@ def _intertwining_tables(monkeypatch, p, s_grid, fns, whole_rows=False):
         cells = []
 
         def counted(lo, hi):
-            cols, vals = special._block_values(block, lo, hi)
+            cols, vals = block(lo, hi)
             cells.append((hi - lo) * len(range(*cols.indices(len(t)))))
             return cols, vals
 
