@@ -9,10 +9,11 @@ The d=1 oracles (phi, the kernel identities in ``verify``, ``QuadratureCdf``)
 share one fixed-node engine, composite Gauss-Legendre in t = log x evaluated
 as array operations; nothing integrates adaptively. A ``QuadratureCdf``
 takes the mass below and above its grid from the same rule on widening
-panels, calls its density once on all its nodes (or once per node with a
-float where the density cannot take an array), and joins its table with a
-port of scipy's monotone cubic, so the package imports numpy and
-``scipy.special`` only. The engine evaluates only where an integrand lives,
+panels, calls its density once on all its nodes and grid points (or once
+per point with a float where the density cannot take an array), and joins
+its table with a cubic Hermite whose slopes are the density at the grid
+points, so the package imports numpy and ``scipy.special`` only.
+The engine evaluates only where an integrand lives,
 by one rule: a sum over the grid takes a window of it, derived in closed
 form, outside which the integrand's mass is below a fixed fraction far
 under one ulp (_PHI_TOL of phi for phi, _ROW_TOL of the kernel's mass for a
@@ -467,37 +468,23 @@ def _array_values(density, x):
     return vals if ok else None
 
 
-def _pchip_end(h, m):
-    """Moler's one-sided three-point slope, kept monotone, at the end where h and m start."""
-    d = ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1])
-    if np.sign(d) != np.sign(m[0]):
-        return 0.0
-    return 3.0 * m[0] if np.sign(m[0]) != np.sign(m[1]) and abs(d) > 3.0 * abs(m[0]) else d
+def _hermite(x, y, dk):
+    """Coefficients (4, n - 1) of the cubic Hermite through (x, y) with slopes dk, as scipy's
+    CubicHermiteSpline forms them, once each cell's two end slopes are clipped to 3m.
 
-
-def _pchip(x, y):
-    """Coefficients (4, n - 1) of scipy's PchipInterpolator through (x, y), in its arithmetic.
-
-    Fritsch-Carlson slopes: 0 where the secants change sign or one is 0, else
-    their weighted harmonic mean; ``_pchip_end`` at the ends; a line for n = 2.
-    x is strictly increasing.
+    m is the cell's secant. With y nondecreasing and dk >= 0, every end slope
+    then lies in [0, 3m], so each cubic is monotone (Fritsch and Carlson,
+    SIAM J. Numer. Anal. 17, 1980, the box condition); a flat cell (m = 0)
+    is constant. x is strictly increasing.
     """
     h = np.diff(x)
     m = np.diff(y) / h
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if len(x) == 2:
-            dk = np.array([m[0], m[0]])
-        else:
-            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-            # A tiny secant overflows the harmonic mean to 1/inf = 0, the slope it would set anyway.
-            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-            dk = np.r_[_pchip_end(h, m), inner, _pchip_end(h[::-1], m[::-1])]
-        t = (dk[:-1] + dk[1:] - 2 * m) / h
-        return np.stack([t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]])
+    d0, d1 = np.minimum([dk[:-1], dk[1:]], 3.0 * m)
+    t = (d0 + d1 - 2 * m) / h
+    return np.stack([t / h, (m - d0) / h - t, d0, y[:-1]])
 
 
-def _pchip_eval(x, c, xi):
+def _hermite_eval(x, c, xi):
     """The cubic of the cell holding each xi (the end cells extrapolate), summed as scipy's PPoly does.
 
     Each coefficient row of c is gathered with ``take``, a third of the cost
@@ -518,14 +505,16 @@ class QuadratureCdf:
     above it, over t in [-60, t_lo] and [t_hi, 60], comes from the same rule
     on panels that start _GL_PANEL wide at the grid's edge and widen 1.5 times
     each (``_out_edges``). ``density`` is probed on the first panel's nodes;
-    if it gives a float array of their shape, it is called once on the whole
-    (panels, 8) node array, and otherwise once per node with a float x (a
-    density that cannot take an array raises TypeError or ValueError, as
-    float(), math.* and ``if`` do on one). The cumulative values are joined
-    by the monotone cubic of Fritsch and Carlson in log x (``_pchip``), which
-    ``grid`` (x_lo to x_hi exactly) bounds; the CDF reads 0 below it and 1
-    above. ``total_mass`` records the full integral before normalization so
-    callers can assert it is a probability density.
+    if it gives a float array of their shape, it is called once on a flat
+    array of the (panels, 8) nodes followed by the grid points, and otherwise
+    once per point with a float x (a density that cannot take an array raises
+    TypeError or ValueError, as float(), math.* and ``if`` do on one). The
+    cumulative values are joined in log x by a cubic Hermite (``_hermite``)
+    whose slope at a grid point is dF/dt there, exactly the density over
+    ``total_mass``, clipped in each cell so that its cubic is monotone.
+    ``grid`` (x_lo to x_hi exactly) bounds the table; the CDF reads 0 below
+    it and 1 above. ``total_mass`` records the full integral before
+    normalization so callers can assert it is a probability density.
     """
 
     def __init__(self, density, x_lo, x_hi, n_grid=400):
@@ -540,10 +529,11 @@ class QuadratureCdf:
             raise DomainError(f"QuadratureCdf's {n_grid} grid points coincide in log x on [{x_lo}, {x_hi}]")
         below = _out_edges(ts[0], _LOG_LO)[:0:-1]
         nodes, half, w = _gauss_legendre(np.concatenate([below, ts, _out_edges(ts[-1], _LOG_HI)[1:]]))
-        xs = np.exp(nodes)
-        vals = None if _array_values(density, xs[0]) is None else _array_values(density, xs)
+        t_all = np.concatenate([nodes.ravel(), ts])
+        vals = None if _array_values(density, np.exp(nodes[0])) is None else _array_values(density, np.exp(t_all))
         if vals is None:
-            vals = np.array([density(math.exp(t)) for t in nodes.flat]).reshape(nodes.shape)
+            vals = np.array([density(math.exp(t)) for t in t_all])
+        vals, at_grid = vals[: nodes.size].reshape(nodes.shape), vals[nodes.size :]
         cells = slice(len(below), len(below) + n_grid - 1)
         segs = half[cells] * _rule_sums(vals[cells], w, nodes[cells], "QuadratureCdf density")
         head, tail = (
@@ -552,14 +542,17 @@ class QuadratureCdf:
         )
         cum = head + np.concatenate([[0.0], np.cumsum(segs)])
         self.total_mass = float(cum[-1] + tail)
+        if not np.isfinite(at_grid).all():
+            bad = ts[~np.isfinite(at_grid)][0]
+            raise NonFiniteIntegrand(f"QuadratureCdf density: non-finite integrand at grid point t = {bad:.6g}")
         self.grid = np.exp(ts)
         self.grid[[0, -1]] = x_lo, x_hi
-        self._ts, self._coef = ts, _pchip(ts, cum / self.total_mass)
+        self._ts, self._coef = ts, _hermite(ts, cum / self.total_mass, at_grid / self.total_mass)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         # The table holds the head and tail masses, so x_lo and x_hi read it too.
-        inside = _pchip_eval(self._ts, self._coef, np.log(np.clip(x, self.grid[0], self.grid[-1])))
+        inside = _hermite_eval(self._ts, self._coef, np.log(np.clip(x, self.grid[0], self.grid[-1])))
         vals = np.where(x < self.grid[0], 0.0, np.where(x > self.grid[-1], 1.0, inside))
         return np.clip(vals, 0.0, 1.0)
 

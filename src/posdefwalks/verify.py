@@ -350,8 +350,8 @@ def check_intertwining_d1(p: ModelParams, s_grid=None, test_fns=None, seed=None)
             rows = log_r[lo:hi]
             cols = _cols(t, rows.min(initial=np.inf) + u_lo, rows.max(initial=-np.inf) + u_hi)
             xc = x[cols]
-            dens = bundle.p_density(r[lo:hi, None], xc)
-            return cols, (dens * fn(xc, x[lo:hi, None] + xc) for fn in fns)
+            dens, a_new = bundle.p_density(r[lo:hi, None], xc), x[lo:hi, None] + xc
+            return cols, (dens * fn(xc, a_new) for fn in fns)
 
         return weight * _row_sums(block, w, t, f"{where}, {what}", weight)
 

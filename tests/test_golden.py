@@ -399,8 +399,8 @@ GOLDEN = {
     'phi-d1-2.0-5.0': '489dff2518895c19f286842d410c2e426a0d056d4ba5441e0ae8396c326d646d',
     'phi-d1-3.0-4.0': 'ff66fb42642eff520ce5790dd39867df20280a6f49f4f6621079409aef23be0b',
     'phi-d1-0.6-0.55': 'c28d407593408de46a9273b7d2fa4e52b7c31093bb38f62b7138c9869f4da607',
-    'eta-cdf-2-5': '9e540894f7d4f058ea9ead2268afe6ca7b8f22fdcb2c3553c688d573249d0ed6',
-    'qbar-cdf-2-5-1.05': '9ce7e616c43047faf38d910414b95ebc135b32898accfa268dc661db828d69a8',
+    'eta-cdf-2-5': '3677fc0314d9611d41ce93778062fbb3450d4c338101a3d5014c4e618ac22e6b',
+    'qbar-cdf-2-5-1.05': 'db5789d16f9549ac391644cf8e9b27aba2639c86f39a91b0270e141667eb2766',
 }
 
 

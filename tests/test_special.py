@@ -356,12 +356,19 @@ def test_quadrature_cdf_of_gamma_law():
     assert set(seen[:probe] + seen[probe + 1 :]) == {float}
     assert abs(cdf.total_mass - 1.0) < 1e-12
     # Exact at the grid points, x_lo included (the mass below it is in the
-    # table); the monotone interpolant fills in between.
+    # table); the cubic with the density's slopes fills in between.
     xs = cdf.grid[::7]
     assert xs[0] == 1e-4
     np.testing.assert_allclose(cdf(xs), sps.gammainc(2.0, xs), rtol=1e-10, atol=1e-13)
     mid = np.sqrt(cdf.grid[1:] * cdf.grid[:-1])
-    np.testing.assert_allclose(cdf(mid), sps.gammainc(2.0, mid), atol=2e-5)
+    np.testing.assert_allclose(cdf(mid), sps.gammainc(2.0, mid), atol=2e-6)
+    # At 400 points the error falls with the fourth power of the cell width,
+    # at the midpoints and off them.
+    fine = QuadratureCdf(dens, 1e-4, 60.0, n_grid=400)
+    t = np.log(fine.grid)
+    for frac in (0.5, 0.3):
+        x = np.exp(t[:-1] + frac * np.diff(t))
+        np.testing.assert_allclose(fine(x), sps.gammainc(2.0, x), rtol=0, atol=2e-8)
     # x_hi reads the table too: the tail mass above it is in the total.
     short = QuadratureCdf(dens, 1e-4, 8.0, n_grid=120)
     assert short(8.0) == pytest.approx(sps.gammainc(2.0, 8.0), rel=1e-10)
@@ -385,11 +392,12 @@ def test_quadrature_cdf_gives_the_same_table_from_an_array_or_a_float_density():
     by_float = QuadratureCdf(float_density, 1e-6, 45.0)
     # 399 cells, and 10 panels each from log(1e-6) down to -60 and from log(45) up to 60.
     nodes = (10 + 399 + 10, 8)
-    # The probe on the first panel, then one call on every node; the float
-    # density refuses the probe and takes a float per node.
-    assert [sh for sh in shapes["array"] if sh] == [(8,), nodes]
+    # The probe on the first panel, then one call on every node and the 400
+    # grid points; the float density refuses the probe and takes a float per point.
+    points = math.prod(nodes) + 400
+    assert [sh for sh in shapes["array"] if sh] == [(8,), (points,)]
     assert [sh for sh in shapes["float"] if sh] == [(8,)]
-    assert len(shapes["float"]) - len(shapes["array"]) == math.prod(nodes) - 1
+    assert len(shapes["float"]) - len(shapes["array"]) == points - 1
     np.testing.assert_array_equal(by_array.grid, by_float.grid)
     assert abs(by_array.total_mass - by_float.total_mass) <= 1e-15
     np.testing.assert_allclose(by_array(by_array.grid), by_float(by_float.grid), rtol=0, atol=1e-15)
@@ -504,19 +512,25 @@ def test_quadrature_cdf_non_finite_density_below_the_grid_is_named():
         QuadratureCdf(dens, 1e-3, 10.0, n_grid=50)
     with pytest.raises(NonFiniteIntegrand, match=r"QuadratureCdf mass above the grid.*t = "):
         QuadratureCdf(lambda x: np.where(x > 20.0, np.inf, np.exp(-x)), 1e-3, 10.0, n_grid=50)
+    # x_lo = 1e-3 is a grid point and no node, so only its slope is NaN.
+    with pytest.raises(NonFiniteIntegrand, match=r"QuadratureCdf density.*t = -6\.90776"):
+        QuadratureCdf(
+            lambda x: math.nan if abs(x / 1e-3 - 1.0) < 1e-12 else math.exp(-x), 1e-3, 10.0, n_grid=50
+        )
 
 
-PCHIP_PROFILE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+HERMITE_PROFILE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 
 @st.composite
-def _pchip_data(draw):
-    """Breakpoints, values and probes for the monotone cubic.
+def _hermite_data(draw):
+    """Breakpoints, values, slopes and probes for the monotone cubic.
 
     2 to 40 breakpoints, evenly or unevenly spaced. The values rise (with flat
-    runs and subnormal steps, as a CDF table over underflowed cells), wander
-    (slopes of both signs, zero secants) or stay flat. The probes are the
-    breakpoints, points between them, points outside, NaN and +-inf.
+    runs and subnormal steps, as a CDF table over underflowed cells) or stay
+    flat. Each slope lies in [0, 3m] for the secant m of both cells it ends,
+    so no slope is clipped. The probes are the breakpoints, points between
+    them, points outside, NaN and +-inf.
     """
     n = draw(st.one_of(st.integers(2, 3), st.integers(2, 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -524,20 +538,20 @@ def _pchip_data(draw):
         x = np.linspace(math.log(1e-6), math.log(45.0), n)
     else:
         x = np.cumsum(rng.uniform(1e-3, 2.0, n)) - 1.0
-    kind = draw(st.sampled_from(["rising", "wandering", "flat"]))
-    if kind == "rising":
+    if draw(st.booleans()):
         steps = rng.exponential(1.0, n - 1) * rng.choice([0.0, 1e-320, 1e-300, 1e-3, 1.0], n - 1)
         y = np.concatenate([[0.0], np.cumsum(steps)])
         y = y / y[-1] if y[-1] > 0 else y
-    elif kind == "wandering":
-        y = rng.integers(-2, 3, n) * draw(st.sampled_from([1.0, 0.3, 1e-310]))
-        y = y + rng.standard_normal(n) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
     else:
         y = np.full(n, draw(st.sampled_from([0.0, 1.0, -2.5])))
+    cap = 3.0 * (np.diff(y) / np.diff(x))
+    # Some slopes at exactly 0 or the bound.
+    u = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.uniform(size=n))
+    dk = u * np.minimum(np.r_[np.inf, cap], np.r_[cap, np.inf])
     mids = 0.5 * (x[1:] + x[:-1])
     outside = [x[0] - 1.0, x[-1] + 1.0, x[0] - 1e3, x[-1] + 1e200]
     xi = np.concatenate([x, mids, rng.uniform(x[0], x[-1], 20), outside, [np.nan, np.inf, -np.inf]])
-    return x, y.astype(float), rng.permutation(xi)
+    return x, y.astype(float), dk, rng.permutation(xi)
 
 
 def _same_bits(a, b):
@@ -548,25 +562,35 @@ def _same_bits(a, b):
     )
 
 
-@PCHIP_PROFILE
-@given(_pchip_data())
-def test_pchip_is_scipys_bit_for_bit(data):
-    x, y, xi = data
+@HERMITE_PROFILE
+@given(_hermite_data())
+def test_hermite_is_scipys_cubic_hermite_spline_bit_for_bit(data):
+    x, y, dk, xi = data
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = interpolate.PchipInterpolator(x, y)
+        ref = interpolate.CubicHermiteSpline(x, y, dk)
         ref_vals = ref(xi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coef = special._pchip(x, y)
-        vals = special._pchip_eval(x, coef, xi)
+        coef = special._hermite(x, y, dk)
+        vals = special._hermite_eval(x, coef, xi)
     assert _same_bits(coef, ref.c)
     assert _same_bits(vals, ref_vals)
 
 
+def test_hermite_clips_a_slope_above_three_secants():
+    # The secant is 1 on [0, 1]: a right slope of 10 becomes 3, where scipy's
+    # cubic with slope 10 overshoots 1 and falls back.
+    x, y, probes = np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 10**4)
+    coef = special._hermite(x, y, np.array([0.5, 10.0]))
+    assert _same_bits(coef, interpolate.CubicHermiteSpline(x, y, [0.5, 3.0]).c)
+    assert np.all(np.diff(special._hermite_eval(x, coef, probes)) >= 0.0)
+    assert np.any(np.diff(interpolate.CubicHermiteSpline(x, y, [0.5, 10.0])(probes)) < 0.0)
+
+
 def test_quadrature_cdf_over_underflowed_cells_builds_without_a_warning():
     # The inverse Wishart density underflows over whole cells near 1e-3, where
-    # Pchip's slope formula divides by a zero secant.
+    # the secants are 0 and the slopes are clipped to 0.
     p = ModelParams(1, 2.5, 4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

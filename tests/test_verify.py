@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy import special as sp
 from scipy import stats
 
@@ -261,8 +262,54 @@ def test_qbar_cdf_evaluates_phi_on_its_nodes_in_one_call(monkeypatch):
     monkeypatch.setattr(special, "phi_d1", counted)
     verify._qbar_cdf(2.0, 5.0, 1.05)
     # phi(s0), the probe on one panel, and one call on the 3192 nodes of the
-    # grid and the 160 of the 20 panels below and above it; a call per node made 3319.
-    assert calls == [1, 8, 3192 + 160]
+    # grid, the 160 of the 20 panels below and above it and the 400 grid
+    # points; a call per node made 3319.
+    assert calls == [1, 8, 3192 + 160 + 400]
+
+
+# The CDF tables ``verify`` builds: the initial law at the registry's and the
+# calibration's parameters, and the transition law at (2, 5) from a range of s0.
+VERIFY_TABLES = [("eta", ab) for ab in ((2.0, 5.0), (3.0, 4.0), (0.6, 0.55), (2.5, 6.0))] + [
+    ("qbar", (2.0, 5.0, s0)) for s0 in (0.3, 0.6, 1.05, 2.0, 5.0)
+]
+
+
+@pytest.mark.parametrize("kind, args", VERIFY_TABLES, ids=[f"{k}{a}" for k, a in VERIFY_TABLES])
+def test_cdf_tables_keep_each_cells_end_slopes_in_the_monotone_box(kind, args, monkeypatch):
+    tables = []
+
+    def recorded(x, y, dk):
+        tables.append((x, y, dk))
+        return hermite(x, y, dk)
+
+    hermite = special._hermite
+    monkeypatch.setattr(special, "_hermite", recorded)
+    cdf = verify._eta_cdf.__wrapped__(*args) if kind == "eta" else verify._qbar_cdf(*args)
+    ((x, y, dk),) = tables
+    cap = 3.0 * (np.diff(y) / np.diff(x))
+    # Slopes and secants are nonnegative, so clipping each cell's end slopes
+    # at 3m puts both in [0, 3m]: the left ones are the table's c2.
+    assert np.all(dk >= 0.0) and np.all(cap >= 0.0)
+    assert np.all(cdf._coef[2] >= 0.0) and np.all(cdf._coef[2] <= cap)
+    # So every cubic is monotone: 16 probes in each cell read a rising CDF,
+    # up to an ulp of rounding where it is near 1 and flat.
+    t = x[:-1, None] + np.diff(x)[:, None] * np.linspace(0.0, 1.0, 16)
+    assert np.all(np.diff(special._hermite_eval(x, cdf._coef, t.ravel())) >= -np.spacing(1.0))
+
+
+def test_eta_cdf_between_its_grid_points_against_adaptive_quadrature():
+    # The CDF at 31 cell midpoints against scipy's quad of the density in t,
+    # split where it bends.
+    cdf = verify._eta_cdf(2.0, 5.0)
+    bundle = special.kernel_densities_d1(ModelParams(1, 2.0, 5.0))
+    t_grid = np.log(cdf.grid)
+    for t in (t_grid[:-1] + 0.5 * np.diff(t_grid))[::13]:
+        edges = [-60.0] + [e for e in (-20.0, -10.0, -5.0, -2.0, 0.0, 1.0, 2.0, 3.0) if e < t] + [t]
+        want = sum(
+            integrate.quad(lambda u: float(bundle.eta_density(math.exp(u))), a, b, epsabs=1e-15, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+        assert abs(float(cdf(math.exp(t))) - want) <= 5e-8
 
 
 def test_report_fails_on_nan_after_a_finite_ratio():
@@ -471,7 +518,7 @@ def test_run_check_is_deterministic():
 REDUCED_REPORT_SHA256 = {
     "dufresne_d1": "0e602c0a4bdb851821de8147b9d470bc1b876fbb94c09813b53949c8e67ebab1",
     "dufresne_d2": "12232319078dd74241c1db8daced96d2dec4e95107412c39f9eff9dbd78fd4b3",
-    "my_markov_d1": "ddb2e2fa8658665dd6e599516906f420fc03898c2361a3382174c5d711f6b35c",
+    "my_markov_d1": "bf0dc688e328382233db889a5c022bf52c5e0c874d38fa0b8163c94bf4935f21",
     "fixed_point": "989699470748b94b5c5043b840bccd6dd51a5bcab67e4beef8ddaea35d09a322",
     "construction_equivalence": "d527b82752844e9e3314ca9fd56cd5549130e1a144d2b948fd74121ed8a81bcc",
     "lukacs": "c771f4a38fe54603b3761c4c160d7a4ec525d871cf5d967be143dc9dd1a825ff",
