@@ -16,11 +16,11 @@ at the end of the module: ``CHECKS`` maps each name to its check, whose
 configurations are its keyword arguments.
 
 The KS statistics are computed here, on numpy, and both p-values come from
-the Kolmogorov limit law of ``scipy.special``, the law the critical values
-invert: a sub-test passes exactly when its p is at least 1e-3, up to
-rounding at the boundary. The package does not import ``scipy.stats``,
-which alone took a third of the package's import time (0.5 of 1.6 s on a
-2-core host).
+the Kolmogorov limit law (``kolmogorov``, scipy.special's series ported
+operation for operation, with its bits), the law the critical values invert
+(``kolmogi``, solved once per process and level): a sub-test passes exactly
+when its p is at least 1e-3, up to rounding at the boundary. The package
+imports no part of scipy, which cost every process about 0.3 s to load.
 """
 
 import json
@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from . import matcore, matdist, walks
 from .errors import DomainError, EmptySample, InsufficientBinCount
@@ -44,12 +43,18 @@ from .special import (
     _phi_span,
     _row_sums,
     _rule_sums,
+    gammaincc,
+    gammainccinv,
+    gammaincinv,
     kernel_densities_d1,
     log_multivariate_beta,
     phi_d1,
 )
 
 P_THRESHOLD = 1e-3
+# The Kolmogorov law's two forms meet at _KS_CUTOVER, scipy's point; below
+# _KS_FLAT its cdf is under 1e-20, so the survival function rounds to 1.
+_KS_CUTOVER, _KS_FLAT = 0.82, 0.15
 QUAD_RTOL = 1e-6
 MOMENT_SIGMAS = 3.0
 
@@ -122,6 +127,75 @@ def _make_report(name, subs, n1, n2, seed, threshold=1.0, extra=""):
 # Kolmogorov-Smirnov machinery
 
 
+def _kolmogorov3(x):
+    """(sf, cdf, pdf) of the Kolmogorov limit law at a float x, as scipy.special's kolmogorov forms them.
+
+    Up to _KS_CUTOVER the cdf is the theta series w u (1 + u^8 + u^24 + u^48),
+    u = exp(-pi^2 / (8 x^2)), w = sqrt(2 pi) / x, and sf = 1 - cdf; above it
+    sf = 2v (1 - v^3 (1 - v^5 (1 - v^7))), v = exp(-2 x^2), and cdf = 1 - sf.
+    Both are scipy's operations in scipy's order, so sf has its bits. Below
+    _KS_FLAT the cdf is under 1e-20 and sf rounds to 1, as scipy's does.
+    """
+    if math.isnan(x):
+        return math.nan, math.nan, math.nan
+    if x <= _KS_FLAT:
+        return 1.0, 0.0, 0.0
+    if x <= _KS_CUTOVER:
+        w = math.sqrt(2 * math.pi) / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u8 = math.exp(logu8)
+        u8cub = math.pow(u8, 3)
+        cdf = 1 + u8 * (1 + u8 * u8 * (1 + u8cub))
+        pdf = 1 + u8 * (9 + u8 * u8 * (25 + u8cub * 49))
+        wu = w * math.exp(logu8 / 8)
+        pdf = (math.pi * math.pi / 4 / (x * x) * pdf - cdf) * (wu / x)
+        cdf *= wu
+        sf = 1 - cdf
+    else:
+        v = math.exp(-2 * x * x)
+        v3 = math.pow(v, 3)
+        sf = 2 * v * (1 - v3 * (1 - v3 * (v * v) * (1 - v3 * v3 * v)))
+        pdf = 8 * x * v * (1 - v3 * (4 - v3 * (v * v) * (9 - v3 * v3 * v * 16)))
+        cdf = 1 - sf
+    return min(max(sf, 0.0), 1.0), min(max(cdf, 0.0), 1.0), max(pdf, 0.0)
+
+
+def kolmogorov(x):
+    """Survival function of the Kolmogorov limit law at a float x: scipy.special.kolmogorov, bit for bit."""
+    return _kolmogorov3(x)[0]
+
+
+@lru_cache(maxsize=16)
+def kolmogi(p):
+    """The x with kolmogorov(x) = p, 0 < p < 1, by Newton's method kept in a bracket.
+
+    Where p > 1/2 it solves cdf(x) = 1 - p, which keeps the relative
+    accuracy of a small cdf. It starts from the first term, 2 exp(-2 x^2) =
+    p, or from x = 1, and stops where a step moves x by at most
+    DBL_EPSILON (1 + 2x).
+    At P_THRESHOLD it gives scipy.special.kolmogi's bits, and elsewhere
+    within 2 units in the last place of them. A gate computes it once per
+    process and level.
+    """
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"kolmogi needs 0 < p < 1, got {p}")
+    lower = p > 0.5
+    x, lo, hi = (1.0 if lower else math.sqrt(-0.5 * math.log(p / 2))), 0.0, math.inf
+    for _ in range(100):
+        sf, cdf, pdf = _kolmogorov3(x)
+        gap = (1 - p - cdf) if lower else (sf - p)  # positive where x is below the root
+        if gap == 0:
+            return x
+        lo, hi = (x, hi) if gap > 0 else (lo, x)
+        new = x + gap / pdf if pdf > 0 else math.nan
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        if abs(new - x) <= 2.0**-52 * (1.0 + 2.0 * x):  # scipy's stopping rule
+            return new
+        x = new
+    raise DomainError(f"kolmogi did not converge at p={p}")
+
+
 def _root_en(n1, n2):
     """Square root of the effective size n1 n2 / (n1 + n2) of a two-sample KS test."""
     return math.sqrt(n1 * n2 / (n1 + n2))
@@ -151,7 +225,7 @@ def ks_two_sample(xs, ys):
     )
     below, above = -gaps.min(), gaps.max()
     dist = float(below if below > above else above)
-    return dist, float(sp.kolmogorov(_root_en(xs.size, ys.size) * dist))
+    return dist, float(kolmogorov(_root_en(xs.size, ys.size) * dist))
 
 
 def ks_one_sample(xs, cdf):
@@ -173,16 +247,16 @@ def ks_one_sample(xs, cdf):
     above = (np.arange(1.0, n + 1) / n - cdf_vals).max()
     below = (cdf_vals - np.arange(0.0, n) / n).max()
     dist = float(above if above > below else below)
-    return dist, float(sp.kolmogorov(dist * math.sqrt(n)))
+    return dist, float(kolmogorov(dist * math.sqrt(n)))
 
 
 def ks_two_sample_critical(n1, n2, p=P_THRESHOLD):
     """Distance whose asymptotic p-value equals p."""
-    return float(sp.kolmogi(p)) / _root_en(n1, n2)
+    return kolmogi(p) / _root_en(n1, n2)
 
 
 def ks_one_sample_critical(n, p=P_THRESHOLD):
-    return float(sp.kolmogi(p)) / math.sqrt(n)
+    return kolmogi(p) / math.sqrt(n)
 
 
 def _nonfinite_sub(label, *samples):
@@ -224,7 +298,7 @@ def _moment_sub(label, values, target, allowance=0.0, sigmas=MOMENT_SIGMAS):
 
 def _inv_wishart_cdf_d1(nu):
     """CDF of the d=1 inverse Wishart law with parameter nu: 1/X, X ~ Gamma(nu)."""
-    return lambda x: sp.gammaincc(nu, 1.0 / np.clip(np.asarray(x, dtype=float), 1e-300, None))
+    return lambda x: gammaincc(nu, 1.0 / np.clip(np.asarray(x, dtype=float), 1e-300, None))
 
 
 @lru_cache(maxsize=16)
@@ -232,8 +306,8 @@ def _eta_cdf(alpha, beta):
     """CDF of the initial law of S(1) at d=1."""
     bundle = kernel_densities_d1(ModelParams(1, alpha, beta))
     # The Gamma(alpha) quantiles at 1e-12 from below and 1e-13 from above.
-    lo = 0.5 * sp.gammaincinv(alpha, 1e-12)
-    hi = max(45.0, 1.5 * sp.gammainccinv(alpha, 1e-13))
+    lo = 0.5 * gammaincinv(alpha, 1e-12)
+    hi = max(45.0, 1.5 * gammainccinv(alpha, 1e-13))
     return QuadratureCdf(bundle.eta_density, lo, hi)
 
 

@@ -354,10 +354,10 @@ GOLDEN = {
     'cli-walk-steps-fixed:2': 'a28e54dbc2597ff275eb388a58c75278d820aa9b6812595371c12a0ab66bb174',
     'cli-walk-increments-fixed:2': 'f4ac54bdf5d18897e12ccbc232eba2bf1d360397b5c95b36a7503b9c388d8f6a',
     'cli-dufresne': '72fbce2d9193c48a58014ae48de2facc1bf63d43c05202c0ced90e0b10227072',
-    'cli-lyapunov-sqrt': '8f0ca6f7cebc7c6aeaeadc3349fe06935e0e752abe931ef38f2568fbaac4be0d',
+    'cli-lyapunov-sqrt': '1dc36c20b538098c81e39c0295115c0787eb22a5b4f22ba7d24e63d91864d4ed',
     'cli-sample-full': '0e60abf7f8fcdc1898e67832591adf5889a5675e6ac0bd3cec66da24e42321ad',
     'cli-sample-json': '5073df5cf417c265f2aa2e556cd2dacd74b0bde780a830a80a95e107ce78de55',
-    'cli-lyapunov-cholesky-csv': 'a45a7f6ab3d9dc71a0e6e09b819d20a3d2cf1d91c1e32dd202362604f66910ca',
+    'cli-lyapunov-cholesky-csv': '27347be116b97fb0c62c8225d8d37fb4b01754c72b6d91fb1287647e67eba33f',
     'cli-config-sample': 'a88bdccd7f505484ef03814819c3e27d8a40644368c1ca39a954c0c5ea7fa06f',
     'cli-config-walk-steps': '4fe52acc4d4c077741d14e9e54ef1b6215b6d57682bc550d4d5644877b6b48de',
     'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',
@@ -394,13 +394,13 @@ GOLDEN = {
     'dufresne-ragged-cholesky-d2': 'cd8b7d2b29710e0e11d3de93392242fa67d90996f594a788c26ad18337c1bb49',
     'dufresne-ragged-cholesky-d3': 'e8c61585ea2075d92ac99bf0d497f023ae0e26a29937dd7f54a479ce4db07b7a',
     'dufresne-truncation-cholesky': '724c212e885ec89a19b9b87126366e4abd6af5c6463c9ed55c2447346eb07c20',
-    'intertwining-d1-s1': '6c1a2a5d0c0b2fcafd1f85defe6aac825789985c7563780de6db9f018edefd1c',
-    'intertwining-d1-full': 'a483b42da6c024c32d6ecb91323727247bbc737a96f07d75eecc207a649ad8ae',
+    'intertwining-d1-s1': '2cd655364937e186497b02cfcbc1ae13c74e0ac8763e227b8547484fbd781d44',
+    'intertwining-d1-full': 'ca3b1d5bf9bfa4afa18305ff800f8570a8dca387afdbcdec5d7e2a0862119b38',
     'phi-d1-2.0-5.0': '489dff2518895c19f286842d410c2e426a0d056d4ba5441e0ae8396c326d646d',
     'phi-d1-3.0-4.0': 'ff66fb42642eff520ce5790dd39867df20280a6f49f4f6621079409aef23be0b',
     'phi-d1-0.6-0.55': 'c28d407593408de46a9273b7d2fa4e52b7c31093bb38f62b7138c9869f4da607',
-    'eta-cdf-2-5': '3677fc0314d9611d41ce93778062fbb3450d4c338101a3d5014c4e618ac22e6b',
-    'qbar-cdf-2-5-1.05': 'db5789d16f9549ac391644cf8e9b27aba2639c86f39a91b0270e141667eb2766',
+    'eta-cdf-2-5': '03b79f816a15769d54b66e9dd0baa558aca2c8e2814502300671ee79e26e00be',
+    'qbar-cdf-2-5-1.05': 'fdb41966ab257296cba0fcf4550f3099efb89b1c880f84c5f991d61692ab8a88',
 }
 
 

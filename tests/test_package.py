@@ -20,17 +20,17 @@ def test_all_lists_every_public_name_the_package_binds():
     assert set(posdefwalks.__all__) == bound | {"__version__"}
 
 
-def test_the_package_never_imports_scipy_stats_integrate_interpolate_or_linalg():
-    # Each of the first three would add a third to a half of a second to every
-    # process's start, and scipy.linalg (loaded by roots_legendre's first
-    # call) a tenth; the KS tests, the eta CDF window, the rule's nodes and
-    # the CDF tables take their numbers from numpy and scipy.special alone.
+def test_the_package_never_imports_scipy():
+    # All of scipy costs a process about 0.3 s to import, half of its start
+    # (scipy.special alone pulls in numpy's f2py, testing and ma); the
+    # package's special functions, KS law, quadrature rule and CDF tables
+    # take their numbers from numpy and math alone. Checked after the
+    # import and after each step, each CLI run in the same process.
     code = (
-        "import math, sys, posdefwalks, posdefwalks.cli\n"
-        "from posdefwalks import special, verify\n"
-        "BANNED = ('scipy.stats', 'scipy.integrate', 'scipy.interpolate', 'scipy.linalg')\n"
+        "import contextlib, io, math, sys, posdefwalks, posdefwalks.cli\n"
+        "from posdefwalks import cli, special, verify\n"
         "def check(by):\n"
-        "    assert not [m for m in BANNED if m in sys.modules], f'imported by {by}'\n"
+        "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], f'imported by {by}'\n"
         "check('the package')\n"
         "for idx, name in enumerate(verify.REDUCED_CONFIG):\n"
         "    verify.run_check(name, 11, stream_id=1000 + idx, config=verify.REDUCED_CONFIG)\n"
@@ -40,6 +40,12 @@ def test_the_package_never_imports_scipy_stats_integrate_interpolate_or_linalg()
         "cdf = special.QuadratureCdf(lambda x: x * x * math.exp(-x), 1e-4, 60.0)\n"
         "cdf(1.0)\n"
         "check('a QuadratureCdf of a float-only density')\n"
+        "verify.FULL_CONFIG['lukacs'] = verify.REDUCED_CONFIG['lukacs']\n"
+        "for line in ('lyapunov --d 2 --alpha 2 --beta 5 --steps 20 --replicas 3',\n"
+        "             'dufresne --d 1 --alpha 2 --beta 5 --n 5', 'verify lukacs --seed 1'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(line.split()) == 0, line\n"
+        "    check(line)\n"
     )
     src = str(Path(posdefwalks.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -5,6 +5,7 @@ import re
 import struct
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,11 +54,127 @@ def test_digamma_domain():
         digamma(0.0)
     with pytest.raises(DomainError):
         digamma(-1.5)
+    with pytest.raises(DomainError):
+        digamma(float("nan"))
+    with pytest.raises(DomainError):
+        digamma(np.array([2.0, np.nan]))
 
 
 def test_digamma_recurrence_grid():
     for x in np.logspace(-3, 3, 60):
         assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) < 1e-12
+
+
+# The gamma-type functions against mpmath at 40 digits. The profile is
+# derandomized with a bounded example count, so every run draws the same
+# examples. Each bound is 1.6 to 2.2 times the worst error measured on the
+# profile's examples and on wider random draws; scipy.special's errors there
+# are named beside it.
+GAMMA_PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+EPS = 2.0**-53
+
+
+@GAMMA_PROFILE
+@given(st.floats(1e-300, 1e4))
+def test_lgamma_and_digamma_against_mpmath(x):
+    # log Gamma is math.lgamma (log_multivariate_gamma at d = 1). Worst
+    # measured: 10 eps max(1, |ref|) for lgamma, near its zeros at 1 and 2,
+    # and 4.5 eps for digamma, near its root at 1.46 where the shift to 10
+    # cancels; scipy's are 2.3 and 3.2.
+    with mpmath.workdps(40):
+        lg, psi = float(mpmath.loggamma(x)), float(mpmath.digamma(x))
+    assert abs(special.log_multivariate_gamma(1, x) - lg) <= 16 * EPS * max(1.0, abs(lg))
+    assert abs(digamma(x) - psi) <= 8 * EPS * max(1.0, abs(psi))
+
+
+def test_digamma_near_its_root_against_mpmath():
+    # The shift to 10 cancels against log y most where psi is small. Worst
+    # measured on this grid: 4.0 eps max(1, |ref|); an uncompensated shift
+    # reaches 8.5, beyond 6 at 13 of the 401 points.
+    xs = np.linspace(0.5, 2.5, 401)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.digamma(x)) for x in xs])
+    assert np.all(np.abs(digamma(xs) - ref) <= 6 * EPS * np.maximum(1.0, np.abs(ref)))
+
+
+def test_digamma_takes_an_array_elementwise():
+    xs = np.array([[1e-300, 0.5, 1.4616321449683622], [9.99, 10.0, 1e4]])
+    np.testing.assert_array_equal(digamma(xs), [[digamma(float(x)) for x in row] for row in xs])
+
+
+@st.composite
+def _gamma_args(draw):
+    """a in [0.05, 60] and six x in [1e-8, 1e3], both log-uniform, some at a + 1 exactly."""
+    a = math.exp(draw(st.floats(math.log(0.05), math.log(60.0))))
+    xs = [math.exp(draw(st.floats(math.log(1e-8), math.log(1e3)))) for _ in range(6)]
+    if draw(st.booleans()):
+        xs[0] = a + 1.0
+    return a, np.array(xs)
+
+
+@GAMMA_PROFILE
+@given(_gamma_args())
+def test_incomplete_gamma_against_mpmath(args):
+    # One call on all six x, so that each x shares the term counts of the
+    # slowest point in its part (series or continued fraction). The front
+    # x^a e^-x / Gamma(a) carries a relative error of a few eps times the
+    # size of its exponent's terms, so the bound scales with them; the
+    # complement 1 - P or 1 - Q adds a few eps. Worst measured: 9.3 of this
+    # bound for Q and 2.0 for P; scipy's worst absolute error there is
+    # 2.9e-15, as is ours.
+    a, xs = args
+    got_p, got_q = special._gamma_pq(a, xs, upper=False), special.gammaincc(a, xs)
+    for x, p, q in zip(xs, got_p, got_q):
+        with mpmath.workdps(40):
+            ref_p = float(mpmath.gammainc(a, 0, x, regularized=True))
+            ref_q = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+        scale = 1.0 + abs(a * math.log(x)) + x + abs(math.lgamma(a))
+        assert abs(p - ref_p) <= 20 * EPS * (1.0 + scale * ref_p), (a, x)
+        assert abs(q - ref_q) <= 20 * EPS * (1.0 + scale * ref_q), (a, x)
+        assert special.gammaincc(a, float(x)) == q
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.floats(math.log(0.05), math.log(60.0)), st.sampled_from([1e-12, 1e-13]))
+def test_gamma_quantiles_against_mpmath(log_a, prob):
+    # The error is one mpmath Newton step from the result. log P near the
+    # lower root has slope about a in log x, and the front's error grows
+    # with |log x|, so the bound is relative, in eps (1 + |log x| / a).
+    # Worst measured: 9.1 of it (a = 53, lower tail); scipy's worst
+    # relative error is 77 eps from a = 0.5 on, and 666 ulps at a = 0.07.
+    a = math.exp(log_a)
+    for x, upper in ((special.gammaincinv(a, prob), False), (special.gammainccinv(a, prob), True)):
+        with mpmath.workdps(40):
+            tail = mpmath.gammainc(a, x, mpmath.inf) if upper else mpmath.gammainc(a, 0, x)
+            density = mpmath.power(x, a - 1) * mpmath.exp(-x)
+            step = (tail / mpmath.gamma(a) - prob) / (density / mpmath.gamma(a))
+            err = float(abs(step))
+        assert err <= 16 * EPS * x * (1.0 + abs(math.log(x)) / a), (a, prob, upper)
+
+
+def test_incomplete_gamma_edges_and_domain():
+    assert special.gammaincc(2.5, 0.0) == 1.0 and special._gamma_pq(2.5, 0.0, upper=False) == 0.0
+    assert special.gammaincc(2.5, 1e300) == 0.0 and special._gamma_pq(2.5, 1e300, upper=False) == 1.0
+    # At a = 1 the fraction ends at once: Q(1, x) = e^-x.
+    assert special.gammaincc(1.0, 30.0) == pytest.approx(math.exp(-30.0), rel=4 * EPS)
+    assert special.gammaincc(3.0, np.array([])).shape == (0,)
+    bad = ((0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, -1.0), (2.0, math.nan), (2.0, math.inf))
+    for a, x in bad:
+        with pytest.raises(DomainError):
+            special.gammaincc(a, x)
+    for prob in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            special.gammaincinv(2.0, prob)
+
+
+def test_incomplete_gamma_term_counts_come_from_their_slowest_point():
+    # The series needs more terms as x rises and the fraction fewer; a count
+    # taken at the slowest point holds for every other point of its part.
+    for a in (0.05, 0.5, 2.5, 10.3, 60.0):
+        series = [special._series_terms(a, x) for x in np.linspace(1e-8, a + 1.0, 40, endpoint=False)]
+        fraction = [special._fraction_terms(a, x) for x in np.geomspace(a + 1.0, 1e300, 40)]
+        assert series == sorted(series) and fraction == sorted(fraction, reverse=True)
+    assert special._fraction_terms(3.0, 4.0) == 3  # at an integer a the fraction ends
 
 
 def test_multivariate_gamma_examples():

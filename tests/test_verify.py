@@ -9,6 +9,7 @@ import re
 import struct
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,12 +206,58 @@ def test_a_two_sample_pass_just_inside_the_gate_prints_p_above_the_threshold():
     assert float(re.search(r"p=(\S+)", sub.note)[1]) >= P_THRESHOLD
 
 
+def _gamma_root(alpha, prob, upper):
+    """mpmath's Gamma(alpha) quantile with lower tail prob, or upper tail prob, at 40 digits."""
+    def log_tail(u):
+        x = mpmath.exp(u)
+        return mpmath.log(mpmath.gammainc(alpha, *((x, mpmath.inf) if upper else (0, x)), regularized=True) / prob)
+
+    with mpmath.workdps(40):
+        guess = mpmath.log(stats.gamma.isf(prob, alpha) if upper else stats.gamma.ppf(prob, alpha))
+        return float(mpmath.exp(mpmath.findroot(log_tail, guess)))
+
+
 @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0, 2.5, 3.0, 7.0])
 def test_eta_cdf_window_is_the_gamma_quantiles(alpha, monkeypatch):
+    # The window ends are the package's own quantiles, within 24 ulps of
+    # mpmath's roots. Measured at these alpha: lower 17, 8, 1, 9, 0 and 3
+    # ulps (scipy's gammaincinv: 17, 0, 4, 7, 9, 0), upper at most 1 (scipy's
+    # gammainccinv: at most 1).
     monkeypatch.setattr(verify, "QuadratureCdf", lambda density, lo, hi: (lo, hi))
     lo, hi = verify._eta_cdf.__wrapped__(alpha, 5.0)
-    assert _bits(lo) == _bits(0.5 * stats.gamma.ppf(1e-12, alpha))
-    assert _bits(hi) == _bits(max(45.0, 1.5 * stats.gamma.isf(1e-13, alpha)))
+    assert lo == 0.5 * special.gammaincinv(alpha, 1e-12)
+    assert hi == max(45.0, 1.5 * special.gammainccinv(alpha, 1e-13))
+    quantiles = (special.gammaincinv(alpha, 1e-12), special.gammainccinv(alpha, 1e-13))
+    for got, root in zip(quantiles, (_gamma_root(alpha, 1e-12, False), _gamma_root(alpha, 1e-13, True))):
+        assert abs(got - root) <= 24 * math.ulp(root)
+
+
+def test_kolmogorov_is_scipys_bit_for_bit():
+    # Both forms of the series and the point where they meet, the flat start
+    # below 0.15, the far tail where it underflows, and NaN.
+    edges = [0.82, np.nextafter(0.82, 1.0), 0.15, np.nan]
+    xs = np.concatenate([np.linspace(0.0, 12.0, 24001), np.geomspace(1e-3, 40.0, 4001), edges])
+    got = [verify.kolmogorov(float(x)) for x in xs]
+    assert _bits(*got) == _bits(*sp.kolmogorov(xs))
+
+
+def test_kolmogi_is_scipys_at_the_gate_and_within_two_ulps_elsewhere():
+    assert _bits(verify.kolmogi(P_THRESHOLD)) == _bits(sp.kolmogi(P_THRESHOLD))
+    ps = np.concatenate([np.geomspace(1e-14, 0.5, 300), np.linspace(0.5, 0.9999, 300)])
+    got = np.array([verify.kolmogi(float(p)) for p in ps])
+    assert np.all(np.abs(got - sp.kolmogi(ps)) <= 2 * np.spacing(got))
+    for p in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            verify.kolmogi(p)
+
+
+def test_critical_values_solve_for_the_quantile_once_per_level():
+    verify.ks_one_sample_critical(100)
+    misses = verify.kolmogi.cache_info().misses
+    for n in range(1, 300):
+        verify.ks_two_sample_critical(n, 2 * n)
+        verify.ks_one_sample_critical(n)
+    assert verify.kolmogi.cache_info().misses == misses
 
 
 # ------------------------------------------------------------- TestReport
