@@ -5,23 +5,22 @@ shape ``(..., d, d)`` and are pure value-to-value functions. States living on
 the positive definite cone are represented as plain float arrays stored
 exactly symmetric; :func:`posdef` is the validating constructor.
 
-The Cholesky factor is a closed form at d <= 2 and the triangular inverse
-at d <= 3, with the bits LAPACK gives, in a few array operations on the
-whole stack (numpy calls LAPACK once per matrix); above that they call
-LAPACK. The input's last axis picks the path. The closed Cholesky factor
-makes one pass/fail test per matrix and tells the two failures apart only
-after one fails. On the 64-matrix stacks of a primed Kesten move, which
-makes one call, numpy's per-call overhead is most of the cost: about 12 us
-a call at d = 2 and 6 us at d = 1, against 19 and 12 us for two separate
-tests (2-core x86-64, numpy 2.4). The BLAS under LAPACK fuses
-multiply-adds, and numpy has no fused multiply-add, so a plain evaluation
-order gives LAPACK's bits only where no fused operation is used. The d = 3
-inverse uses one, in its corner: :func:`_fma` rounds it exactly with
-error-free transforms, and LAPACK redoes the rare matrices outside its
-exactness domain. The d = 3 Cholesky factor is l22 = sqrt(x22 - fma(l21,
-l21, l20^2)) in LAPACK, but stays there: a closed form would gain at most
-about 50 ns per matrix and lose on stacks below a few hundred. The Gram and
-sandwich products stay on matmul and the symmetric root on eigh at every d.
+The Cholesky factor is a closed form at d <= 2 and the triangular inverse at
+d <= 3, in a few array operations on the whole stack (numpy calls LAPACK
+once per matrix); above that they call LAPACK. The input's last axis picks
+the path. The closed Cholesky factor makes one pass/fail test per matrix and
+tells the two failures apart only after one fails. On the 64-matrix stacks
+of a primed Kesten move, which makes one call, numpy's per-call overhead is
+most of the cost: about 12 us a call at d = 2 and 6 us at d = 1, against 19
+and 12 us for two separate tests (2-core x86-64, numpy 2.4). The closed
+forms are fixed sequences of correctly rounded numpy operations, so their
+bits are the same on any IEEE host. At d <= 2 they also carry LAPACK's bits,
+and at d = 3 every entry but the inverse's corner does: the corner is
+rounded twice where a BLAS that fuses multiply-adds rounds once, so LAPACK's
+can differ in its last bits. The d = 3 Cholesky factor stays on LAPACK: a
+closed form would gain at most about 50 ns per matrix and lose on stacks
+below a few hundred. The Gram and sandwich products stay on matmul and the
+symmetric root on eigh at every d.
 
 Every Gram product v^T v (and v v^T) goes through :func:`_gram`, which hands
 matmul two different buffers. numpy sends a buffer times its own transpose
@@ -42,14 +41,6 @@ from .errors import EigenFailure, NotPositiveDefinite
 PIVOT_RTOL = 1e-13
 # Largest entry magnitude posdef accepts, so that m + m^T in symmetrize is finite.
 SYMMETRIZE_MAX = np.finfo(float).max / 2
-# Veltkamp's splitter for binary64 (see _fma).
-_SPLITTER = 2.0**27 + 1.0
-# The d = 3 triangular inverse is closed form when every entry is 0 or of
-# magnitude 2^-240 to 2^240, compared as the bit patterns of |entry|: the
-# sign mask, 2^240's pattern, and 2^-240's pattern minus 1 (see _inverse_3).
-_MAGNITUDE = np.int64(2**63 - 1)
-_EXACT_MAX = np.array(2.0**240).view(np.int64)
-_EXACT_MIN = np.array(2.0**-240).view(np.uint64) - np.uint64(1)
 # Flat indices of u00, u11, u22, u01, u12, u02 in a row-major 3 x 3 matrix.
 _UPPER_3 = np.array([0, 4, 8, 1, 5, 2])
 
@@ -185,93 +176,42 @@ def cholesky(x, name="matrix"):
     return np.swapaxes(lower, -1, -2)
 
 
-def _fma(a, b, c):
-    """a * b + c rounded once, elementwise on 1-d arrays; numpy has no fused multiply-add.
-
-    Dekker's TwoProduct (Veltkamp split by 2^27 + 1) gives p + e = a * b
-    exactly, a TwoSum gives s + t = c + p exactly, then v = t + e is rounded
-    to odd (the neighbour with an odd last bit where the sum is inexact) and
-    s + v rounded to nearest is the correctly rounded sum (Boldo and
-    Melquiond, IEEE Trans. Comput. 57(4), 2008). Exact where the split
-    cannot overflow (|a|, |b| < 2^995), a * b and c stay below 2^1020, and
-    a * b is 0 by a zero factor or at least 2^-968 in magnitude, so that its
-    error term e cannot underflow.
-    """
-    ab = np.array((a, b))
-    hi = _SPLITTER * ab
-    hi -= hi - ab
-    lo = ab - hi
-    ah, bh, al, bl = hi[0], hi[1], lo[0], lo[1]
-    p = a * b
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    s = c + p
-    z = s - c
-    t = (c - (s - z)) + (p - z)
-    v = t + e
-    z = v - t
-    w = (t - (v - z)) + (e - z)
-    # Round to odd: where v + w is inexact, the neighbour of v toward v + w
-    # when v's last bit is even. On the bit pattern, one unit less magnitude
-    # where v rounded away from zero (w has the other sign), then the last bit set.
-    bits = v.view(np.int64)
-    inexact = w != 0
-    away = inexact & ((w.view(np.int64) ^ bits) < 0)
-    return s + ((bits - away) | inexact).view(np.float64)
-
-
 def _inverse_3(u):
-    """_triangular_inverse of a stack (n, 3, 3); LAPACK's bits outside the closed form's domain."""
+    """_triangular_inverse of a stack (n, 3, 3)."""
     n = len(u)
     # Rows u00, u11, u22, u01, u12, u02, and the inverse's entries in that order.
     e = u.reshape(n, 9).T[_UPPER_3]
     x = np.empty((6, n))
     r = x[:3]
     np.divide(1.0, e[:3], out=r)
-    # Overflow and invalid operations arise outside the domain, which LAPACK redoes below.
+    # Extreme or non-finite entries overflow or meet inf - inf; the inf and
+    # NaN entries they give are the caller's to report.
     with np.errstate(over="ignore", invalid="ignore"):
         q = 0.0 - e[3:] * r[[1, 2, 2]]
         np.multiply(q[:2], r[:2], out=x[3:5])
-        x[5] = _fma(-e[3], x[4], q[2]) * r[0]
+        x[5] = (q[2] - e[3] * x[4]) * r[0]
     out = np.zeros((n, 9))
     out.T[_UPPER_3] = x
-    out = out.reshape(n, 3, 3)
-    # Entry magnitudes as ordered integers; a zero less 1 wraps to the largest uint64.
-    bits = e.view(np.int64) & _MAGNITUDE
-    inside = (bits <= _EXACT_MAX) & ((bits - 1).view(np.uint64) >= _EXACT_MIN)
-    if not inside.all():
-        outside = ~inside.all(axis=0)
-        try:
-            out[outside] = np.triu(np.linalg.inv(u[outside]))
-        except np.linalg.LinAlgError:  # a zero pivot: the closed form's inf entries stay there
-            for i in np.flatnonzero(outside):
-                try:
-                    out[i] = np.triu(np.linalg.inv(u[i]))
-                except np.linalg.LinAlgError:
-                    pass
-    return out
+    return out.reshape(n, 3, 3)
 
 
 def _triangular_inverse(u):
     """Inverse of upper triangular u (..., d, d), with exact zeros below the diagonal.
 
-    At d <= 3 it is closed form with LAPACK's bits. With r = 1/diag(u),
-    LAPACK computes each entry next to the diagonal as fma(-u_{k,k+1},
-    r_{k+1}, +0) r_k: +0 where u_{k,k+1} is 0, and otherwise the rounded
-    product, whose sign survives an underflow to zero. At d = 2 that is
-    (0 - u01) r1 r0 whenever the diagonal is positive, as in every factor
-    matcore and matdist make: the subtraction turns either zero into +0 and
-    only negates anything else. At d = 3 no product underflows (below), so
-    it is (0 - u_{k,k+1} r_{k+1}) r_k, and LAPACK's BLAS fuses one more
-    multiply-add into the corner, so it is
-    fma(-u01, x12, 0 - u02 r2) r0 with :func:`_fma`. When every entry is 0
-    or of magnitude 2^-240 to 2^240, the corner's product lies within
-    2^-964 to 2^964 or is 0, inside _fma's exactness domain, and no product
-    of nonzero entries underflows to a zero whose sign LAPACK's fused form
-    would keep. A matrix with any other entry, NaN and inf included, goes
-    to LAPACK. A zero diagonal entry gives inf or NaN entries (and numpy's
-    floating-point warnings), not an error, also where LAPACK redoes the
-    matrix and meets the zero pivot. d >= 4 calls LAPACK, which raises
-    LinAlgError on a zero diagonal entry.
+    At d <= 3 it is closed form, each operation correctly rounded. With
+    r = 1/diag(u), the entries next to the diagonal are (0 - u01) r1 r0 at
+    d = 2 and (0 - u_{k,k+1} r_{k+1}) r_k at d = 3, and the d = 3 corner is
+    ((0 - u02 r2) - u01 x12) r0. LAPACK computes an entry next to the
+    diagonal as fma(-u_{k,k+1}, r_{k+1}, +0) r_k: +0 where u_{k,k+1} is 0,
+    and otherwise the rounded product. Subtracting from 0 turns either zero
+    into +0 and only negates anything else, so where the diagonal is
+    positive, as in every factor matcore and matdist make, these entries
+    carry LAPACK's bits; at d = 3 only while u_{k,k+1} r_{k+1} does not
+    underflow to a zero whose sign the fused form keeps. The d = 3 corner is
+    rounded twice where a BLAS that fuses multiply-adds rounds once. A zero
+    diagonal entry gives inf or NaN entries (and numpy's divide-by-zero
+    warning), not an error; d >= 4 calls LAPACK, which raises LinAlgError
+    there.
     """
     d = u.shape[-1]
     if d == 1:

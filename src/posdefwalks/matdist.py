@@ -25,7 +25,10 @@ from .special import Law, ModelParams
 
 
 def make_stream(seed, stream_id=0):
-    """Counter-based generator keyed by (seed, stream_id)."""
+    """Counter-based generator keyed by (seed, stream_id), each an integer in [0, 2^64)."""
+    for name, value in (("seed", seed), ("stream_id", stream_id)):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+            raise DomainError(f"stream {name} must be an integer in [0, 2^64), got {name}={value!r}")
     key = np.array([np.uint64(seed), np.uint64(stream_id)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -483,7 +483,13 @@ def check_my_markov_d1(p: ModelParams, n_traces, rng, h=0.05, seed=None):
     a1 = tr.a[:, 1, 0, 0]
     subs = [_ks1_sub("S(1) vs initial law", s1, _eta_cdf(p.alpha, p.beta))]
 
-    s0 = float(np.median(s1))
+    # np.median's value: the middle value, or the mean of the two middle
+    # values, and NaN if any value is. np.median would load numpy.ma.
+    n = len(s1)
+    mid = np.partition(s1, [(n - 1) // 2, n // 2, -1])
+    s0 = float(mid[n // 2] if n % 2 else (mid[n // 2 - 1] + mid[n // 2]) / 2.0)
+    if np.isnan(mid[-1]):
+        s0 = math.nan
     mask = np.abs(s1 - s0) <= h * s0
     n_bin = int(mask.sum())
     if n_bin < 500:

@@ -200,9 +200,11 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     at most min(thin, KESTEN_BLOCK_MAX) moves at a time, in move order; the
     bits do not depend on the block size.
     """
-    for name, value in (("burn_in", burn_in), ("thin", thin), ("n_chains", n_chains)):
-        if value < 1:
-            raise DomainError(f"kesten_samples needs {name} >= 1, got {value}")
+    for name, value, least in (
+        ("burn_in", burn_in, 1), ("thin", thin, 1), ("n_chains", n_chains, 1), ("n_samples", n_samples, 0)
+    ):
+        if value < least:
+            raise DomainError(f"kesten_samples needs {name} >= {least}, got {value}")
     p.require_sampling()
     d = p.dim
     eye = np.eye(d)
@@ -257,7 +259,8 @@ def dufresne_series(
     n = 1 if size is None else int(size)
     d = p.dim
     if max_terms is None:
-        mu1 = digamma(p.alpha) - digamma(p.beta - (d - 1) / 2.0)
+        psi = digamma([p.alpha, p.beta - (d - 1) / 2.0])  # one call, elementwise
+        mu1 = float(psi[0] - psi[1])
         max_terms = 10 * math.ceil(math.log(1.0 / tail_tol) / abs(mu1))
     if max_terms < 1:
         raise DomainError(f"dufresne_series needs max_terms >= 1, got {max_terms}")

@@ -570,19 +570,20 @@ def test_verify_all_with_other_names_exits_2():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, word",
     [
-        ["sample", "--alpha", "2", "--n", "-1"],
-        ["dufresne", "--alpha", "2", "--beta", "5", "--n", "-1"],
+        (["sample", "--alpha", "2", "--n", "-1"], "size"),
+        (["dufresne", "--alpha", "2", "--beta", "5", "--n", "-1"], "size"),
+        (["sample", "--alpha", "2", "--seed", "-1"], "seed"),
     ],
-    ids=["sample", "dufresne"],
+    ids=["sample", "dufresne", "seed"],
 )
-def test_negative_size_exits_3(argv, capsys):
+def test_negative_size_exits_3(argv, word, capsys):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error:")
-    assert "size" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert word in err
 
 
 @pytest.mark.parametrize(

@@ -288,10 +288,10 @@ def _compute(name):
 GOLDEN = {
     'walks-recursive-sqrt-identity-d1': 'e80b5925fc0985a90e1abbf715fdbe1488db3bd455fb647fbc8fb6e021c828fd',
     'walks-recursive-sqrt-identity-d2': '74ea1c46ba102ed6da2bc147762f40381d037c6624ba9b4996c8344ea81cd1c6',
-    'walks-recursive-sqrt-identity-d3': '6659dc50cc33e502d4c0699ab7d9bd3a0885f235b9f7284f25287ec41be939ab',
+    'walks-recursive-sqrt-identity-d3': '2555595dbde6d1cdfb04d8ea381f0c95c05a84f19b20380f84796b3332f35fa2',
     'walks-recursive-sqrt-invwishart-d1': '42cad3ec35286451d88f54f002bbc7ce5ea6d9f0e74ed504ecff19811c1d72d1',
     'walks-recursive-sqrt-invwishart-d2': 'f074df192d78df7175c04c5e0836859869d4fa682f215814f8d0cbfb422a8ff4',
-    'walks-recursive-sqrt-invwishart-d3': '2ebfafd3ecb97b67fb3622b64d02e02bca7880574b6ebe35dcec312142935d9d',
+    'walks-recursive-sqrt-invwishart-d3': 'e69fc317a550e68c7f84a7bda510fefa96e7d018005d3306c4a6029fec829da5',
     'walks-recursive-sqrt-fixed-d1': '837db29c5ca13f2e17ddad0be0c4fcceda0f233987b5d1d3317026603ee8aabe',
     'walks-recursive-sqrt-fixed-d2': '776dd62acfb721974d03c9ad65290ddd5bbed6659b637d79f418643af3920ef8',
     'walks-recursive-sqrt-fixed-d3': '6e04d23796205d88028c8942da469ee47f508a5c502c2c8c25575156a5faf351',
@@ -300,16 +300,16 @@ GOLDEN = {
     'walks-recursive-cholesky-identity-d3': '18daef30e3abe31908d83a268591ff08bfd43270ed702a709ef47c8afbad2846',
     'walks-recursive-cholesky-invwishart-d1': '42cad3ec35286451d88f54f002bbc7ce5ea6d9f0e74ed504ecff19811c1d72d1',
     'walks-recursive-cholesky-invwishart-d2': 'f0460a6f3ad969f14161c64d5847141396289251e5ee7ee1faa6d88c534feea2',
-    'walks-recursive-cholesky-invwishart-d3': 'fac8c836ba2069431593b026d580e10b7423cdb4ac52a9deb8772f4354cf7d1e',
+    'walks-recursive-cholesky-invwishart-d3': '8ce5968ac3920899b2b61a414754aeac35cc77ed19b80e9bc55964169616b7ba',
     'walks-recursive-cholesky-fixed-d1': '837db29c5ca13f2e17ddad0be0c4fcceda0f233987b5d1d3317026603ee8aabe',
     'walks-recursive-cholesky-fixed-d2': '0d8f4919f8505cb943762cd282ff0a8c73acd0896d6a4ab8d53ba49e401998dd',
     'walks-recursive-cholesky-fixed-d3': 'c13a640bff2d5ddb3e2ce639bdbbc9aac1e593f25b2e01a37193c1b378022897',
     'walks-closed-sqrt-identity-d1': 'e022350761f3a5921e54532bf02943e71e4d9f3ef0ac8c000774da7f2cf464d0',
     'walks-closed-sqrt-identity-d2': '1e07d893223538530d89a55653410cfbc918ea9a756231944499148132a6354d',
-    'walks-closed-sqrt-identity-d3': '139b8c790381b9b0555afaefd37999e4a046ab5415fee260a515a8e3a4da61a9',
+    'walks-closed-sqrt-identity-d3': 'a30f641c0b22f1ea62aa087f1758e52a775a77ffe3d13e36b27b839ca9a5f0cf',
     'walks-closed-sqrt-invwishart-d1': 'c4fdab1b4ff90ae5954719a4e89303c87e0959e3134853a612bcf42b698a30c1',
     'walks-closed-sqrt-invwishart-d2': '8000de001e7ba6f204cccbb12ec0ad137401949c5b813d370985a0a866748fb2',
-    'walks-closed-sqrt-invwishart-d3': '4c4447a7d1bf8780b4dcff65bbef716ab83ce5607e86d4c08123cc8b670e374c',
+    'walks-closed-sqrt-invwishart-d3': '5540ba389ee52da62b7e90ece872ca79cfb4317d5cc9a548047d05eabd6c7d76',
     'walks-closed-sqrt-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
     'walks-closed-sqrt-fixed-d2': 'abbb4c21b5ea4a1caf4ad50ebc98aea0eacd62d392ec2c662959e3e35d5d18f3',
     'walks-closed-sqrt-fixed-d3': '51dac51667877ae62b2a96b1a476390c78e45170b9950852710da101dcc92309',
@@ -318,7 +318,7 @@ GOLDEN = {
     'walks-closed-cholesky-identity-d3': '111ec00bb982de091ebad718e4bddc17bcfe45030da7a5b9ce372917dcd6bc84',
     'walks-closed-cholesky-invwishart-d1': 'c4fdab1b4ff90ae5954719a4e89303c87e0959e3134853a612bcf42b698a30c1',
     'walks-closed-cholesky-invwishart-d2': '519addeccdd12d1792f153c799b67ff7a7c06dc1643ef9f42f6b31e7915c7522',
-    'walks-closed-cholesky-invwishart-d3': 'e721b2d4c85d63c193575cda075bf65e186d844f62ed2fb105f3dbbdf676d61e',
+    'walks-closed-cholesky-invwishart-d3': '37267e880d13b5f838ca760cfcf8bd708a55271fb2ee6de76410f2f06cedda81',
     'walks-closed-cholesky-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
     'walks-closed-cholesky-fixed-d2': '3881756624a003b232532079abdfc094c068bcc59fb98dad6f22fa102ec11d82',
     'walks-closed-cholesky-fixed-d3': '07cde24f40e6dd6d90da435ff41120e9223cd8921e0c14ca4657296942774894',
@@ -364,16 +364,16 @@ GOLDEN = {
     'cli-env-seed': '0ed08eb22aa5b7d4c6a6a52e95170729560f9abe8cb721f2143fb9db0465d84d',
     'cli-verify-lukacs-meta': '940b21ab2388b31f519d44a91b74ffb2d7f719204159aef4de17ba1dcaad3846',
     'kesten-ragged-sqrt-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
-    'kesten-ragged-sqrt-prime0-d3': '13afafb7e1c64d363141a9a705611e72b1eabcb59254da40fd5c126fb6d91a3f',
+    'kesten-ragged-sqrt-prime0-d3': 'ae8250a85265b30ce5f5c1e162207008d45c17cc884e8f6e0b7d668fa2577a03',
     'kesten-ragged-sqrt-prime1-d1': '4b3513e52a461a84cb08d7c5ed2506c5d43c43e79ca5cb0c16949b64d5b5ac6f',
-    'kesten-ragged-sqrt-prime1-d3': '892d71e4f78ccdda1581d940ab3552dedd67dda8d6c9f94096862fad747fd341',
+    'kesten-ragged-sqrt-prime1-d3': '027881fc6632fa5fe9ed5ab0b793eb20c2e7de82a2a9753c1f47737fe534f2d1',
     'kesten-ragged-cholesky-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
-    'kesten-ragged-cholesky-prime0-d3': '389aa3b9795e0dd3269672da282d3a21bf89377bb6a2482b642fadc0203e36fb',
+    'kesten-ragged-cholesky-prime0-d3': 'cd54ad6a5338496bf2144454e5fa5291134fe35ae0ec313bf900f2d035ff79d0',
     'kesten-ragged-cholesky-prime1-d1': '4b3513e52a461a84cb08d7c5ed2506c5d43c43e79ca5cb0c16949b64d5b5ac6f',
-    'kesten-ragged-cholesky-prime1-d3': 'd1aae0a920d94d1190ec3d4282a30600e9530e9609bf2fa1193242c78b4e3619',
+    'kesten-ragged-cholesky-prime1-d3': '24d94d66814214a356425ec66b9333f8f6bd465905d91b4826afe1d7a62216be',
     'eigen-d3-wishart-sqrt': 'f60fe4d63b83157ee9bda2f4edbd208c5f96ef96c41d1caad92d5fb3a8f11996',
-    'eigen-d3-invwishart-sqrt': 'c9d309e6c51cef432bce3d0cc156acde7737eb93eb8d30bd36d94704ddfb66ba',
-    'eigen-d3-beta2-sqrt': '11c24824aca75f15fdb445b3e40dffcd2f3ec4937c6ee40f1a571da240a03864',
+    'eigen-d3-invwishart-sqrt': 'f9f8253c19110cb0862efc9f2b6112a405e43494e256535d3b0fe3430aa7f8bd',
+    'eigen-d3-beta2-sqrt': '88c2c5a1d3ae9376a3c230b69afa834b08fcae4b752d917bf4fbc22439f51e13',
     'kernel-cholesky-d1': '914c128db9bbad96a8ce684fcc73ed90845fc938ad0c15e9070f1c386d7282bd',
     'kernel-invert-d1': '5e7c0b986f65cd756501e5464234c63d3b447a3fb841a212558c55f9acaab192',
     'kernel-factor-invwishart-d1': '58cf3555927fdc74c78c2eb92ec43f628b9d5843d32e3321bc5730a25ab8a019',
@@ -388,11 +388,11 @@ GOLDEN = {
     'kernel-factor-beta2-edge-d2': '444c01188f5f7bc4f6fdd40cf2b5b583ec5c11ef2440ebe98755cbc9f4d6d4ee',
     'dufresne-ragged-sqrt-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',
     'dufresne-ragged-sqrt-d2': '9696572d310c3a954a535c438b2410ab85215149fa945f29f163ee5e841f8744',
-    'dufresne-ragged-sqrt-d3': '078f033103a650d9f101465d919a96105bd89ca63b3e80c1f2975a16b6097850',
+    'dufresne-ragged-sqrt-d3': 'c9e21758bc6ca6dd2150ab036ef2f23ba74a3b1f5085ab9a3f9f1e4ffeac1d88',
     'dufresne-truncation-sqrt': 'ec05e6a8b3844af2acdf8b365e1f4b2575cf11f8ba6b66d7033d3f2588a16f21',
     'dufresne-ragged-cholesky-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',
     'dufresne-ragged-cholesky-d2': 'cd8b7d2b29710e0e11d3de93392242fa67d90996f594a788c26ad18337c1bb49',
-    'dufresne-ragged-cholesky-d3': 'e8c61585ea2075d92ac99bf0d497f023ae0e26a29937dd7f54a479ce4db07b7a',
+    'dufresne-ragged-cholesky-d3': 'd5b115880872c2449abb0573f70872f7563e9ca526bdbd9d74896eaca234e751',
     'dufresne-truncation-cholesky': '724c212e885ec89a19b9b87126366e4abd6af5c6463c9ed55c2447346eb07c20',
     'intertwining-d1-s1': '2cd655364937e186497b02cfcbc1ae13c74e0ac8763e227b8547484fbd781d44',
     'intertwining-d1-full': 'ca3b1d5bf9bfa4afa18305ff800f8570a8dca387afdbcdec5d7e2a0862119b38',
@@ -411,7 +411,7 @@ def test_golden_digest(name):
 
 @pytest.mark.parametrize("law", [Law.INV_WISHART, Law.BETA2], ids=lambda law: law.value)
 def test_d3_factor_draws_never_call_lapack_inverse(law, monkeypatch):
-    # Every d = 3 triangular inverse is matcore's closed form, with LAPACK's bits.
+    # Every d = 3 triangular inverse is matcore's closed form, in its own IEEE arithmetic.
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK inverse called at d = 3")
 

@@ -285,6 +285,21 @@ def test_stream_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize(
+    "key, name",
+    [
+        ((-1, 0), "seed"), ((2**64, 0), "seed"), ((1.0, 0), "seed"),
+        ((0, -1), "stream_id"), ((0, 2**64), "stream_id"),
+    ],
+    ids=["seed=-1", "seed=2^64", "seed=1.0", "stream_id=-1", "stream_id=2^64"],
+)
+def test_make_stream_refuses_a_key_outside_uint64_naming_it(key, name):
+    # A negative key used to raise numpy's OverflowError, 2^64 too.
+    with pytest.raises(DomainError, match=f"got {name}="):
+        make_stream(*key)
+    make_stream(2**64 - 1, np.uint64(2**64 - 1))  # the largest key is legal
+
+
 @pytest.mark.parametrize("law", list(Law))
 def test_negative_size_rejected_naming_it(law):
     p = ModelParams(2, 2.0, 3.0)

@@ -24,13 +24,16 @@ def test_the_package_never_imports_scipy():
     # All of scipy costs a process about 0.3 s to import, half of its start
     # (scipy.special alone pulls in numpy's f2py, testing and ma); the
     # package's special functions, KS law, quadrature rule and CDF tables
-    # take their numbers from numpy and math alone. Checked after the
+    # take their numbers from numpy and math alone. numpy's lazy numpy.ma
+    # (about 14 ms, which np.median loads) is banned too. Checked after the
     # import and after each step, each CLI run in the same process.
     code = (
         "import contextlib, io, math, sys, posdefwalks, posdefwalks.cli\n"
         "from posdefwalks import cli, special, verify\n"
         "def check(by):\n"
-        "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], f'imported by {by}'\n"
+        "    banned = [m for m in sys.modules\n"
+        "              if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]\n"
+        "    assert not banned, f'{banned} imported by {by}'\n"
         "check('the package')\n"
         "for idx, name in enumerate(verify.REDUCED_CONFIG):\n"
         "    verify.run_check(name, 11, stream_id=1000 + idx, config=verify.REDUCED_CONFIG)\n"

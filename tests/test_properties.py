@@ -1,17 +1,19 @@
 """Property tests for the factor kernels in matcore, on a fixed hypothesis profile.
 
-At d <= 2 the Cholesky factor, and at d <= 3 the triangular inverse, come
-from closed forms that must carry LAPACK's bits, down to the sign of a zero
-at exponents of +-1000, and fail where LAPACK fails; the references below
-call LAPACK one matrix at a time. The d = 3 inverse rests on an emulated
-fused multiply-add, checked against exact rational arithmetic. Gram
-products take BLAS gemm where numpy would take syrk, and must keep syrk's
-bits; traces, summed in order, must keep np.trace's. The Bartlett draw
-kernel, which draws its variates in place, must give the bits and leave the
-stream where one variate call per diagonal entry and per upper triangle
-does. The samplers, at parameters just inside (d-1)/2, give nonsingular
-draws or raise. The profile is derandomized with a bounded example count,
-so every run draws the same examples.
+At d <= 2 the Cholesky factor and the triangular inverse come from closed
+forms that must carry LAPACK's bits, down to the sign of a zero at
+exponents of +-1000, and fail where LAPACK fails; the references below call
+LAPACK one matrix at a time. The d = 3 triangular inverse is the package's
+own IEEE arithmetic: it must equal its formula evaluated on numpy scalars,
+carry LAPACK's bits off its corner, and hold its corner within a stated
+bound of exact rational arithmetic. Gram products take BLAS gemm where
+numpy would take syrk, and must keep syrk's bits; traces, summed in order,
+must keep np.trace's. The Bartlett draw kernel, which draws its variates in
+place, must give the bits and leave the stream where one variate call per
+diagonal entry and per upper triangle does. The samplers, at parameters
+just inside (d-1)/2, give nonsingular draws or raise. The profile is
+derandomized with a bounded example count, so every run draws the same
+examples.
 """
 
 from fractions import Fraction
@@ -107,15 +109,14 @@ def test_closed_cholesky_is_lapack_bit_for_bit(x):
 
 
 @st.composite
-def _upper_factors(draw):
-    """A stack of 1 to 32 upper triangular d x d matrices with positive diagonal, d in {1, 2, 3}.
+def _upper_factors(draw, dims=(1, 2)):
+    """A stack of 1 to 32 upper triangular d x d matrices with positive diagonal, d from ``dims``.
 
     Entries have magnitudes 1e-E to 1e+E, E in {30, 100}, from a drawn seed;
-    at d >= 2 some upper entries are +0 or -0. At d = 3 the matrices with an
-    entry beyond 2^240 (about 1.8e72) go to LAPACK, so E = 30 keeps every
-    matrix on the closed form and E = 100 mixes both paths in one stack.
+    at d >= 2 some upper entries are +0 or -0. At d = 3 and E = 100 the
+    corner's product u01 x12 can underflow or overflow.
     """
-    d = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, 32))
     e = draw(st.sampled_from([30, 100]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -139,8 +140,7 @@ def _extreme_factors(draw):
     """A stack of 1 to 32 upper triangular 3 x 3 matrices with entries s * 2^k, s normal, |k| <= 1000.
 
     Each entry is, with probability 0.05, replaced by +0, -0, inf, -inf or
-    NaN, so diagonals can be zero and products overflow or underflow: the
-    region where the closed form is not exact and LAPACK must take over.
+    NaN, so diagonals can be zero and products overflow or underflow.
     """
     n = draw(st.integers(1, 32))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -152,20 +152,51 @@ def _extreme_factors(draw):
     return u
 
 
+def _inverse_3_formula(m):
+    """The d = 3 closed form of one matrix, one operation at a time on numpy float64 scalars."""
+    r0, r1, r2 = (1.0 / m[k, k] for k in range(3))
+    x12 = (0.0 - m[1, 2] * r2) * r1
+    x02 = ((0.0 - m[0, 2] * r2) - m[0, 1] * x12) * r0
+    return np.array([[r0, (0.0 - m[0, 1] * r1) * r0, x02], [0.0, r1, x12], [0.0, 0.0, r2]])
+
+
 @PROFILE
-@given(_extreme_factors())
-def test_d3_triangular_inverse_is_lapack_bit_for_bit_at_extreme_exponents(u):
-    # Where LAPACK raises LinAlgError (a zero pivot), the closed form keeps its
-    # inf or NaN diagonal entry, as at d <= 2; everywhere else the bits agree.
+@given(st.one_of(_upper_factors(dims=(3,)), _extreme_factors()))
+def test_d3_triangular_inverse_is_its_scalar_formula_bit_for_bit(u):
+    # The same bits for the whole stack and for each matrix alone, zeros,
+    # infs and NaNs included. Where LAPACK raises LinAlgError (a zero
+    # pivot), the diagonal is not finite, as at d <= 2.
     with np.errstate(all="ignore"):
         got = matcore._triangular_inverse(u)
-    for m, g in zip(u, got):
-        try:
-            want = np.triu(np.linalg.inv(m))
-        except np.linalg.LinAlgError:
-            assert not np.isfinite(np.diagonal(g)).all()
-        else:
+        for m, g in zip(u, got):
+            want = _inverse_3_formula(m)
             _assert_same_bits(g, want)
+            _assert_same_bits(matcore._triangular_inverse(m), want)
+            try:
+                np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                assert not np.isfinite(np.diagonal(g)).all()
+
+
+@PROFILE
+@given(_upper_factors(dims=(3,)))
+def test_d3_triangular_inverse_is_lapack_off_the_corner_and_near_exact_at_it(u):
+    # u00 x02 = b - a with a = u02/u22 and b = u01 u12/(u11 u22). The formula
+    # rounds a's part 5 times and b's 8 times, so |error| <= gamma_8 (|a| +
+    # |b|)/u00, below 9 * 2^-53 (|a| + |b|)/u00; u01 x12 can underflow, by
+    # at most 2^-1075 before r0 scales it, and so can the result. A corner
+    # that overflows is LAPACK's inf.
+    got, want = matcore._triangular_inverse(u), np.triu(np.linalg.inv(u))
+    off_corner = np.arange(9).reshape(3, 3) != 2
+    _assert_same_bits(got[:, off_corner], want[:, off_corner])
+    for m, x02, lapack in zip(u, got[:, 0, 2], want[:, 0, 2]):
+        if not np.isfinite(x02):
+            _assert_same_bits(x02, lapack)
+            continue
+        (u00, u01, u02), (_, u11, u12), (_, _, u22) = (map(Fraction, row) for row in m)
+        a, b = u02 / u22, u01 * u12 / (u11 * u22)
+        bound = (9 * (abs(a) + abs(b)) * Fraction(2) ** -53 + Fraction(2) ** -1074) / u00
+        assert abs(Fraction(x02) - (b - a) / u00) <= bound + Fraction(2) ** -1074
 
 
 @st.composite
@@ -191,43 +222,6 @@ def test_d2_triangular_inverse_is_lapack_bit_for_bit_at_extreme_exponents(u):
     with np.errstate(all="ignore"):  # products overflow to inf, as in LAPACK's
         got = matcore._triangular_inverse(u)
     _assert_same_bits(got, np.triu(np.linalg.inv(u)))
-
-
-def _fma_ties(rng, n):
-    """n triples (a, b, c) where a * b + c lies a hair off a tie of c + RN(a * b).
-
-    With A odd and B = +-A^-1 mod 2^53, A * B = H 2^53 +- 1, so RN(a * b)
-    drops an error of one unit of the 106-bit product. c is a power of two
-    such that c + RN(a * b) falls exactly halfway between two doubles; the
-    dropped unit decides the rounding, which a plain sum of the rounded
-    parts gets wrong half the time.
-    """
-    out = np.empty((3, n))
-    for i in range(n):
-        a_int = int(rng.integers(2**52, 2**53)) | 1
-        low = int(rng.choice([1, -1]))
-        b_int = low * pow(a_int, -1, 2**53) % 2**53
-        h = (a_int * b_int - low) >> 53
-        zeros = (h & -h).bit_length() - 1
-        k, sign = int(rng.integers(-300, 300)), float(rng.choice([1, -1]))
-        out[:, i] = (
-            sign * a_int * 2.0 ** (k - 52),
-            b_int * 2.0**-52,
-            sign * 2.0 ** (zeros + 2 + k),
-        )
-    return out
-
-
-@PROFILE
-@given(st.integers(1, 32), st.integers(0, 2**32 - 1))
-def test_fma_is_exactly_rounded(n, seed):
-    # Against exact rational arithmetic (int / int is correctly rounded), on
-    # general triples inside _fma's domain and on near-ties.
-    rng = np.random.default_rng(seed)
-    general = rng.standard_normal((3, n)) * 2.0 ** rng.integers(-300, 300, (3, n))
-    a, b, c = np.concatenate([general, _fma_ties(rng, n)], axis=1)
-    want = [float(Fraction(x) * Fraction(y) + Fraction(z)) for x, y, z in zip(a, b, c)]
-    _assert_same_bits(matcore._fma(a, b, c), np.array(want))
 
 
 @st.composite

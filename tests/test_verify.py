@@ -622,8 +622,8 @@ def test_each_functional_runs_once_per_sample(name, calls, monkeypatch):
 
 def test_d3_beta_gamma_never_calls_lapack_inverse(monkeypatch):
     # At d = 3 matcore's closed-form triangular inverse serves every inverse
-    # Wishart and beta II factor and invert, with LAPACK's bits: the reduced
-    # beta_gamma report (dims 1, 2, 3) keeps its pinned bytes.
+    # Wishart and beta II factor and invert: the reduced beta_gamma report
+    # (dims 1, 2, 3) keeps its pinned bytes.
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK inverse called at d = 3")
 

@@ -414,16 +414,20 @@ def test_kesten_chains_share_stationary_law():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"burn_in": 0}, {"thin": 0}, {"n_chains": 0}, {"thin": -2}],
-    ids=["burn_in=0", "thin=0", "n_chains=0", "thin=-2"],
+    [{"burn_in": 0}, {"thin": 0}, {"n_chains": 0}, {"thin": -2}, {"n_samples": -1}],
+    ids=["burn_in=0", "thin=0", "n_chains=0", "thin=-2", "n_samples=-1"],
 )
 def test_kesten_samples_rejects_counts_below_one(bad):
-    # burn_in or thin of 0 used to loop forever, n_chains = 0 to divide by zero.
-    args = {"burn_in": 10, "thin": 1, "n_chains": 4, **bad}
+    # burn_in or thin of 0 used to loop forever, n_chains = 0 to divide by
+    # zero, n_samples = -1 to fail in numpy after drawing.
+    args = {"burn_in": 10, "thin": 1, "n_chains": 4, "n_samples": 8, **bad}
     with pytest.raises(DomainError, match=next(iter(bad))):
-        kesten_samples(
-            ModelParams(1, 2.5, 6.0), SplitKind.CHOLESKY, n_samples=8, rng=make_stream(0), **args
-        )
+        kesten_samples(ModelParams(1, 2.5, 6.0), SplitKind.CHOLESKY, rng=make_stream(0), **args)
+
+
+def test_kesten_samples_of_none_is_an_empty_stack():
+    got = kesten_samples(ModelParams(2, 2.5, 6.0), SplitKind.CHOLESKY, 3, 2, 0, make_stream(0))
+    assert got.shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize(
