@@ -287,13 +287,13 @@ def _compute(name):
 
 GOLDEN = {
     'walks-recursive-sqrt-identity-d1': 'e80b5925fc0985a90e1abbf715fdbe1488db3bd455fb647fbc8fb6e021c828fd',
-    'walks-recursive-sqrt-identity-d2': '74ea1c46ba102ed6da2bc147762f40381d037c6624ba9b4996c8344ea81cd1c6',
+    'walks-recursive-sqrt-identity-d2': '67666ba695bf3348e38100d658dcb90528b0d1b739b9c89cad60e02a6991c0c9',
     'walks-recursive-sqrt-identity-d3': '2555595dbde6d1cdfb04d8ea381f0c95c05a84f19b20380f84796b3332f35fa2',
     'walks-recursive-sqrt-invwishart-d1': '42cad3ec35286451d88f54f002bbc7ce5ea6d9f0e74ed504ecff19811c1d72d1',
-    'walks-recursive-sqrt-invwishart-d2': 'f074df192d78df7175c04c5e0836859869d4fa682f215814f8d0cbfb422a8ff4',
+    'walks-recursive-sqrt-invwishart-d2': 'da5fa6884691588de1689c4a67849936ca1a6bcc8519cd0e58b3dcc05710b39e',
     'walks-recursive-sqrt-invwishart-d3': 'e69fc317a550e68c7f84a7bda510fefa96e7d018005d3306c4a6029fec829da5',
     'walks-recursive-sqrt-fixed-d1': '837db29c5ca13f2e17ddad0be0c4fcceda0f233987b5d1d3317026603ee8aabe',
-    'walks-recursive-sqrt-fixed-d2': '776dd62acfb721974d03c9ad65290ddd5bbed6659b637d79f418643af3920ef8',
+    'walks-recursive-sqrt-fixed-d2': '17308e127d8462bf8aaa2e18fe7da1c28eabc283640339217fc6a7c302c805f5',
     'walks-recursive-sqrt-fixed-d3': '6e04d23796205d88028c8942da469ee47f508a5c502c2c8c25575156a5faf351',
     'walks-recursive-cholesky-identity-d1': 'e80b5925fc0985a90e1abbf715fdbe1488db3bd455fb647fbc8fb6e021c828fd',
     'walks-recursive-cholesky-identity-d2': '76b5367c074c21bf3002c23220a8bb1d690145226e55a67b573ef5675d4f5c8f',
@@ -305,13 +305,13 @@ GOLDEN = {
     'walks-recursive-cholesky-fixed-d2': '0d8f4919f8505cb943762cd282ff0a8c73acd0896d6a4ab8d53ba49e401998dd',
     'walks-recursive-cholesky-fixed-d3': 'c13a640bff2d5ddb3e2ce639bdbbc9aac1e593f25b2e01a37193c1b378022897',
     'walks-closed-sqrt-identity-d1': 'e022350761f3a5921e54532bf02943e71e4d9f3ef0ac8c000774da7f2cf464d0',
-    'walks-closed-sqrt-identity-d2': '1e07d893223538530d89a55653410cfbc918ea9a756231944499148132a6354d',
+    'walks-closed-sqrt-identity-d2': '7aef5ee6a59acf0e50f6acb10aee1b8a3bdc250a974889614b435cf197aeabb5',
     'walks-closed-sqrt-identity-d3': 'a30f641c0b22f1ea62aa087f1758e52a775a77ffe3d13e36b27b839ca9a5f0cf',
     'walks-closed-sqrt-invwishart-d1': 'c4fdab1b4ff90ae5954719a4e89303c87e0959e3134853a612bcf42b698a30c1',
-    'walks-closed-sqrt-invwishart-d2': '8000de001e7ba6f204cccbb12ec0ad137401949c5b813d370985a0a866748fb2',
+    'walks-closed-sqrt-invwishart-d2': '81ff371330912631ab7ab7ceb7f479f0391d53702edcebb8b866d1c5be223202',
     'walks-closed-sqrt-invwishart-d3': '5540ba389ee52da62b7e90ece872ca79cfb4317d5cc9a548047d05eabd6c7d76',
     'walks-closed-sqrt-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
-    'walks-closed-sqrt-fixed-d2': 'abbb4c21b5ea4a1caf4ad50ebc98aea0eacd62d392ec2c662959e3e35d5d18f3',
+    'walks-closed-sqrt-fixed-d2': 'bfad47245106375104afa578034fd45d0c8af0b366bd09f55cb2bcc188d1d9d8',
     'walks-closed-sqrt-fixed-d3': '51dac51667877ae62b2a96b1a476390c78e45170b9950852710da101dcc92309',
     'walks-closed-cholesky-identity-d1': 'e022350761f3a5921e54532bf02943e71e4d9f3ef0ac8c000774da7f2cf464d0',
     'walks-closed-cholesky-identity-d2': '0f5cda5eda6ef8d24609a7b8838bf918250f51b1c88f981b4e0a35aa0acad2b9',
@@ -322,17 +322,17 @@ GOLDEN = {
     'walks-closed-cholesky-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
     'walks-closed-cholesky-fixed-d2': '3881756624a003b232532079abdfc094c068bcc59fb98dad6f22fa102ec11d82',
     'walks-closed-cholesky-fixed-d3': '07cde24f40e6dd6d90da435ff41120e9223cd8921e0c14ca4657296942774894',
-    'trace-sqrt': '4f469334d0d75a911f820aa925115536d9f4f70e4ef7b9f9bbab5359f074983b',
-    'closed-sqrt': 'bc35ddcaaf401282b4e74424bdbd081943f49900a70d27bc05be949d3c0c31dc',
+    'trace-sqrt': '5089d2ca3045c1432e1b3956a7c38f02d530bb20e524384f2aaae93f124fd5fe',
+    'closed-sqrt': 'cc31c8ef4901fec3e0092253cd760e7bb57cfcdfae31848a5d06b4c9d967f4a7',
     'dufresne-sqrt-d1': '0bfd711fac0f25a019ad235a3ef967b0109358edc6ebdfdd4cf482ee870efee2',
-    'dufresne-sqrt-d2': 'afde91957f0f6c4fb368dad92dfd983a089ac57fd9ac4e8f6b67afd6b1338555',
-    'dufresne-sqrt-identity': 'b3f47ba7d2493b994a2d7bc348fecef943833a17fa948e677d89e1298fa1fcba',
-    'dufresne-sqrt-fixed': '163755bdfb01667e885f57a49b373a4f7ab5da0107b47f41ea3cfd76f4a612a6',
-    'eigen-wishart-sqrt': '64c3fba26b3f84ae59a25af71d0ac465bda899f37e9e54e7b4c5da2a02c482fb',
-    'eigen-invwishart-sqrt': '52d7c66affdc836e03baf659f99d0af3ce181c0c33747962c94d1013673a0169',
-    'eigen-beta2-sqrt': '7345d2f7a33bdfcc3c83f0fc2d3b2905c303a51a381c9c7b97b196f418354227',
-    'kesten-sqrt-prime0': '3d033d235a90772bc09d236ee60c77d864ac0ac306bcdf19d23b63b38c6166d3',
-    'kesten-sqrt-prime1': '8d69a7160a9c1b621535b2001e09543a00813a5aa9a38946c383a7f7295b0c4b',
+    'dufresne-sqrt-d2': '7cd914b79baa8a43fdaa6f24eb988de62c0d5e1babff3787718485690d7755e2',
+    'dufresne-sqrt-identity': 'c83e86880bbd41e49764495a859b150ce722f082a9f75f8bf0668fb697a1750b',
+    'dufresne-sqrt-fixed': '1a0365a634cbae7c547c17440262ccdf303eb0ca91e10f6ad1c2239902225107',
+    'eigen-wishart-sqrt': '60bd2d34b5fdfdfd172f94441c3b228e2f346acb5bb818a88276ac3b642d3a9b',
+    'eigen-invwishart-sqrt': 'e8dae70ac40978afcec2b1438400a1c4aca9a42cb3996066fbf42a6d0f519719',
+    'eigen-beta2-sqrt': 'b144ee43125524a4a81de6ae86488ab18d0bd83097a4450506a9ba423c9bc3c4',
+    'kesten-sqrt-prime0': '7a29611f4f56e867114f739c07293a96fc4cfb552c817e4335b36b87fb41e1fd',
+    'kesten-sqrt-prime1': 'd1ef3bbc163f07808b51e3e7f3935f6ce6a89acd3a4c215fa81ecef179cf891d',
     'trace-cholesky': 'e3b5c8e1ed5e8a28a6835cbdaf6c6ce69ab565d5e20b7889b47bb9d9aeb242b0',
     'closed-cholesky': '751d6e54c03cef9ff92140b04b42ea37647b84d204a8c752ea9da27250676778',
     'dufresne-cholesky-d1': '0bfd711fac0f25a019ad235a3ef967b0109358edc6ebdfdd4cf482ee870efee2',
@@ -354,12 +354,12 @@ GOLDEN = {
     'cli-walk-steps-fixed:2': 'a28e54dbc2597ff275eb388a58c75278d820aa9b6812595371c12a0ab66bb174',
     'cli-walk-increments-fixed:2': 'f4ac54bdf5d18897e12ccbc232eba2bf1d360397b5c95b36a7503b9c388d8f6a',
     'cli-dufresne': '72fbce2d9193c48a58014ae48de2facc1bf63d43c05202c0ced90e0b10227072',
-    'cli-lyapunov-sqrt': '1dc36c20b538098c81e39c0295115c0787eb22a5b4f22ba7d24e63d91864d4ed',
+    'cli-lyapunov-sqrt': 'e2c48c950d8eba647fe20b2ce435ebfa74d476f76db4a066d47944bf8af8ff35',
     'cli-sample-full': '0e60abf7f8fcdc1898e67832591adf5889a5675e6ac0bd3cec66da24e42321ad',
     'cli-sample-json': '5073df5cf417c265f2aa2e556cd2dacd74b0bde780a830a80a95e107ce78de55',
     'cli-lyapunov-cholesky-csv': '27347be116b97fb0c62c8225d8d37fb4b01754c72b6d91fb1287647e67eba33f',
-    'cli-config-sample': 'a88bdccd7f505484ef03814819c3e27d8a40644368c1ca39a954c0c5ea7fa06f',
-    'cli-config-walk-steps': '4fe52acc4d4c077741d14e9e54ef1b6215b6d57682bc550d4d5644877b6b48de',
+    'cli-config-sample': '8043076b8afa2bf257ce923a766d1aedc84746f4a42b1e4062e9c47d4e4d0bf0',
+    'cli-config-walk-steps': 'f6f0dd477ab83eef87c1a66043d919c11ccf42d989c250966b8b535797648c45',
     'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',
     'cli-env-seed': '0ed08eb22aa5b7d4c6a6a52e95170729560f9abe8cb721f2143fb9db0465d84d',
     'cli-verify-lukacs-meta': '940b21ab2388b31f519d44a91b74ffb2d7f719204159aef4de17ba1dcaad3846',
@@ -387,7 +387,7 @@ GOLDEN = {
     'kernel-factor-beta2-d2': '199225212329787eceff9e2d12763402d5d74d3aea19bb82aba6d1bdc502937b',
     'kernel-factor-beta2-edge-d2': '444c01188f5f7bc4f6fdd40cf2b5b583ec5c11ef2440ebe98755cbc9f4d6d4ee',
     'dufresne-ragged-sqrt-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',
-    'dufresne-ragged-sqrt-d2': '9696572d310c3a954a535c438b2410ab85215149fa945f29f163ee5e841f8744',
+    'dufresne-ragged-sqrt-d2': '67d1475b7f93d78954d38d3a4715ba64c0ef63c0a195d7cf4e969b3555ad30a6',
     'dufresne-ragged-sqrt-d3': 'c9e21758bc6ca6dd2150ab036ef2f23ba74a3b1f5085ab9a3f9f1e4ffeac1d88',
     'dufresne-truncation-sqrt': 'ec05e6a8b3844af2acdf8b365e1f4b2575cf11f8ba6b66d7033d3f2588a16f21',
     'dufresne-ragged-cholesky-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',

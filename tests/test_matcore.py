@@ -111,6 +111,19 @@ def test_eigenvalues_examples():
     )
 
 
+def test_d2_eigenvalues_and_logdet_off_the_cone():
+    # lmin is det/lmax only where lmax > 0; at lmax <= 0 it is m - hypot, so
+    # the zero matrix has no 0/0. log det needs only det > 0, as slogdet does.
+    for x, lam in [
+        (np.zeros((2, 2)), [0.0, 0.0]),
+        ([[0.0, 0.0], [0.0, -1.0]], [0.0, -1.0]),
+        ([[-1.0, 0.0], [0.0, -4.0]], [-1.0, -4.0]),
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0]),
+    ]:
+        np.testing.assert_array_equal(matcore.eigenvalues(np.array(x)), lam)
+    assert matcore.logdet(-np.diag([2.0, 3.0])) == np.log(2.0) + np.log(3.0)
+
+
 def test_eigenvalues_descending_and_trace():
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -234,6 +247,50 @@ def test_nan_fails_the_factorizations_naming_its_batch_index(fn, d):
     error = EigenFailure if fn is matcore.sqrt_factor and d == 3 else NotPositiveDefinite
     with pytest.raises(error, match="at batch index 12,3$"):
         fn(x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_matrix_has_no_finite_eigenvalue(bad, d):
+    # eigvalsh gave a NaN x00 the eigenvalues [-0, 0] at d = 2 and [1, -0, 0]
+    # at d = 3, and a NaN x10 [1, nan, nan] at d = 3: lambda_max and
+    # lambda_min read finite numbers off a NaN matrix.
+    for entry in [(0, 0), (1, 0)][:d]:
+        x = np.broadcast_to(np.eye(d), (20, 5, d, d)).copy()
+        x[(12, 3) + entry] = x[(12, 3) + entry[::-1]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outputs = matcore.eigenvalues(x), matcore.lambda_max(x), matcore.lambda_min(x)
+        for values in outputs:
+            finite = np.isfinite(values).reshape(20, 5, -1)
+            assert not finite[12, 3].any(), (entry, values[12, 3])
+            finite[12, 3] = True
+            assert finite.all()
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1022])
+def test_d2_closed_forms_are_finite_across_the_exponent_range(k):
+    # At 2^1022 the entries are just inside posdef's range, and tr x + 2 sqrt(det x)
+    # and det x overflow: the root takes them at a quarter and at sqrt(x00)
+    # sqrt(pivot), the eigenvalues divide by lmax, and log det adds two logs.
+    unit = np.array([[1.9, 0.5], [0.5, 1.9]])  # eigenvalues 2.4 and 1.4
+    x = unit * 2.0**k
+    root = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    root = (root * np.sqrt([2.4, 1.4])) @ root.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(matcore.sqrt_factor(x), root * 2.0 ** (k / 2), rtol=4e-15)
+        np.testing.assert_allclose(matcore.eigenvalues(x), np.array([2.4, 1.4]) * 2.0**k, rtol=1e-15)
+        np.testing.assert_allclose(matcore.logdet(x), 2 * k * np.log(2.0) + np.log(3.36), rtol=1e-15, atol=1e-15)
+
+
+def test_d2_lmax_past_the_largest_double_is_eigvalsh_inf_and_lmin_stays_finite():
+    x = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])  # eigenvalues 2.7e308 and 7e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = matcore.eigenvalues(x)
+    assert lam[0] == np.inf
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(x)[::-1], rtol=1e-15)
 
 
 # Matrices that fail the pivot tolerance only: at d = 1 an infinite x00

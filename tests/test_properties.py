@@ -6,9 +6,12 @@ exponents of +-1000, and fail where LAPACK fails; the references below call
 LAPACK one matrix at a time. The d = 3 triangular inverse is the package's
 own IEEE arithmetic: it must equal its formula evaluated on numpy scalars,
 carry LAPACK's bits off its corner, and hold its corner within a stated
-bound of exact rational arithmetic. Gram products take BLAS gemm where
-numpy would take syrk, and must keep syrk's bits; traces, summed in order,
-must keep np.trace's. The Bartlett draw kernel, which draws its variates in
+bound of exact rational arithmetic. The d <= 2 symmetric root, eigenvalues
+and log determinant are closed forms held within stated bounds of 50-digit
+mpmath; they raise where eigh and slogdet, called one matrix at a time,
+find an eigenvalue or determinant that is not > 0, naming the same matrix.
+Gram products take BLAS gemm where numpy would take syrk, and must keep
+syrk's bits; traces, summed in order, must keep np.trace's. The Bartlett draw kernel, which draws its variates in
 place, must give the bits and leave the stream where one variate call per
 diagonal entry and per upper triangle does. The samplers, at parameters
 just inside (d-1)/2, give nonsingular draws or raise. The profile is
@@ -18,6 +21,7 @@ examples.
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +226,140 @@ def test_d2_triangular_inverse_is_lapack_bit_for_bit_at_extreme_exponents(u):
     with np.errstate(all="ignore"):  # products overflow to inf, as in LAPACK's
         got = matcore._triangular_inverse(u)
     _assert_same_bits(got, np.triu(np.linalg.inv(u)))
+
+
+@st.composite
+def _conditioned_stacks(draw):
+    """A stack of 1 to 16 symmetric d x d matrices, d in {1, 2}, scales 1e-150 to 1e150, conditions to 1e12.
+
+    Each is q diag(s, s/k) q^T, rounded, for a rotation q by an angle, a
+    scale s and a condition k from a drawn seed (s alone at d = 1). A
+    quarter of the angles are 1e-8 to 1, so that some matrices are nearly
+    diagonal and the small eigenvalue is far below the rounding of the
+    large one. At most one matrix, at a drawn index, is built to fail: a
+    second eigenvalue of -s/k (-s at d = 1), or a NaN or inf drawn entry
+    and its mirror.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 16))
+    fail_at = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    failure = draw(st.sampled_from(["negative", np.nan, np.inf]))
+    entry = draw(st.sampled_from([(0, 0), (1, 0), (1, 1)][: 2 * d - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = _log_uniform(rng, -150, 150, n)
+    lam = np.stack([scale, scale / _log_uniform(rng, 0, 12, n)], -1)[:, :d]
+    if fail_at is not None and failure == "negative":
+        lam[fail_at, -1] *= -1.0
+    theta = np.where(rng.random(n) < 0.25, _log_uniform(rng, -8, 0, n), rng.uniform(0.0, np.pi, n))
+    c, s = np.cos(theta), np.sin(theta)
+    q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)[:, :d, :d]
+    x = matcore.symmetrize((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2))
+    if fail_at is not None and failure != "negative":
+        x[(fail_at,) + entry] = x[(fail_at,) + entry[::-1]] = failure
+    return x
+
+
+U = 2.0**-53
+
+
+def _first_failure(fails, x):
+    """Index of the first matrix of x on which fails(m) is true, one LAPACK call each; None if none."""
+    with np.errstate(invalid="ignore"):
+        return next((i for i, m in enumerate(x) if fails(m)), None)
+
+
+def _mp(m):
+    return mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in m])
+
+
+@PROFILE
+@given(_conditioned_stacks())
+def test_closed_root_against_mpmath(x):
+    # The d = 2 root (x + s I)/t has ||Y^2 - x||_F <= 16 u ||x||_F with u =
+    # 2^-53: Y^2 = x + (s^2 - det)/t^2 I in exact arithmetic, whose error
+    # is at most about 2 u ||x|| whatever the condition, and each entry of Y
+    # carries about 4 u of rounding, which Y^2 doubles against ||Y||_F^2 =
+    # tr x <= sqrt(2) ||x||_F. It is finite for every finite positive
+    # definite x: no intermediate exceeds tr x. At d = 1 it is sqrt(x),
+    # eigh's bits, inf included. Where eigh finds an eigenvalue that is not
+    # > 0 (NaN at d = 2 for a NaN or inf entry), the root raises as before.
+    want = _first_failure(lambda m: not (np.linalg.eigh(m)[0] > 0).all(), x)
+    if want is not None:
+        with pytest.raises(NotPositiveDefinite, match=f"^matrix has a nonpositive eigenvalue at batch index {want}$"):
+            matcore.sqrt_factor(x)
+        return
+    y = matcore.sqrt_factor(x)
+    with mpmath.workdps(50):
+        for m, r in zip(x, y):
+            if m.shape == (1, 1):
+                w, v = np.linalg.eigh(m)
+                _assert_same_bits(r, matcore.symmetrize((v * np.sqrt(w)) @ v.T))
+                continue
+            xm = _mp(m)
+            residual = mpmath.mnorm(_mp(r) ** 2 - xm, "f") / mpmath.mnorm(xm, "f")
+            assert residual <= 16 * U, (m, r, residual)
+
+
+@PROFILE
+@given(_conditioned_stacks())
+def test_closed_eigenvalues_against_mpmath(x):
+    # At d = 2, with lmax > 0: |lmax error| <= 6 u lmax (m and hypot are
+    # sums of nonnegative terms, each rounded about 3 times), and lmin =
+    # (a/lmax) c - (b/lmax) b errs by at most 8 u (|a c| + b^2)/lmax + u
+    # |lmin|, a relative error of at most 8 u (1 + 2 cond) for a positive
+    # definite x: lmin is as accurate as the determinant. lmax overflows
+    # only past the largest double; a NaN or inf entry gives no finite
+    # eigenvalue. At d = 1 the eigenvalue is the entry, eigvalsh's bits.
+    lam = matcore.eigenvalues(x)
+    assert lam.shape == x.shape[:-1]
+    with mpmath.workdps(50):
+        for m, got in zip(x, lam):
+            if not np.isfinite(m).all():
+                assert not np.isfinite(got).any()
+            elif m.shape == (1, 1):
+                _assert_same_bits(got, np.linalg.eigvalsh(m)[::-1])
+            else:
+                a, b, c = (mpmath.mpf(float(v)) for v in (m[0, 0], m[1, 0], m[1, 1]))
+                h = mpmath.hypot((a - c) / 2, b)
+                lmax, lmin = (a + c) / 2 + h, (a + c) / 2 - h
+                assert abs(got[0] - lmax) <= 6 * U * lmax
+                assert abs(got[1] - lmin) <= 8 * U * (abs(a * c) + b * b) / lmax + U * abs(lmin)
+
+
+@PROFILE
+@given(_conditioned_stacks())
+def test_closed_logdet_against_mpmath(x):
+    # At d = 2, log|a| + log|p| with p = c - b (b/a), a relative error of at
+    # most e = u + 2.01 u b^2/|det| in p, so an absolute error of at most
+    # e/(1 - e) + 8 u (|log a| + |log p|) + u |log det| (numpy's log is
+    # within 4 ulps): about 2 u cond, as slogdet's. At d = 1 it is log x,
+    # within 8 u |log x|. It raises exactly where slogdet's sign is not 1
+    # or its log is NaN, naming the same matrix; an inf diagonal entry
+    # gives slogdet's inf.
+    def fails(m):
+        sign, ld = np.linalg.slogdet(m)
+        return not sign > 0 or np.isnan(ld)
+
+    want = _first_failure(fails, x)
+    if want is not None:
+        with pytest.raises(NotPositiveDefinite, match=f"^determinant is not positive at batch index {want}$"):
+            matcore.logdet(x)
+        return
+    got = matcore.logdet(x)
+    with mpmath.workdps(50):
+        for m, g in zip(x, got):
+            if not np.isfinite(m).all():
+                assert g == np.linalg.slogdet(m)[1] == np.inf
+                continue
+            a, b, c = (mpmath.mpf(float(v)) for v in (m[0, 0], m[-1, 0], m[-1, -1]))
+            if m.shape == (1, 1):
+                assert abs(g - mpmath.log(a)) <= 8 * U * abs(mpmath.log(a))
+                continue
+            det = a * c - b * b
+            e = U + 2.01 * U * b * b / abs(det)
+            logs = abs(mpmath.log(abs(a))) + abs(mpmath.log(abs(det / a)))
+            bound = e / (1 - e) + 8 * U * logs + U * abs(mpmath.log(det))
+            assert abs(g - mpmath.log(det)) <= bound, (m, g)
 
 
 @st.composite

@@ -19,7 +19,13 @@ from scipy import special as sp
 from scipy import stats
 
 from posdefwalks import special, verify
-from posdefwalks.errors import DomainError, EmptySample, InsufficientBinCount, NonFiniteIntegrand
+from posdefwalks.errors import (
+    DomainError,
+    EmptySample,
+    InsufficientBinCount,
+    NonFiniteIntegrand,
+    NotPositiveDefinite,
+)
 from posdefwalks.matdist import make_stream
 from posdefwalks.special import ModelParams
 from posdefwalks.verify import (
@@ -418,6 +424,15 @@ def test_check_dufresne_regime_violation():
         check_dufresne(ModelParams(1, 3.0, 3.0), 100, make_stream(703))
 
 
+def test_check_dufresne_near_the_bound_names_the_first_singular_series_sum():
+    # beta - alpha = 0.65, just above 1/2: 37 of the 20000 series sums and 44
+    # of the inverse-Wishart draws have a determinant that the d = 2 log det
+    # (from the Cholesky pivots) finds not positive, 34 and 30 of them exactly
+    # so. The series sums are read first, and sum 82 fails first.
+    with pytest.raises(NotPositiveDefinite, match=r"^determinant is not positive at batch index 82$"):
+        check_dufresne(ModelParams(2, 0.55, 1.2), 20_000, make_stream(7, 1))
+
+
 def test_check_fixed_point_scalar_mean_subtest():
     rep = check_fixed_point(2.0, 5.0, (1,), 300, 1500, make_stream(704), seed=704)
     assert rep.passed
@@ -568,7 +583,7 @@ REDUCED_REPORT_SHA256 = {
     "my_markov_d1": "bf0dc688e328382233db889a5c022bf52c5e0c874d38fa0b8163c94bf4935f21",
     "fixed_point": "989699470748b94b5c5043b840bccd6dd51a5bcab67e4beef8ddaea35d09a322",
     "construction_equivalence": "d527b82752844e9e3314ca9fd56cd5549130e1a144d2b948fd74121ed8a81bcc",
-    "lukacs": "c771f4a38fe54603b3761c4c160d7a4ec525d871cf5d967be143dc9dd1a825ff",
+    "lukacs": "f87421d4287f094ba4103d539debf51c5954164ffdf0baac5126943829dfd6af",
     "beta_gamma": "7989b3cd06c11d49adc45ae1b59fa43d74ba3133b1ada5240cb6f80bcbfffbe1",
 }
 
@@ -582,15 +597,16 @@ def test_reduced_suite_single_repetition_passes():
         assert digest == REDUCED_REPORT_SHA256[name], (name, rep.to_json())
 
 
-@pytest.mark.parametrize("name", ["fixed_point", "dufresne_d2"])
+@pytest.mark.parametrize("name", ["fixed_point", "dufresne_d2", "construction_equivalence", "lukacs"])
 def test_d2_checks_never_call_lapack_inverse_or_cholesky(name, monkeypatch):
-    # At d <= 2 matcore's closed forms do all triangular inversion and Cholesky
-    # factoring, with LAPACK's bits: the reduced report keeps its pinned bytes.
+    # At d <= 2 matcore's closed forms do all triangular inversion, Cholesky
+    # factoring, symmetric roots, eigenvalues and log determinants: the
+    # reduced report keeps its pinned bytes.
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK kernel called at d <= 2")
 
-    monkeypatch.setattr(np.linalg, "inv", refuse)
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for kernel in ("inv", "cholesky", "eigh", "eigvalsh", "slogdet"):
+        monkeypatch.setattr(np.linalg, kernel, refuse)
     idx = list(REDUCED_CONFIG).index(name)
     rep = run_check(name, 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256[name]
