@@ -7,8 +7,7 @@ computed in log space, on numpy and ``math`` alone: log Gamma is
 ``math.lgamma``; ``digamma`` shifts to x >= 10 and sums Stirling's series;
 the regularized incomplete gamma functions sum a series below x = a + 1 and
 Legendre's continued fraction above it, each to the term count its slowest
-point needs; their inverses (the eta CDF's window) are bracketed Newton
-iterations. The tests bound each against mpmath.
+point needs. The tests bound each against mpmath.
 
 The d=1 oracles (phi, the kernel identities in ``verify``, ``QuadratureCdf``)
 share one fixed-node engine, composite Gauss-Legendre in t = log x evaluated
@@ -17,7 +16,8 @@ takes the mass below and above its grid from the same rule on widening
 panels, calls its density once on all its nodes and grid points (or once
 per point with a float where the density cannot take an array), and joins
 its table with a cubic Hermite whose slopes are the density at the grid
-points.
+points. The tables of the d=1 laws eta and qbar drop at most _TAIL_TOL of
+their mass below and above their windows, by closed-form tail bounds.
 The engine evaluates only where an integrand lives,
 by one rule: a sum over the grid takes a window of it, derived in closed
 form, outside which the integrand's mass is below a fixed fraction far
@@ -87,6 +87,9 @@ _PHI_EXP_SAFE = 700.0
 # density's tail: there 2^-100 moved the last bit of some intertwining rows,
 # and 2^-200 keeps every table's bits.
 _ROW_TOL = 2.0**-200
+# A d=1 law's CDF table reads 0 below its window and 1 above; each end lies where
+# a closed-form bound on the mass beyond it is _TAIL_TOL (``_eta_window``).
+_TAIL_TOL = 1e-13
 
 # The gamma-type functions below are written on numpy and ``math`` alone.
 # _EPS is the unit roundoff; each series and fraction is summed to _EPS / 4.
@@ -95,7 +98,7 @@ _EPS, _TINY = 2.0**-53, 1e-300
 # its 7th term, B_2k / (2k), k = 1..7, errs by below 5e-17 of psi.
 _DIGAMMA_SHIFT_TO = 10.0
 _DIGAMMA_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
-_MAX_FRACTION_TERMS, _MAX_NEWTON_STEPS = 100_000, 200
+_MAX_FRACTION_TERMS = 100_000
 
 
 class Law(str, enum.Enum):
@@ -283,58 +286,6 @@ def _gamma_pq(a, x, upper):
 def gammaincc(a, x):
     """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x), a > 0, finite x >= 0."""
     return _gamma_pq(a, x, upper=True)
-
-
-def _gamma_quantile(a, prob, upper):
-    """The x with P(a, x) = prob (``upper`` false) or Q(a, x) = prob, 0 < prob < 1.
-
-    Newton's method on log P or log Q, whose slope in x is front(a, x) / (x P)
-    or its negative, kept inside a bracket it narrows: a step that leaves
-    the bracket bisects it instead, and no step moves x by more than a
-    factor of 4. It starts from x^a / Gamma(a + 1) = prob for P, the small-x
-    law, and from two steps of x = log(1/prob) + (a - 1) log x - lgamma(a)
-    from x = a + log(1/prob) for Q, the large-x law, and stops where a step moves x
-    by at most 4 eps x (two ulps; a smaller bound can cycle between neighbours).
-    """
-    if not 0.0 < prob < 1.0:
-        raise DomainError(f"a gamma quantile needs 0 < p < 1, got {prob}")
-    log_prob = math.log(prob)
-    if upper:
-        x = a - log_prob
-        for _ in range(2):
-            x = max(a, -log_prob + (a - 1.0) * math.log(x) - math.lgamma(a))
-    else:
-        x = math.exp((log_prob + math.lgamma(a + 1.0)) / a)
-    lo, hi, sign = 0.0, math.inf, 1.0 if upper else -1.0
-    for _ in range(_MAX_NEWTON_STEPS):
-        tail = _gamma_pq(a, x, upper)
-        gap = math.log(tail) - log_prob if tail > 0 else -math.inf
-        if gap == 0.0:
-            return x
-        # P rises with x and Q falls: sign * gap > 0 means x is below the root.
-        if sign * gap > 0:
-            lo = x
-        else:
-            hi = x
-        slope = math.exp(float(_log_gamma_front(a, x)) - math.log(x)) / tail if tail > 0 else 0.0
-        step = gap / (-sign * slope) if slope > 0 else math.nan
-        new = min(max(x - step, 0.25 * x), 4.0 * x)
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-        if abs(new - x) <= 4.0 * _EPS * x:
-            return new
-        x = new
-    raise DomainError(f"the gamma quantile at a={a}, p={prob} did not converge")
-
-
-def gammaincinv(a, p):
-    """The x with P(a, x) = p: the p-quantile of the unit-scale Gamma(a) law."""
-    return _gamma_quantile(a, p, upper=False)
-
-
-def gammainccinv(a, q):
-    """The x with Q(a, x) = q: the Gamma(a) law's quantile with upper tail q."""
-    return _gamma_quantile(a, q, upper=True)
 
 
 def multivariate_gamma(d, a):
@@ -794,6 +745,50 @@ class KernelBundleD1:
         be = self.params.beta
         a_var = np.asarray(a_var, dtype=float)
         return np.exp(-be * np.log(a_var) - 1.0 / a_var - self._log_gamma_beta)
+
+
+def _lower_end(log_k, alpha, beta):
+    """The x where a bound K Gamma(beta - c) x^c / c on a d=1 law's mass below x reaches _TAIL_TOL; log_k = log K.
+
+    As y + s exceeds y and s, (y+s)^-alpha <= y^-c s^(c-alpha) for c in [0,
+    alpha], so phi(s) <= Gamma(beta - c) s^(c-alpha) where also c < beta. A
+    density at most K' s^c against ds/s has at most K' x^c / c of its mass
+    below x. Each c gives an x; the end is the largest (the tightest bound)
+    over c = alpha where beta > alpha, the power of the law's own head, which
+    makes the bound tight to first order, and c = min(alpha, beta) (1 - 2^-k),
+    k = 1..12. At beta <= alpha, Gamma(beta - c) grows without limit as c
+    nears beta, and the best c lies a few percent below it (k = 5 at (5, 2)).
+    """
+    cs = [min(alpha, beta) * (1.0 - 2.0**-k) for k in range(1, 13)] + ([alpha] if beta > alpha else [])
+    log_tol = math.log(_TAIL_TOL)
+    return math.exp(max((log_tol - log_k + math.log(c) - math.lgamma(beta - c)) / c for c in cs))
+
+
+def _eta_window(p: ModelParams):
+    """Ends (x_lo, x_hi) of eta's CDF table; eta holds at most _TAIL_TOL of its mass beyond each.
+
+    eta's density against ds/s is phi(s) s^alpha e^-s / (B Gamma(beta)), B =
+    B(alpha, beta). phi(s) <= Gamma(beta) s^-alpha bounds it by e^-s / B, so
+    its mass above x >= 1 is at most e^-x / (B x) <= e^-x / B; and phi(s) <=
+    Gamma(beta - c) s^(c-alpha) (``_lower_end``) puts at most Gamma(beta - c)
+    x^c / (c B Gamma(beta)) below x.
+    """
+    log_b = log_multivariate_beta(1, p.alpha, p.beta)
+    return _lower_end(-log_b - math.lgamma(p.beta), p.alpha, p.beta), max(1.0, -log_b - math.log(_TAIL_TOL))
+
+
+def _qbar_window(p: ModelParams, s0, phi_s0):
+    """Ends (x_lo, x_hi) of the CDF table of qbar from s0, as ``_eta_window``'s; phi_s0 = phi(s0).
+
+    qbar's density against ds/s is (phi(s) / phi(s0)) (s/s0)^alpha (1 +
+    s/s0)^-(alpha+beta) e^-s / B. Above x >= max(1, s0), phi(s) <= phi(s0), as
+    phi falls, and the rest is at most (s0/s)^beta e^-s / B, so the mass there
+    is at most (s0/x)^beta e^-x / (B x) <= e^-x / B. Below x, as in
+    ``_lower_end``, it is at most Gamma(beta - c) x^c / (c B phi(s0) s0^alpha).
+    """
+    log_b = log_multivariate_beta(1, p.alpha, p.beta)
+    x_lo = _lower_end(-log_b - math.log(phi_s0) - p.alpha * math.log(s0), p.alpha, p.beta)
+    return x_lo, max(1.0, s0, -log_b - math.log(_TAIL_TOL))
 
 
 def kernel_densities_d1(p: ModelParams):

@@ -39,13 +39,13 @@ from .special import (
     ModelParams,
     QuadratureCdf,
     _cols,
+    _eta_window,
     _log_grid,
     _phi_span,
+    _qbar_window,
     _row_sums,
     _rule_sums,
     gammaincc,
-    gammainccinv,
-    gammaincinv,
     kernel_densities_d1,
     log_multivariate_beta,
     phi_d1,
@@ -303,21 +303,17 @@ def _inv_wishart_cdf_d1(nu):
 
 @lru_cache(maxsize=16)
 def _eta_cdf(alpha, beta):
-    """CDF of the initial law of S(1) at d=1."""
-    bundle = kernel_densities_d1(ModelParams(1, alpha, beta))
-    # The Gamma(alpha) quantiles at 1e-12 from below and 1e-13 from above.
-    lo = 0.5 * gammaincinv(alpha, 1e-12)
-    hi = max(45.0, 1.5 * gammainccinv(alpha, 1e-13))
-    return QuadratureCdf(bundle.eta_density, lo, hi)
+    """CDF of the initial law of S(1) at d=1, less at most _TAIL_TOL of its mass at each end."""
+    p = ModelParams(1, alpha, beta)
+    return QuadratureCdf(kernel_densities_d1(p).eta_density, *_eta_window(p))
 
 
 def _qbar_cdf(alpha, beta, s0):
-    """CDF of the one-step transition law from s0 at d=1."""
-    bundle = kernel_densities_d1(ModelParams(1, alpha, beta))
+    """CDF of the one-step transition law from s0 at d=1, less at most _TAIL_TOL of its mass at each end."""
+    p = ModelParams(1, alpha, beta)
+    bundle = kernel_densities_d1(p)
     phi_s0 = bundle.phi(s0)
-    return QuadratureCdf(
-        lambda s: bundle.qbar_density(s0, s, phi_s=phi_s0), max(1e-12, s0 * 1e-7), 45.0 + 3.0 * s0
-    )
+    return QuadratureCdf(lambda s: bundle.qbar_density(s0, s, phi_s=phi_s0), *_qbar_window(p, s0, phi_s0))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +471,8 @@ def check_my_markov_d1(p: ModelParams, n_traces, rng, h=0.05, seed=None):
     """Marginal and one-step conditional laws of the ratio process at d=1."""
     if p.dim != 1:
         raise DomainError("the Markov marginals check runs at d=1 only")
+    if not 0.0 < h < 1.0:  # a NaN is refused as well
+        raise DomainError(f"the Markov marginals check needs a bin width h in (0, 1), got h={h}")
     p.require_sampling()
     cfg = walks.WalkConfig(params=p, steps=2)
     tr = walks.simulate_walks(cfg, rng, n_traces)

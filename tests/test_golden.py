@@ -399,8 +399,8 @@ GOLDEN = {
     'phi-d1-2.0-5.0': '489dff2518895c19f286842d410c2e426a0d056d4ba5441e0ae8396c326d646d',
     'phi-d1-3.0-4.0': 'ff66fb42642eff520ce5790dd39867df20280a6f49f4f6621079409aef23be0b',
     'phi-d1-0.6-0.55': 'c28d407593408de46a9273b7d2fa4e52b7c31093bb38f62b7138c9869f4da607',
-    'eta-cdf-2-5': '03b79f816a15769d54b66e9dd0baa558aca2c8e2814502300671ee79e26e00be',
-    'qbar-cdf-2-5-1.05': 'fdb41966ab257296cba0fcf4550f3099efb89b1c880f84c5f991d61692ab8a88',
+    'eta-cdf-2-5': 'b3fdb694117d73700b901231646663931ae88d052c0a3c171f29dd5c08dda671',
+    'qbar-cdf-2-5-1.05': 'a65323b0f61f159fbab48d27aec7a71ca78400e461f84b5ce3c5503b6cee1851',
 }
 
 

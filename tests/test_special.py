@@ -134,24 +134,6 @@ def test_incomplete_gamma_against_mpmath(args):
         assert special.gammaincc(a, float(x)) == q
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(st.floats(math.log(0.05), math.log(60.0)), st.sampled_from([1e-12, 1e-13]))
-def test_gamma_quantiles_against_mpmath(log_a, prob):
-    # The error is one mpmath Newton step from the result. log P near the
-    # lower root has slope about a in log x, and the front's error grows
-    # with |log x|, so the bound is relative, in eps (1 + |log x| / a).
-    # Worst measured: 9.1 of it (a = 53, lower tail); scipy's worst
-    # relative error is 77 eps from a = 0.5 on, and 666 ulps at a = 0.07.
-    a = math.exp(log_a)
-    for x, upper in ((special.gammaincinv(a, prob), False), (special.gammainccinv(a, prob), True)):
-        with mpmath.workdps(40):
-            tail = mpmath.gammainc(a, x, mpmath.inf) if upper else mpmath.gammainc(a, 0, x)
-            density = mpmath.power(x, a - 1) * mpmath.exp(-x)
-            step = (tail / mpmath.gamma(a) - prob) / (density / mpmath.gamma(a))
-            err = float(abs(step))
-        assert err <= 16 * EPS * x * (1.0 + abs(math.log(x)) / a), (a, prob, upper)
-
-
 def test_incomplete_gamma_edges_and_domain():
     assert special.gammaincc(2.5, 0.0) == 1.0 and special._gamma_pq(2.5, 0.0, upper=False) == 0.0
     assert special.gammaincc(2.5, 1e300) == 0.0 and special._gamma_pq(2.5, 1e300, upper=False) == 1.0
@@ -162,9 +144,6 @@ def test_incomplete_gamma_edges_and_domain():
     for a, x in bad:
         with pytest.raises(DomainError):
             special.gammaincc(a, x)
-    for prob in (0.0, 1.0, math.nan):
-        with pytest.raises(DomainError):
-            special.gammaincinv(2.0, prob)
 
 
 def test_incomplete_gamma_term_counts_come_from_their_slowest_point():

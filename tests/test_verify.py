@@ -9,7 +9,6 @@ import re
 import struct
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +51,8 @@ from posdefwalks.verify import (
     ks_two_sample_critical,
     run_check,
 )
+
+import oracles
 
 # ------------------------------------------------------------- functionals
 
@@ -212,32 +213,6 @@ def test_a_two_sample_pass_just_inside_the_gate_prints_p_above_the_threshold():
     assert float(re.search(r"p=(\S+)", sub.note)[1]) >= P_THRESHOLD
 
 
-def _gamma_root(alpha, prob, upper):
-    """mpmath's Gamma(alpha) quantile with lower tail prob, or upper tail prob, at 40 digits."""
-    def log_tail(u):
-        x = mpmath.exp(u)
-        return mpmath.log(mpmath.gammainc(alpha, *((x, mpmath.inf) if upper else (0, x)), regularized=True) / prob)
-
-    with mpmath.workdps(40):
-        guess = mpmath.log(stats.gamma.isf(prob, alpha) if upper else stats.gamma.ppf(prob, alpha))
-        return float(mpmath.exp(mpmath.findroot(log_tail, guess)))
-
-
-@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0, 2.5, 3.0, 7.0])
-def test_eta_cdf_window_is_the_gamma_quantiles(alpha, monkeypatch):
-    # The window ends are the package's own quantiles, within 24 ulps of
-    # mpmath's roots. Measured at these alpha: lower 17, 8, 1, 9, 0 and 3
-    # ulps (scipy's gammaincinv: 17, 0, 4, 7, 9, 0), upper at most 1 (scipy's
-    # gammainccinv: at most 1).
-    monkeypatch.setattr(verify, "QuadratureCdf", lambda density, lo, hi: (lo, hi))
-    lo, hi = verify._eta_cdf.__wrapped__(alpha, 5.0)
-    assert lo == 0.5 * special.gammaincinv(alpha, 1e-12)
-    assert hi == max(45.0, 1.5 * special.gammainccinv(alpha, 1e-13))
-    quantiles = (special.gammaincinv(alpha, 1e-12), special.gammainccinv(alpha, 1e-13))
-    for got, root in zip(quantiles, (_gamma_root(alpha, 1e-12, False), _gamma_root(alpha, 1e-13, True))):
-        assert abs(got - root) <= 24 * math.ulp(root)
-
-
 def test_kolmogorov_is_scipys_bit_for_bit():
     # Both forms of the series and the point where they meet, the flat start
     # below 0.15, the far tail where it underflows, and NaN.
@@ -321,13 +296,62 @@ def test_qbar_cdf_evaluates_phi_on_its_nodes_in_one_call(monkeypatch):
 
 
 # The CDF tables ``verify`` builds: the initial law at the registry's and the
-# calibration's parameters, and the transition law at (2, 5) from a range of s0.
-VERIFY_TABLES = [("eta", ab) for ab in ((2.0, 5.0), (3.0, 4.0), (0.6, 0.55), (2.5, 6.0))] + [
-    ("qbar", (2.0, 5.0, s0)) for s0 in (0.3, 0.6, 1.05, 2.0, 5.0)
+# calibration's parameters and at beta < alpha, and the transition law at
+# (2, 5) from a range of s0, out to where the law lies far from 1.
+VERIFY_TABLES = [("eta", ab) for ab in ((2.0, 5.0), (3.0, 4.0), (0.6, 0.55), (2.5, 6.0), (5.0, 2.0))] + [
+    ("qbar", (2.0, 5.0, s0)) for s0 in (0.3, 0.6, 1.05, 2.0, 5.0, 1e-14, 1e-9, 1e4)
 ]
+VERIFY_TABLE_IDS = [f"{k}{a}" for k, a in VERIFY_TABLES]
 
 
-@pytest.mark.parametrize("kind, args", VERIFY_TABLES, ids=[f"{k}{a}" for k, a in VERIFY_TABLES])
+def _table(kind, args):
+    return verify._eta_cdf.__wrapped__(*args) if kind == "eta" else verify._qbar_cdf(*args)
+
+
+def _law(kind, args):
+    """The density against ds/s of a table's law, and the table's window."""
+    p = ModelParams(1, *args[:2])
+    bundle = special.kernel_densities_d1(p)
+    if kind == "eta":
+        return bundle.eta_density, special._eta_window(p)
+    s0 = args[2]
+    phi_s0 = bundle.phi(s0)
+    return (lambda s: bundle.qbar_density(s0, s, phi_s=phi_s0)), special._qbar_window(p, s0, phi_s0)
+
+
+@pytest.mark.parametrize("kind, args", VERIFY_TABLES, ids=VERIFY_TABLE_IDS)
+def test_cdf_tables_drop_at_most_the_tail_tolerance_outside_their_window(kind, args):
+    # The table reads 0 below its window and 1 above it. The mass it drops
+    # there, F(x_lo) and 1 - F(x_hi), is each at most the tolerance, plus
+    # 1e-14 for rounding (the tables read up to 3.3e-15 above x_hi). Fixed
+    # windows dropped 1 - 5.7e-10 at qbar(2, 5, 1e-14), 1.5e-5 at s0 = 1e-9,
+    # 1.25e-6 at s0 = 1e4 and 3.35e-5 at eta(5, 2).
+    cdf = _table(kind, args)
+    x_lo, x_hi = cdf.grid[[0, -1]]
+    assert float(cdf(x_lo)) <= special._TAIL_TOL + 1e-14
+    assert 1.0 - float(cdf(x_hi)) <= special._TAIL_TOL + 1e-14
+
+
+@pytest.mark.parametrize(
+    "kind, args, tight",
+    [("eta", (2.0, 5.0), True), ("eta", (5.0, 2.0), False), ("qbar", (2.0, 5.0, 1e-9), True)],
+)
+def test_window_bounds_hold_against_the_mass_outside_by_adaptive_quadrature(kind, args, tight):
+    # The law's own mass below x_lo and above x_hi, by adaptive quadrature,
+    # is at most the tolerance. Each is an integral against dw/w over w > 0,
+    # with x = x_lo / (1 + w) or x = x_hi + w, which has no jump for the
+    # quadrature to miss. At beta > alpha the lower bound takes c = alpha, the
+    # power of the law's head, and is nearly reached. Measured: below 0.99999962
+    # of the tolerance at eta(2, 5) and at qbar from 1e-9, 1.7e-3 of it at
+    # eta(5, 2); above 2.24e-15 at eta, 4.9e-70 at qbar.
+    density, (x_lo, x_hi) = _law(kind, args)
+    below = oracles.mu_integral(lambda w: float(density(x_lo / (1.0 + w))) * w / (1.0 + w), epsabs=1e-24)
+    above = oracles.mu_integral(lambda w: float(density(x_hi + w)) * w / (x_hi + w), epsabs=1e-24)
+    assert below <= special._TAIL_TOL and above <= special._TAIL_TOL
+    assert below >= (0.99 if tight else 0.0) * special._TAIL_TOL
+
+
+@pytest.mark.parametrize("kind, args", VERIFY_TABLES, ids=VERIFY_TABLE_IDS)
 def test_cdf_tables_keep_each_cells_end_slopes_in_the_monotone_box(kind, args, monkeypatch):
     tables = []
 
@@ -337,7 +361,7 @@ def test_cdf_tables_keep_each_cells_end_slopes_in_the_monotone_box(kind, args, m
 
     hermite = special._hermite
     monkeypatch.setattr(special, "_hermite", recorded)
-    cdf = verify._eta_cdf.__wrapped__(*args) if kind == "eta" else verify._qbar_cdf(*args)
+    cdf = _table(kind, args)
     ((x, y, dk),) = tables
     cap = 3.0 * (np.diff(y) / np.diff(x))
     # Slopes and secants are nonnegative, so clipping each cell's end slopes
@@ -351,18 +375,18 @@ def test_cdf_tables_keep_each_cells_end_slopes_in_the_monotone_box(kind, args, m
 
 
 def test_eta_cdf_between_its_grid_points_against_adaptive_quadrature():
-    # The CDF at 31 cell midpoints against scipy's quad of the density in t,
-    # split where it bends.
-    cdf = verify._eta_cdf(2.0, 5.0)
-    bundle = special.kernel_densities_d1(ModelParams(1, 2.0, 5.0))
-    t_grid = np.log(cdf.grid)
-    for t in (t_grid[:-1] + 0.5 * np.diff(t_grid))[::13]:
-        edges = [-60.0] + [e for e in (-20.0, -10.0, -5.0, -2.0, 0.0, 1.0, 2.0, 3.0) if e < t] + [t]
-        want = sum(
-            integrate.quad(lambda u: float(bundle.eta_density(math.exp(u))), a, b, epsabs=1e-15, limit=200)[0]
-            for a, b in zip(edges[:-1], edges[1:])
-        )
-        assert abs(float(cdf(math.exp(t))) - want) <= 5e-8
+    # Each table's CDF at 31 cell midpoints against scipy's quad of the
+    # density in t, split where it bends: eta, and qbar from three s0.
+    for kind, args in [("eta", (2.0, 5.0))] + [("qbar", (2.0, 5.0, s0)) for s0 in (0.3, 1.05, 5.0)]:
+        cdf, density = _table(kind, args), _law(kind, args)[0]
+        t_grid = np.log(cdf.grid)
+        for t in (t_grid[:-1] + 0.5 * np.diff(t_grid))[::13]:
+            edges = [-60.0] + [e for e in (-20.0, -10.0, -5.0, -2.0, 0.0, 1.0, 2.0, 3.0) if e < t] + [t]
+            want = sum(
+                integrate.quad(lambda u: float(density(math.exp(u))), a, b, epsabs=1e-15, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+            assert abs(float(cdf(math.exp(t))) - want) <= 5e-8, (kind, args, t)
 
 
 def test_report_fails_on_nan_after_a_finite_ratio():
@@ -514,6 +538,18 @@ def test_check_my_markov_thin_bin_rejected():
         check_my_markov_d1(ModelParams(1, 2.0, 5.0), 2_000, make_stream(708), h=0.01)
 
 
+@pytest.mark.parametrize("h", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_check_my_markov_refuses_a_bin_width_outside_0_1_before_drawing(h, monkeypatch):
+    # h = 1 raised "phi requires s > 0", h = 1.5 a numpy warning and then
+    # NonFiniteIntegrand, h <= 0 or NaN InsufficientBinCount, each after the draws.
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew traces")
+
+    monkeypatch.setattr(verify.walks, "simulate_walks", refuse)
+    with pytest.raises(DomainError, match=rf"bin width h in \(0, 1\), got h={h}$"):
+        check_my_markov_d1(ModelParams(1, 2.0, 5.0), 30_000, make_stream(708), h=h)
+
+
 def test_check_construction_equivalence_passes():
     rep = check_construction_equivalence(ModelParams(2, 2.5, 6.0), 5, 2_500, make_stream(709), seed=709)
     assert rep.passed
@@ -580,7 +616,7 @@ def test_run_check_is_deterministic():
 REDUCED_REPORT_SHA256 = {
     "dufresne_d1": "0e602c0a4bdb851821de8147b9d470bc1b876fbb94c09813b53949c8e67ebab1",
     "dufresne_d2": "12232319078dd74241c1db8daced96d2dec4e95107412c39f9eff9dbd78fd4b3",
-    "my_markov_d1": "bf0dc688e328382233db889a5c022bf52c5e0c874d38fa0b8163c94bf4935f21",
+    "my_markov_d1": "40921fb3d067aa7808cbb046a1f09b020ca49281244697669cb28d86da9da083",
     "fixed_point": "989699470748b94b5c5043b840bccd6dd51a5bcab67e4beef8ddaea35d09a322",
     "construction_equivalence": "d527b82752844e9e3314ca9fd56cd5549130e1a144d2b948fd74121ed8a81bcc",
     "lukacs": "f87421d4287f094ba4103d539debf51c5954164ffdf0baac5126943829dfd6af",
