@@ -36,9 +36,8 @@ SEED_ENV = "POSDEFWALKS_SEED"
 # Namespace entries that steer the run but are not echoed in its header.
 _NOT_ECHOED = ("command", "run", "usage_error", "config", "out")
 
-# CSV columns, named after the functions.
-_SCALAR_FUNCTIONALS = (matcore.trace, matcore.logdet, matcore.lambda_min, matcore.lambda_max)
-_FUNCTIONAL_NAMES = [fn.__name__ for fn in _SCALAR_FUNCTIONALS]
+# CSV columns of the scalar functionals, named after matcore's functions.
+_FUNCTIONAL_NAMES = ["trace", "logdet", "lambda_min", "lambda_max"]
 # A walk's CSV functionals at each step, in order; s_trace starts at step 1.
 _WALK_COLUMNS = ("r_trace", "r_logdet", "a_trace", "a_logdet", "s_trace")
 
@@ -205,8 +204,10 @@ def _write(args, fields, columns, rows):
 
 
 def _functional_columns(stack):
-    """The scalar functionals' values, each functional called once on the whole stack."""
-    return [fn(stack).tolist() for fn in _SCALAR_FUNCTIONALS]
+    """_FUNCTIONAL_NAMES' columns, from one trace, logdet and eigenvalues call on the whole stack."""
+    trace, logdet = matcore.trace(stack), matcore.logdet(stack)
+    eig = matcore.eigenvalues(stack)
+    return [c.tolist() for c in (trace, logdet, eig[..., -1], eig[..., 0])]
 
 
 def _params(args, law=Law.BETA2):

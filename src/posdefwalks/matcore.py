@@ -320,16 +320,19 @@ def split_factor(kind, y):
     return cholesky(y)
 
 
+def _sandwich(w, x):
+    """Symmetrised product w^T x w of a factor w: every sandwich product of the package."""
+    return symmetrize(np.swapaxes(w, -1, -2) @ np.asarray(x, dtype=float) @ w)
+
+
 def sym_product(kind, y, x):
     """Symmetrised product w(y)^T x w(y); multiplication by y landing in the cone."""
-    w = split_factor(kind, y)
-    return symmetrize(np.swapaxes(w, -1, -2) @ np.asarray(x, dtype=float) @ w)
+    return _sandwich(split_factor(kind, y), x)
 
 
 def sym_product_alt(kind, y, x):
     """Alternative operator w(y) x w(y)^T; equals sym_product for the square root."""
-    w = split_factor(kind, y)
-    return symmetrize(w @ np.asarray(x, dtype=float) @ np.swapaxes(w, -1, -2))
+    return _sandwich(np.swapaxes(split_factor(kind, y), -1, -2), x)
 
 
 def _eigenvalues_closed(x):

@@ -308,7 +308,8 @@ def density_wrt_mu(law, p: ModelParams, x):
     """Density of the named law with respect to mu, evaluated at x.
 
     Supported laws: wishart, invwishart, beta1, beta2. The beta1 density is
-    zero outside its support, where I - x stops being positive definite.
+    zero outside its support, where I - x stops being positive definite: 0.0
+    for one such matrix, and a zero entry for each such matrix of a stack.
     """
     law = Law(law)
     p.require_sampling(law)
@@ -327,7 +328,14 @@ def density_wrt_mu(law, p: ModelParams, x):
     if law is Law.BETA1:
         eye = np.eye(d)
         if not matcore.is_posdef(eye - x):
-            return 0.0
+            if x.ndim == 2:
+                return 0.0
+            inside = np.array([matcore.is_posdef(eye - m) for m in x.reshape(-1, d, d)])
+            inside = inside.reshape(x.shape[:-2])
+            out = np.zeros(inside.shape)
+            if inside.any():
+                out[inside] = density_wrt_mu(law, p, x[inside])
+            return out
         logp = (
             p.alpha * matcore.logdet(x)
             + (p.beta - (d + 1) / 2.0) * matcore.logdet(eye - x)
@@ -781,14 +789,21 @@ def _qbar_window(p: ModelParams, s0, phi_s0):
     """Ends (x_lo, x_hi) of the CDF table of qbar from s0, as ``_eta_window``'s; phi_s0 = phi(s0).
 
     qbar's density against ds/s is (phi(s) / phi(s0)) (s/s0)^alpha (1 +
-    s/s0)^-(alpha+beta) e^-s / B. Above x >= max(1, s0), phi(s) <= phi(s0), as
-    phi falls, and the rest is at most (s0/s)^beta e^-s / B, so the mass there
-    is at most (s0/x)^beta e^-x / (B x) <= e^-x / B. Below x, as in
-    ``_lower_end``, it is at most Gamma(beta - c) x^c / (c B phi(s0) s0^alpha).
+    s/s0)^-(alpha+beta) e^-s / B. Above x >= s0, phi(s) <= phi(s0), as phi
+    falls, and (s/s0)^alpha (1 + s/s0)^-(alpha+beta) <= (s0/s)^beta, so the
+    density is at most (s0/s)^beta e^-s / B. With e^-s <= 1 the mass above x
+    is at most (s0/x)^beta / (beta B), which reaches _TAIL_TOL at x = s0
+    (beta B _TAIL_TOL)^(-1/beta); and where also x >= 1 it is at most
+    (s0/x)^beta e^-x / (B x) <= e^-x / B, which reaches it at x = log(1 /
+    (B _TAIL_TOL)). Either end is valid once raised to its range, and the
+    table takes the smaller: the first where s0 << 1, which keeps the grid
+    on the law. Below x, as in ``_lower_end``, the mass is at most
+    Gamma(beta - c) x^c / (c B phi(s0) s0^alpha).
     """
-    log_b = log_multivariate_beta(1, p.alpha, p.beta)
+    log_b, log_tol = log_multivariate_beta(1, p.alpha, p.beta), math.log(_TAIL_TOL)
     x_lo = _lower_end(-log_b - math.log(phi_s0) - p.alpha * math.log(s0), p.alpha, p.beta)
-    return x_lo, max(1.0, s0, -log_b - math.log(_TAIL_TOL))
+    by_power = s0 * math.exp(-(math.log(p.beta) + log_b + log_tol) / p.beta)
+    return x_lo, min(max(1.0, s0, -log_b - log_tol), max(s0, by_power))
 
 
 def kernel_densities_d1(p: ModelParams):

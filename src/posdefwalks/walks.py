@@ -14,13 +14,13 @@ return a WalkTrace that holds the states only: its running sums and their
 inverse differences are built on first read, so a caller that reads the
 states alone makes no sum and no inverse.
 kesten_samples and dufresne_series keep their own loops. kesten_samples
-draws its increments a block of moves at a time (matdist's ``blocks``) and
-splits the whole block once for the plain chain, leaving one symmetrised
-product per move; the primed chain splits its state-dependent I + xi' per
-move. dufresne_series draws per term, since its set of unfinished series
-follows the state; it carries only the unfinished rows (their factor
-products, partial sums, last trace ratios and original indices) and writes a
-row's sum out once, when the row finishes.
+draws its increments a block of moves at a time (matdist's ``blocks``): the
+plain chain draws their factors w(X(n)) (matdist.sample_factor), leaving one
+symmetrised product per move, and the primed chain draws X(n) and splits its
+state-dependent I + xi' per move. dufresne_series draws per term, since its
+set of unfinished series follows the state; it carries only the unfinished
+rows (their factor products, partial sums, last trace ratios and original
+indices) and writes a row's sum out once, when the row finishes.
 """
 
 import functools
@@ -215,15 +215,13 @@ def kesten_samples(p: ModelParams, kind, burn_in, thin, n_samples, rng, prime=Fa
     for r in range(rounds):
         while moves > 0:
             m = min(moves, thin, KESTEN_BLOCK_MAX)
-            x = matdist.sample_beta2(p, rng, size=n_chains, blocks=m)
             # xi(n) = T_X(n)(I + xi(n-1)); the primed chain is xi'(n) = T_(I + xi'(n-1))(X(n)).
             if prime:
-                for x_n in x:
+                for x_n in matdist.sample_beta2(p, rng, size=n_chains, blocks=m):
                     xi = matcore.sym_product(kind, eye + xi, x_n)
             else:
-                w = matcore.split_factor(kind, x)
-                for w_n, w_nt in zip(w, np.swapaxes(w, -1, -2)):
-                    xi = matcore.symmetrize(w_nt @ (eye + xi) @ w_n)
+                for w_n in matdist.sample_factor(Law.BETA2, p, rng, size=n_chains, kind=kind, blocks=m):
+                    xi = matcore._sandwich(w_n, eye + xi)
             moves -= m
         out[r] = xi
         moves = thin

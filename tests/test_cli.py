@@ -320,8 +320,6 @@ def test_each_format_computes_only_its_own_output(monkeypatch, capsys, command):
         raise NotPositiveDefinite("logdet refused")
 
     monkeypatch.setattr(matcore, "logdet", refuse)
-    functionals = tuple(refuse if fn.__name__ == "logdet" else fn for fn in cli._SCALAR_FUNCTIONALS)
-    monkeypatch.setattr(cli, "_SCALAR_FUNCTIONALS", functionals)
     argv = [command, "--d", "2", "--alpha", "2", "--beta", "5"]
     argv += ["--steps", "3"] if command == "walk" else ["--n", "3"]
     argv += ["--dist", "beta2"] if command == "sample" else []
@@ -329,6 +327,25 @@ def test_each_format_computes_only_its_own_output(monkeypatch, capsys, command):
     assert json.loads(capsys.readouterr().out)["meta"]["command"] == command
     assert main(argv + ["--format", "csv"]) == 3
     assert capsys.readouterr().err == "error: logdet refused\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "dufresne"])
+def test_csv_export_solves_each_stacks_eigenvalues_once(monkeypatch, capsys, command):
+    # lambda_min and lambda_max are the ends of one eigenvalues call on the
+    # whole stack (eigvalsh at d = 3), not one call each.
+    shapes = []
+    eigenvalues = matcore.eigenvalues
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return eigenvalues(x)
+
+    monkeypatch.setattr(matcore, "eigenvalues", counted)
+    argv = [command, "--d", "3", "--alpha", "2", "--beta", "5", "--n", "40", "--format", "csv"]
+    argv += ["--dist", "beta2"] if command == "sample" else []
+    assert main(argv) == 0
+    assert len(data_rows(capsys.readouterr().out)) == 41
+    assert shapes == [(40, 3, 3)]
 
 
 # -------------------------------------------------------------- bad values

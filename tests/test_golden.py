@@ -342,7 +342,7 @@ GOLDEN = {
     'eigen-wishart-cholesky': 'f67eabf3d924c183650eed437aaa36e288b64f184b62c79c830357b6e65154b3',
     'eigen-invwishart-cholesky': '78d106a3f8051583d96ff6f83fba12dfb6c5884174da229ec844fb71ac729938',
     'eigen-beta2-cholesky': 'c74c0a00ce997baefa39378e7e3e0548d831165503b811fae604938dc242c1ae',
-    'kesten-cholesky-prime0': '1aced32b88bf2072cc7af47754aca31ee12cb58e308ee290bba126462f6906db',
+    'kesten-cholesky-prime0': '860debd294e97cac48c8c56a9a2f1d4a9424f3bc7789a26935eb5379eca51895',
     'kesten-cholesky-prime1': 'fceb1b4becb4b129a228fb63891e516a442954c0b4c63edfbc2d019fa64acc62',
     'cholesky-wishart': 'fdf2cc09e24e05dc78f12b517d5c5257aded43ce4a9368380d28bb3119de6c2a',
     'cholesky-invwishart': '411f1122470dcba54d4c2d592c23a57789ce7d4694e88a122f3fb3eadd5ee4f0',
@@ -368,7 +368,7 @@ GOLDEN = {
     'kesten-ragged-sqrt-prime1-d1': '4b3513e52a461a84cb08d7c5ed2506c5d43c43e79ca5cb0c16949b64d5b5ac6f',
     'kesten-ragged-sqrt-prime1-d3': '027881fc6632fa5fe9ed5ab0b793eb20c2e7de82a2a9753c1f47737fe534f2d1',
     'kesten-ragged-cholesky-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
-    'kesten-ragged-cholesky-prime0-d3': 'cd54ad6a5338496bf2144454e5fa5291134fe35ae0ec313bf900f2d035ff79d0',
+    'kesten-ragged-cholesky-prime0-d3': '5c30d88b0bb7434eff9efdfdd702ef06d0e16186ef865a96d1f0fbf40b6cc585',
     'kesten-ragged-cholesky-prime1-d1': '4b3513e52a461a84cb08d7c5ed2506c5d43c43e79ca5cb0c16949b64d5b5ac6f',
     'kesten-ragged-cholesky-prime1-d3': '24d94d66814214a356425ec66b9333f8f6bd465905d91b4826afe1d7a62216be',
     'eigen-d3-wishart-sqrt': 'f60fe4d63b83157ee9bda2f4edbd208c5f96ef96c41d1caad92d5fb3a8f11996',

@@ -198,6 +198,23 @@ def test_density_examples():
     assert b1 == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_beta1_density_is_zero_per_matrix_off_its_support(d):
+    # One matrix off the support, where I - x is not positive definite, reads
+    # 0 and leaves its neighbours' values, bit for bit, as a stack of the
+    # in-support matrices alone gives them.
+    p = ModelParams(d, 2.5, 3.0)
+    eye = np.eye(d)
+    inside = np.array([0.3 * eye, 0.5 * eye + 0.1 * np.diag(np.arange(d))])
+    want = density_wrt_mu(Law.BETA1, p, inside)
+    assert np.all(want > 0)
+    got = density_wrt_mu(Law.BETA1, p, np.array([inside[0], 1.5 * eye, inside[1]]))
+    np.testing.assert_array_equal(got, [want[0], 0.0, want[1]])
+    grid = density_wrt_mu(Law.BETA1, p, np.array([[inside[1], 2.0 * eye], [1.5 * eye, inside[0]]]))
+    np.testing.assert_array_equal(grid, [[want[1], 0.0], [0.0, want[0]]])
+    assert density_wrt_mu(Law.BETA1, p, 1.5 * eye) == 0.0
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0])
 def test_mu_integral_oracle_gives_gamma(a):
     # Gamma(a) = int x^a e^-x dx/x checks the oracle the normalisation tests use.

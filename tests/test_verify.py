@@ -17,7 +17,7 @@ from scipy import integrate
 from scipy import special as sp
 from scipy import stats
 
-from posdefwalks import special, verify
+from posdefwalks import matcore, special, verify
 from posdefwalks.errors import (
     DomainError,
     EmptySample,
@@ -376,12 +376,17 @@ def test_cdf_tables_keep_each_cells_end_slopes_in_the_monotone_box(kind, args, m
 
 def test_eta_cdf_between_its_grid_points_against_adaptive_quadrature():
     # Each table's CDF at 31 cell midpoints against scipy's quad of the
-    # density in t, split where it bends: eta, and qbar from three s0.
-    for kind, args in [("eta", (2.0, 5.0))] + [("qbar", (2.0, 5.0, s0)) for s0 in (0.3, 1.05, 5.0)]:
+    # density in t, split where it bends: eta, and qbar from six s0. qbar
+    # bends near log s0 too, which lies far below the other splits at s0 << 1.
+    s0s = (1e-14, 1e-9, 1e-4, 0.3, 1.05, 5.0)
+    for kind, args in [("eta", (2.0, 5.0))] + [("qbar", (2.0, 5.0, s0)) for s0 in s0s]:
         cdf, density = _table(kind, args), _law(kind, args)[0]
         t_grid = np.log(cdf.grid)
+        bends = [-20.0, -10.0, -5.0, -2.0, 0.0, 1.0, 2.0, 3.0]
+        if kind == "qbar":
+            bends = sorted(bends + [math.log(args[2]) + e for e in (-2.0, 0.0, 2.0)])
         for t in (t_grid[:-1] + 0.5 * np.diff(t_grid))[::13]:
-            edges = [-60.0] + [e for e in (-20.0, -10.0, -5.0, -2.0, 0.0, 1.0, 2.0, 3.0) if e < t] + [t]
+            edges = [-60.0] + [e for e in bends if e < t] + [t]
             want = sum(
                 integrate.quad(lambda u: float(density(math.exp(u))), a, b, epsabs=1e-15, limit=200)[0]
                 for a, b in zip(edges[:-1], edges[1:])
@@ -598,6 +603,20 @@ def test_check_names_cover_the_suite():
         "lukacs",
         "beta_gamma",
     )
+    # REDUCED_CONFIG is FULL_CONFIG at calibration sizes: complete entries,
+    # which a caller can rebind FULL_CONFIG from, in FULL_CONFIG's key order.
+    assert REDUCED_CONFIG == {
+        "dufresne_d1": dict(dim=1, alpha=2.0, beta=5.0, n_samples=4_000),
+        "dufresne_d2": dict(dim=2, alpha=2.5, beta=6.0, n_samples=3_000),
+        "my_markov_d1": dict(dim=1, alpha=2.0, beta=5.0, n_traces=30_000, h=0.05),
+        "fixed_point": dict(dims=(1, 2), alpha=2.5, beta=6.0, burn_in=300, n_samples=600),
+        "construction_equivalence": dict(dim=2, alpha=2.5, beta=6.0, n=5, n_samples=2_500),
+        "lukacs": dict(dim=2, alpha=2.0, beta=3.0, n_samples=20_000),
+        "beta_gamma": dict(alpha=2.0, beta=3.0, dims=(1, 2, 3), n_samples=4_000),
+    }
+    for name, cfg in REDUCED_CONFIG.items():
+        assert list(cfg) == list(FULL_CONFIG[name])
+        assert {k for k in cfg if cfg[k] != FULL_CONFIG[name][k]} <= {"n_samples", "n_traces", "burn_in"}
 
 
 def test_run_check_unknown_name_rejected():
@@ -683,6 +702,36 @@ def test_d3_beta_gamma_never_calls_lapack_inverse(monkeypatch):
     idx = list(REDUCED_CONFIG).index("beta_gamma")
     rep = run_check("beta_gamma", 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256["beta_gamma"]
+
+
+@pytest.mark.parametrize(
+    "name, factored, lapack, inverted",
+    [("fixed_point", 72_960, 0, 0), ("lukacs", 40_000, 0, 1), ("beta_gamma", 60_000, 20_000, 9)],
+)
+def test_reduced_checks_factor_no_matrix_twice(name, factored, lapack, inverted, monkeypatch):
+    # Matrices passed through matcore.cholesky, the d = 3 ones LAPACK
+    # factors, and invert calls in one reduced run. fixed_point's push and
+    # beta_gamma's combos draw their increments' factors (sample_factor), not
+    # Gram matrices to factor again; lukacs inverts and factors X + Y once.
+    # The reduced report keeps its pinned bytes.
+    counts = collections.Counter()
+
+    def counted(module, fn, key, per_matrix=True):
+        original = getattr(module, fn)
+
+        def wrapper(x, *args, **kwargs):
+            counts[key] += int(np.prod(np.shape(x)[:-2])) if per_matrix else 1
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(module, fn, wrapper)
+
+    counted(matcore, "cholesky", "factored")
+    counted(np.linalg, "cholesky", "lapack")
+    counted(matcore, "invert", "inverted", per_matrix=False)
+    idx = list(REDUCED_CONFIG).index(name)
+    rep = run_check(name, 11, stream_id=1000 + idx, config=REDUCED_CONFIG)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REDUCED_REPORT_SHA256[name]
+    assert (counts["factored"], counts["lapack"], counts["inverted"]) == (factored, lapack, inverted)
 
 
 # The default test functions and each custom set the tests above pass.

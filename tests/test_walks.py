@@ -12,7 +12,7 @@ from posdefwalks import matcore, matdist, verify, walks
 from posdefwalks.errors import DomainError, NotPositiveDefinite, StepOverflow, TruncationFailure
 from posdefwalks.matcore import SplitKind
 from posdefwalks.matdist import make_stream
-from posdefwalks.special import ModelParams
+from posdefwalks.special import Law, ModelParams
 from posdefwalks.walks import (
     Construction,
     GrskState,
@@ -358,32 +358,35 @@ def test_walk_kernel_congruence_invariance():
 def test_kesten_samples_replay_one_move_bit_exact(kind, prime):
     # With burn_in = thin = 1 the chains start at X(1) and return the state after
     # one move: T_X(2)(I + X(1)), or T_(I + X(1))(X(2)) for the primed recursion.
+    # The plain chain draws the factor w(X(2)) itself, not X(2).
     p = ModelParams(2, 2.0, 5.0)
     got = kesten_samples(p, kind, 1, 1, 4, make_stream(16), prime=prime, n_chains=4)
     rng = make_stream(16)
     x1 = matdist.sample_beta2(p, rng, size=4)
-    x2 = matdist.sample_beta2(p, rng, size=4)
     if prime:
-        want = matcore.sym_product(kind, np.eye(2) + x1, x2)
+        want = matcore.sym_product(kind, np.eye(2) + x1, matdist.sample_beta2(p, rng, size=4))
     else:
-        want = matcore.sym_product(kind, x2, np.eye(2) + x1)
+        w2 = matdist.sample_factor(Law.BETA2, p, rng, size=4, kind=kind)
+        want = matcore._sandwich(w2, np.eye(2) + x1)
     np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("prime", [False, True], ids=["xi", "xi_prime"])
 def test_kesten_blocks_capped_without_changing_bits(monkeypatch, prime):
     # thin above KESTEN_BLOCK_MAX: the blocks are capped, and the samples are
-    # those of one-move blocks.
+    # those of one-move blocks. The plain chain draws its blocks' factors, the
+    # primed chain their Gram matrices.
     p = ModelParams(2, 2.0, 5.0)
     args = (p, SplitKind.CHOLESKY, 150, 70, 5)
     seen = []
-    draw = matdist.sample_beta2
+    sampler = "sample_beta2" if prime else "sample_factor"
+    draw = getattr(matdist, sampler)
 
     def recording(*a, **kw):
         seen.append(kw.get("blocks"))
         return draw(*a, **kw)
 
-    monkeypatch.setattr(matdist, "sample_beta2", recording)
+    monkeypatch.setattr(matdist, sampler, recording)
     got = kesten_samples(*args, make_stream(17), prime=prime, n_chains=2)
     assert max(b for b in seen if b is not None) == walks.KESTEN_BLOCK_MAX
     monkeypatch.setattr(walks, "KESTEN_BLOCK_MAX", 1)
