@@ -57,7 +57,7 @@ def closed_form_mu(law, p: ModelParams):
         return -digamma(p.beta - (d - ks) / 2.0)
     if law is Law.BETA2:
         return digamma(p.alpha - (ks - 1) / 2.0) - digamma(p.beta - (d - ks) / 2.0)
-    raise DomainError(f"no closed form for law {law}")
+    raise DomainError(f"no closed form for law {law.value}")
 
 
 def _report(law, p, per_rep, n_steps, method, seed):

@@ -499,8 +499,6 @@ def _phi_head_edge(alpha, beta, s_min):
     closed form errs by at most e^(1 + (beta+1) T) (1 + alpha/s) (1 + 1/s)^alpha
     of phi. That bound falls as s rises; at T it is below _PHI_HEAD_TOL.
     """
-    if alpha <= 0:
-        return _LOG_LO
     log_s = math.log(s_min)  # not 1/s, which overflows at subnormal s
     log_bound = 1.0 + math.log(s_min + alpha) - log_s + alpha * (math.log1p(s_min) - log_s)
     t_edge = (math.log(_PHI_HEAD_TOL) - log_bound) / (beta + 1.0)
@@ -516,7 +514,7 @@ def _phi_window(a, b, s, s_min, s_max, where):
     one window that holds [s_min, s_max].
     """
     t, w, y = _log_grid(_LOG_LO, _PHI_T_HI)
-    lo, hi = (_phi_lo(a, b, s_min, s_max), _phi_hi(b)) if a >= 0 else (0, len(t))
+    lo, hi = _phi_lo(a, b, s_min, s_max), _phi_hi(b)
     s_col = s if isinstance(s, float) else s[..., None]
     # With alpha >= 0 a node's exponent is at most beta log beta - beta -
     # alpha log s_min, since log(y + s) >= log s and beta t - e^t peaks at
@@ -539,18 +537,18 @@ def _phi_window(a, b, s, s_min, s_max, where):
 
 
 def phi_d1(p: ModelParams, s):
-    """phi(s) = int_0^inf x^(alpha-beta) (1+sx)^(-alpha) e^(-1/x) dx/x, s > 0.
+    """phi(s) = int_0^inf x^(alpha-beta) (1+sx)^(-alpha) e^(-1/x) dx/x, s > 0, at alpha, beta > 0.
 
     With y = 1/x this is int y^(beta-1) (y+s)^(-alpha) e^(-y) dy, summed by
     the fixed rule as exp(beta t - alpha log(e^t + s) - e^t) over t = log y
     in a window of the panels of [-60, 7]. Outside it the mass is provably
     below _PHI_TOL of phi (see ``_phi_lo`` and ``_phi_hi``), far below
-    one ulp, and is dropped. Where no window edge above t = -60 bounds it
-    (and always at alpha < 0), the rule starts at t = -60, or lower where
-    the mass near y = s lies below it (see ``_phi_head_edge``). Below that
-    edge T, e^(-y) = 1 and (y+s)^(-alpha) = s^(-alpha), which adds
-    e^(beta T) s^(-alpha)/beta. Where phi leaves double range, it raises
-    NonFiniteIntegrand. ``s`` may be a scalar, giving a float, or an array.
+    one ulp, and is dropped. Where no window edge above t = -60 bounds it,
+    the rule starts at t = -60, or lower where the mass near y = s lies
+    below it (see ``_phi_head_edge``). Below that edge T, e^(-y) = 1 and
+    (y+s)^(-alpha) = s^(-alpha), which adds e^(beta T) s^(-alpha)/beta.
+    Where phi leaves double range, it raises NonFiniteIntegrand. ``s`` may
+    be a scalar, giving a float, or an array.
     An array of more than _PHI_BLOCK values is sorted once and each run of
     _PHI_BLOCK sorted values is summed on its own window. BLAS orders a
     row's terms by the row count of the product, so each such value has the
@@ -559,6 +557,8 @@ def phi_d1(p: ModelParams, s):
     """
     if p.dim != 1:
         raise DomainError("phi is evaluated at d=1 only")
+    if p.alpha <= 0:
+        raise DomainError(f"phi requires alpha > 0, got alpha={p.alpha}")
     if p.beta <= 0:
         raise DomainError("phi requires beta > 0")
     a, b = p.alpha, p.beta
@@ -795,15 +795,21 @@ def _qbar_window(p: ModelParams, s0, phi_s0):
     is at most (s0/x)^beta / (beta B), which reaches _TAIL_TOL at x = s0
     (beta B _TAIL_TOL)^(-1/beta); and where also x >= 1 it is at most
     (s0/x)^beta e^-x / (B x) <= e^-x / B, which reaches it at x = log(1 /
-    (B _TAIL_TOL)). Either end is valid once raised to its range, and the
-    table takes the smaller: the first where s0 << 1, which keeps the grid
-    on the law. Below x, as in ``_lower_end``, the mass is at most
-    Gamma(beta - c) x^c / (c B phi(s0) s0^alpha).
+    (B _TAIL_TOL)). For any x >= 1, phi(s) <= Gamma(beta) s^-alpha and
+    phi(s0) >= (1 + s0)^-alpha / (e beta) (``_phi_hi``) bound the density by
+    C (1 + s/s0)^-(alpha+beta) e^-s <= C e^-s, C = e beta Gamma(beta) (1 +
+    1/s0)^alpha / B, so the mass above x is at most C e^-x / x <= C e^-x,
+    which reaches _TAIL_TOL at x = log(C / _TAIL_TOL): the end where s0 >> 1.
+    Each end is valid once raised to its range, and the table takes the
+    smallest: the first where s0 << 1, which keeps the grid on the law.
+    Below x, as in ``_lower_end``, the mass is at most Gamma(beta - c) x^c
+    / (c B phi(s0) s0^alpha).
     """
     log_b, log_tol = log_multivariate_beta(1, p.alpha, p.beta), math.log(_TAIL_TOL)
     x_lo = _lower_end(-log_b - math.log(phi_s0) - p.alpha * math.log(s0), p.alpha, p.beta)
     by_power = s0 * math.exp(-(math.log(p.beta) + log_b + log_tol) / p.beta)
-    return x_lo, min(max(1.0, s0, -log_b - log_tol), max(s0, by_power))
+    log_c = 1.0 + math.log(p.beta) + math.lgamma(p.beta) + p.alpha * math.log1p(1.0 / s0) - log_b
+    return x_lo, min(max(1.0, s0, -log_b - log_tol), max(s0, by_power), max(1.0, log_c - log_tol))
 
 
 def kernel_densities_d1(p: ModelParams):

@@ -276,6 +276,16 @@ def _ks2_sub(label, xs, ys):
     return SubTest(label, dist / crit, f"D={dist:.5f} p={pval:.2e}")
 
 
+def _ks_functionals(d, functionals):
+    # At d = 1 each functional is increasing in the one entry, and a KS distance is invariant under such maps.
+    return functionals[:1] if d == 1 else functionals
+
+
+def _ks2_functional_subs(label, xs, ys, functionals):
+    """Two-sample KS sub-tests of matrix samples xs and ys per functional f, labelled label.format(f.__name__)."""
+    return [_ks2_sub(label.format(f.__name__), f(xs), f(ys)) for f in _ks_functionals(xs.shape[-1], functionals)]
+
+
 def _ks1_sub(label, xs, cdf):
     bad = _nonfinite_sub(label, xs)
     if bad:
@@ -327,7 +337,7 @@ def check_dufresne(p: ModelParams, n_samples, rng, seed=None):
     nu = p.beta - p.alpha
     series = walks.dufresne_series(p, rng, size=n_samples)
     direct = matdist.sample_inv_wishart(ModelParams(p.dim, nu, nu), rng, size=n_samples)
-    subs = [_ks2_sub(f.__name__, f(series), f(direct)) for f in KS_FUNCTIONALS]
+    subs = _ks2_functional_subs("{}", series, direct, KS_FUNCTIONALS)
     if p.dim == 1:
         xs = series[:, 0, 0]
         subs.append(_ks1_sub("trace vs quadrature cdf", xs, _inv_wishart_cdf_d1(nu)))
@@ -347,16 +357,13 @@ def check_fixed_point(alpha, beta, dims, burn_in, n_samples, rng, seed=None):
     for d in dims:
         p = ModelParams(d, alpha, beta).require_contracting()
         stat = ModelParams(d, alpha, beta - alpha)
-        tag = f"d={d}"
         chains = {}
         for prime, label in ((False, "xi"), (True, "xi_prime")):
-            chain = walks.kesten_samples(
+            chains[label] = walks.kesten_samples(
                 p, SplitKind.CHOLESKY, burn_in, thin, n_samples, rng, prime=prime, n_chains=FIXED_POINT_CHAINS
             )
-            chains[label] = chain
             target = matdist.sample_beta2(stat, rng, size=n_samples)
-            for f in (TRACE, LOGDET):
-                subs.append(_ks2_sub(f"{label} {f.__name__} {tag}", f(chain), f(target)))
+            subs += _ks2_functional_subs(f"{label} {{}} d={d}", chains[label], target, (TRACE, LOGDET))
         # One-step invariance: the stationary law pushed through the recursion
         # map must match fresh direct draws.
         direct = matdist.sample_beta2(stat, rng, size=n_samples)
@@ -364,11 +371,10 @@ def check_fixed_point(alpha, beta, dims, burn_in, n_samples, rng, seed=None):
         factors = matdist.sample_factor(Law.BETA2, p, rng, size=n_samples)
         pushed = matcore._sandwich(factors, np.eye(d) + direct)
         fresh = matdist.sample_beta2(stat, rng, size=n_samples)
-        for f in (TRACE, LOGDET):
-            subs.append(_ks2_sub(f"push {f.__name__} {tag}", f(pushed), f(fresh)))
+        subs += _ks2_functional_subs(f"push {{}} d={d}", pushed, fresh, (TRACE, LOGDET))
         if d == 1 and beta - alpha > 2:
             target_mean = alpha / (beta - alpha - 1.0)
-            subs.append(_moment_sub(f"xi mean {tag}", chains["xi"][:, 0, 0], target_mean))
+            subs.append(_moment_sub(f"xi mean d={d}", chains["xi"][:, 0, 0], target_mean))
     return _make_report("fixed_point", subs, n_samples, n_samples, seed)
 
 
@@ -530,19 +536,19 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
         (walks.Construction.CLOSED, SplitKind.SQUARE_ROOT),
         (walks.Construction.CLOSED, SplitKind.CHOLESKY),
     ]
-    finals = []
-    labels = []
+    finals, labels = [], []
     for construction, kind in variants:
         cfg = walks.WalkConfig(params=p, kind=kind, construction=construction, steps=n)
         tr = walks.simulate_walks(cfg, rng, n_samples)
         finals.append(tr.r[:, n])
         labels.append(f"{construction.value[:4]}/{kind.value[:4]}")
-    # Each functional once per final: 12 evaluations for the 36 comparisons.
-    values = [[f(final) for f in KS_FUNCTIONALS] for final in finals]
+    # Each functional once per final: at d >= 2, 12 evaluations serve 18 KS tests.
+    functionals = _ks_functionals(p.dim, KS_FUNCTIONALS)
+    values = [[f(final) for f in functionals] for final in finals]
     subs = []
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
-            for k, f in enumerate(KS_FUNCTIONALS):
+            for k, f in enumerate(functionals):
                 subs.append(_ks2_sub(f"{labels[i]} vs {labels[j]} {f.__name__}", values[i][k], values[j][k]))
     # Path equality of the two Cholesky constructions on one shared stream.
     m = min(n_samples, 512)
@@ -554,9 +560,7 @@ def check_construction_equivalence(p: ModelParams, n, n_samples, rng, seed=None)
     )
     gap = float(np.max(np.abs(recursive - closed)))
     subs.append(SubTest("shared-stream path gap", gap / 1e-10, f"max entry diff {gap:.2e}"))
-    return _make_report(
-        f"construction_equivalence_d{p.dim}", subs, n_samples, n_samples, seed
-    )
+    return _make_report(f"construction_equivalence_d{p.dim}", subs, n_samples, n_samples, seed)
 
 
 def check_lukacs(p: ModelParams, n_samples, rng, seed=None):
@@ -604,19 +608,15 @@ def check_beta_gamma(alpha, beta, dims, n_samples, rng, seed=None):
         p = ModelParams(d, alpha, beta).require_sampling()
         whole = ModelParams(d, alpha + beta, alpha + beta)
         target = ModelParams(d, alpha, alpha)
-        # Each combo draws the whole law's factor w(Y), not Y to split again.
-        w_y = matdist.sample_factor(Law.WISHART, whole, rng, size=n_samples)
-        u = matdist.sample_beta1(p, rng, size=n_samples)
-        combo = matcore._sandwich(w_y, u)
-        direct = matdist.sample_wishart(target, rng, size=n_samples)
-        for f in (TRACE, LOGDET):
-            subs.append(_ks2_sub(f"sum-split d={d} {f.__name__}", f(combo), f(direct)))
-        w_v = matdist.sample_factor(Law.INV_WISHART, whole, rng, size=n_samples)
-        w = matdist.sample_inv_beta1(p, rng, size=n_samples)
-        combo_inv = matcore._sandwich(w_v, w)
-        direct_inv = matdist.sample_inv_wishart(target, rng, size=n_samples)
-        for f in (TRACE, LOGDET):
-            subs.append(_ks2_sub(f"inverse-split d={d} {f.__name__}", f(combo_inv), f(direct_inv)))
+        for label, law, sample_part, sample_direct in (
+            ("sum-split", Law.WISHART, matdist.sample_beta1, matdist.sample_wishart),
+            ("inverse-split", Law.INV_WISHART, matdist.sample_inv_beta1, matdist.sample_inv_wishart),
+        ):
+            # Each combo draws the whole law's factor w(Y), not Y to split again.
+            w_y = matdist.sample_factor(law, whole, rng, size=n_samples)
+            combo = matcore._sandwich(w_y, sample_part(p, rng, size=n_samples))
+            direct = sample_direct(target, rng, size=n_samples)
+            subs += _ks2_functional_subs(f"{label} d={d} {{}}", combo, direct, (TRACE, LOGDET))
     return _make_report("beta_gamma", subs, n_samples, n_samples, seed)
 
 

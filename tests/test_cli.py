@@ -361,6 +361,7 @@ _LYAPUNOV_ARGS = ["lyapunov", "--d", "1", "--alpha", "2", "--beta", "5", "--step
         (_WALK_ARGS + ["--steps", "2", "--init", "fixed:abc"], "fixed init"),
         (_WALK_ARGS + ["--steps", "2", "--init", "fixed:nan"], "fixed init"),
         (_WALK_ARGS + ["--increments", "2,abc"], "increments"),
+        (_WALK_ARGS + ["--increments", ","], "increments must be positive numbers"),
         (_DUFRESNE_ARGS + ["--tail-tol", "0"], "0 < tail_tol < 1"),
         (_DUFRESNE_ARGS + ["--tail-tol", "-1"], "0 < tail_tol < 1"),
         (_DUFRESNE_ARGS + ["--tail-tol", "1"], "0 < tail_tol < 1"),
@@ -374,6 +375,7 @@ _LYAPUNOV_ARGS = ["lyapunov", "--d", "1", "--alpha", "2", "--beta", "5", "--step
         "fixed:abc",
         "fixed:nan",
         "increments-abc",
+        "increments-empty",
         "tail-tol=0",
         "tail-tol=-1",
         "tail-tol=1",

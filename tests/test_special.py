@@ -304,6 +304,12 @@ def test_phi_rejects_bad_arguments():
             phi_d1(p, s)
 
 
+def test_phi_of_an_empty_array_is_an_empty_array():
+    for shape in ((0,), (0, 3)):
+        out = phi_d1(ModelParams(1, 2.0, 5.0), np.empty(shape))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
+
 def test_phi_overflow_is_a_typed_error():
     # phi(s) grows like s^(beta - alpha) as s -> 0 and leaves double range here.
     with pytest.raises(NonFiniteIntegrand, match=r"alpha=20\.0, beta=1\.0.*t = "):

@@ -376,9 +376,11 @@ def test_cdf_tables_keep_each_cells_end_slopes_in_the_monotone_box(kind, args, m
 
 def test_eta_cdf_between_its_grid_points_against_adaptive_quadrature():
     # Each table's CDF at 31 cell midpoints against scipy's quad of the
-    # density in t, split where it bends: eta, and qbar from six s0. qbar
+    # density in t, split where it bends: eta, and qbar from seven s0. qbar
     # bends near log s0 too, which lies far below the other splits at s0 << 1.
-    s0s = (1e-14, 1e-9, 1e-4, 0.3, 1.05, 5.0)
+    # At s0 = 1e4 a table up to x = s0 spread its cells over a law that ends
+    # near x = 40.
+    s0s = (1e-14, 1e-9, 1e-4, 0.3, 1.05, 5.0, 1e4)
     for kind, args in [("eta", (2.0, 5.0))] + [("qbar", (2.0, 5.0, s0)) for s0 in s0s]:
         cdf, density = _table(kind, args), _law(kind, args)[0]
         t_grid = np.log(cdf.grid)
@@ -633,13 +635,13 @@ def test_run_check_is_deterministic():
 # SHA-256 of each report's JSON at seed 11 on stream 1000 + its place in
 # REDUCED_CONFIG: a change to a draw order, a config or a report format moves them.
 REDUCED_REPORT_SHA256 = {
-    "dufresne_d1": "0e602c0a4bdb851821de8147b9d470bc1b876fbb94c09813b53949c8e67ebab1",
+    "dufresne_d1": "e22cec68fa345740149f805b0760a89796ecfed7e71874123cc2a861c2cad9bc",
     "dufresne_d2": "12232319078dd74241c1db8daced96d2dec4e95107412c39f9eff9dbd78fd4b3",
     "my_markov_d1": "40921fb3d067aa7808cbb046a1f09b020ca49281244697669cb28d86da9da083",
-    "fixed_point": "989699470748b94b5c5043b840bccd6dd51a5bcab67e4beef8ddaea35d09a322",
+    "fixed_point": "3b9afa018b4716912f5850e2f7f63bca48f6798950a0f3eb63db5285f1f63c8b",
     "construction_equivalence": "d527b82752844e9e3314ca9fd56cd5549130e1a144d2b948fd74121ed8a81bcc",
     "lukacs": "f87421d4287f094ba4103d539debf51c5954164ffdf0baac5126943829dfd6af",
-    "beta_gamma": "7989b3cd06c11d49adc45ae1b59fa43d74ba3133b1ada5240cb6f80bcbfffbe1",
+    "beta_gamma": "6210026d5336e860dc46a5dbac18e77f3700112e47d73dc0a87c2f9691ef1a99",
 }
 
 
@@ -650,6 +652,22 @@ def test_reduced_suite_single_repetition_passes():
         assert rep.seed == 11
         digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
         assert digest == REDUCED_REPORT_SHA256[name], (name, rep.to_json())
+
+
+def test_d1_samples_are_ks_tested_on_trace_alone():
+    # At d = 1 logdet and lambda_max are increasing maps of trace, so their
+    # KS distances would repeat its own; every check tests trace alone there.
+    rng = make_stream(3)
+    reports = [
+        verify.check_dufresne(ModelParams(1, 2.0, 5.0), 500, rng),
+        verify.check_fixed_point(2.5, 6.0, (1,), 20, 200, rng),
+        verify.check_construction_equivalence(ModelParams(1, 2.5, 6.0), 2, 500, rng),
+        verify.check_beta_gamma(2.0, 3.0, (1,), 500, rng),
+    ]
+    for rep, n_trace in zip(reports, (2, 3, 6, 2)):
+        labels = [sub.partition(":")[0] for sub in rep.details.split("; ")]
+        assert sum("trace" in label for label in labels) == n_trace, rep.details
+        assert not any("logdet" in label or "lambda_max" in label for label in labels), rep.details
 
 
 @pytest.mark.parametrize("name", ["fixed_point", "dufresne_d2", "construction_equivalence", "lukacs"])
