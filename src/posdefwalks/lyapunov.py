@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import matdist
+from . import matcore, matdist
 from .errors import DomainError, StepOverflow
 from .special import Law, ModelParams, digamma
 
@@ -119,9 +119,10 @@ def empirical_mu_eigen(law, p: ModelParams, kind, n_steps, n_replicas, rng, seed
     acc = np.zeros((n_replicas, d))
     for start in range(0, n_steps, RESCALE_EVERY):
         m = min(RESCALE_EVERY, n_steps - start)
-        for f in matdist.sample_factor(law, p, rng, size=n_replicas, kind=kind, blocks=m):
-            v = f @ v
-        q, t = np.linalg.qr(v)
+        with np.errstate(over="ignore", invalid="ignore"):  # the growth test reports it
+            for f in matdist.sample_factor(law, p, rng, size=n_replicas, kind=kind, blocks=m):
+                v = matcore._product(f, v)
+            q, t = np.linalg.qr(v)
         growth = np.abs(np.diagonal(t, axis1=-2, axis2=-1))
         if not np.all(np.isfinite(growth)) or np.any(growth <= 0):
             raise StepOverflow("rescaling failed; product left the stable range")

@@ -26,16 +26,25 @@ LAPACK's, and tests/test_properties.py bounds their errors against 50-digit
 arithmetic. On 3200 matrices at d = 2 they take about 0.07, 0.08 and 0.04
 ms against 1.9, 0.8 and 0.3 ms for eigh, eigvalsh and slogdet (same host).
 The d = 3 Cholesky factor stays on LAPACK: a closed form would gain at most
-about 50 ns per matrix and lose on stacks below a few hundred. The Gram and
-sandwich products stay on matmul, and the root and eigenvalues on eigh and
-eigvalsh at d >= 3.
+about 50 ns per matrix and lose on stacks below a few hundred. The root and
+eigenvalues stay on eigh and eigvalsh at d >= 3.
 
-Every Gram product v^T v (and v v^T) goes through :func:`_gram`, which hands
-matmul two different buffers. numpy sends a buffer times its own transpose
-to BLAS syrk, one matrix at a time, and syrk costs about 270 ns per 2x2 and
-290 ns per 3x3 against 80 and 90 ns for gemm on a copy (one BLAS thread,
-2-core x86-64, numpy 2.4 on OpenBLAS 0.3.31). The two give the same bits,
-which tests/test_properties.py checks; at d = 1 the product is v * v.
+Every matrix product of the samplers, walks, series and estimators goes
+through one of three private kernels: :func:`_gram` (v^T v),
+:func:`_product` (a b) and :func:`_sandwich` (w^T x w). At d <= 2 they are
+closed forms, fixed sequences of correctly rounded multiplies and adds with
+no fused operation, so their bits hold on any IEEE host; the Gram matrix
+and the sandwich are exactly symmetric, and at d = 1 all three keep the
+bits of numpy's 1 x 1 matmul. On 3000 matrices at d = 2 the Gram matrix,
+the product and the sandwich take 45, 59 and 105 us against 248, 178 and
+515 us on gemm, where numpy makes one BLAS call per matrix; on the
+64-matrix stacks of a Kesten move gemm is faster per call, 23 against 26 us
+for the sandwich (interleaved best of 21, one BLAS thread, 2-core x86-64,
+numpy 2.4 on OpenBLAS 0.3.31). At d >= 3 they call gemm, whose bits follow
+the host's BLAS. There numpy would send a buffer times its own transpose to
+BLAS syrk, one matrix at a time, at about three times gemm's cost, so
+_gram hands matmul a copy of v^T; the two give the same bits, which
+tests/test_properties.py checks.
 """
 
 import enum
@@ -237,15 +246,46 @@ def _triangular_inverse(u):
 
 
 def _gram(v):
-    """v^T v for a stack v (..., d, d), on the gemm path; _gram(v^T) is v v^T.
+    """v^T v for a stack v (..., d, d), stored exactly symmetric; _gram(v^T) is v v^T.
 
-    numpy takes the syrk path only when both operands share one buffer, so
-    the transposed operand is copied first. At d = 1 the product is v * v,
-    with the same bits.
+    At d <= 2 a closed form, each entry written once, from the upper triangle
+    g_ij = v_0i v_0j + v_1i v_1j. At d >= 3 gemm on a copy of v^T (numpy
+    takes syrk, about three times slower, when both operands share one
+    buffer), symmetrized as the callers did.
     """
-    if v.shape[-1] == 1:
+    d = v.shape[-1]
+    if d == 1:
         return v * v
-    return np.swapaxes(v, -1, -2).copy() @ v
+    if d > 2:
+        return symmetrize(np.swapaxes(v, -1, -2).copy() @ v)
+    v00, v01, v10, v11 = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+    g = np.empty(v.shape)
+    np.add(v00 * v00, v10 * v10, out=g[..., 0, 0])
+    np.add(v00 * v01, v10 * v11, out=g[..., 0, 1])
+    np.add(v01 * v01, v11 * v11, out=g[..., 1, 1])
+    g[..., 1, 0] = g[..., 0, 1]
+    return g
+
+
+def _product(a, b):
+    """a b for stacks a, b (..., d, d) that broadcast: every stacked product of the package.
+
+    At d = 2 a closed form, c_ij = a_i0 b_0j + a_i1 b_1j; at d = 1 a * b,
+    the bits of a 1 x 1 matmul; gemm at d >= 3.
+    """
+    d = a.shape[-1]
+    if d == 1:
+        return a * b
+    if d > 2:
+        return a @ b
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    c = np.empty(np.broadcast(a, b).shape)
+    np.add(a00 * b00, a01 * b10, out=c[..., 0, 0])
+    np.add(a00 * b01, a01 * b11, out=c[..., 0, 1])
+    np.add(a10 * b00, a11 * b10, out=c[..., 1, 0])
+    np.add(a10 * b01, a11 * b11, out=c[..., 1, 1])
+    return c
 
 
 def _pivot(x):
@@ -321,8 +361,32 @@ def split_factor(kind, y):
 
 
 def _sandwich(w, x):
-    """Symmetrised product w^T x w of a factor w: every sandwich product of the package."""
-    return symmetrize(np.swapaxes(w, -1, -2) @ np.asarray(x, dtype=float) @ w)
+    """Symmetrised product w^T x w of a factor w: every sandwich product of the package.
+
+    At d = 2 a closed form on x's symmetric part, with b = (x01 + x10)/2:
+    first t = x w, then w^T t, whose off-diagonal entry is formed once and
+    written to both places, so the result is exactly symmetric. At d = 1
+    (w x) w, the bits of the 1 x 1 matmuls; gemm at d >= 3.
+    """
+    x = np.asarray(x, dtype=float)
+    d = w.shape[-1]
+    if d == 1:
+        return w * x * w
+    if d > 2:
+        return symmetrize(np.swapaxes(w, -1, -2) @ x @ w)
+    w00, w01, w10, w11 = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
+    x00, x11 = x[..., 0, 0], x[..., 1, 1]
+    b = 0.5 * (x[..., 0, 1] + x[..., 1, 0])
+    t00 = x00 * w00 + b * w10
+    t01 = x00 * w01 + b * w11
+    t10 = b * w00 + x11 * w10
+    t11 = b * w01 + x11 * w11
+    s = np.empty(t00.shape + (2, 2))  # t00 has the broadcast stack's shape
+    np.add(w00 * t00, w10 * t10, out=s[..., 0, 0])
+    np.add(w00 * t01, w10 * t11, out=s[..., 0, 1])
+    np.add(w01 * t01, w11 * t11, out=s[..., 1, 1])
+    s[..., 1, 0] = s[..., 0, 1]
+    return s
 
 
 def sym_product(kind, y, x):
@@ -383,7 +447,7 @@ def eigenvalues(x):
 def invert(x):
     """Inverse of a positive definite matrix, validated and stored symmetric."""
     uinv = _triangular_inverse(cholesky(x))
-    return symmetrize(_gram(np.swapaxes(uinv, -1, -2)))
+    return _gram(np.swapaxes(uinv, -1, -2))
 
 
 def det(x):

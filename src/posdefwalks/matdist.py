@@ -12,8 +12,9 @@ transform (triangular inverse, Gram matrix, split factor) run once on the
 whole stack. The gamma and normal variates of the Bartlett factors are drawn
 in place into two buffers, in the stream order of one draw call per diagonal
 entry and one per strict upper triangle (see ``_bartlett_blocks``). A draw
-that is not finite, or whose triangular factor has a diagonal entry that is
-not > 0, raises DomainError naming the law's parameters.
+that is not finite or has an entry above matcore.SYMMETRIZE_MAX in magnitude,
+or whose triangular factor has a diagonal entry that is not > 0, raises
+DomainError naming the law's parameters.
 """
 
 import numpy as np
@@ -125,11 +126,12 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 def _checked(law, p, x, *factors):
     """x, or a DomainError naming the law's parameters.
 
-    It is raised if an entry of x is NaN or inf, or if a diagonal entry of a
-    triangular factor of the draw is not > 0: a Bartlett gamma variate of
+    It is raised if an entry of x is NaN, inf or above matcore.SYMMETRIZE_MAX
+    in magnitude, outside the range posdef accepts, or if a diagonal entry of
+    a triangular factor of the draw is not > 0: a Bartlett gamma variate of
     shape near 0 can underflow to exactly 0, which leaves the factor singular.
     """
-    if not np.isfinite(x).all():
+    if not (np.abs(x) <= matcore.SYMMETRIZE_MAX).all():  # a NaN fails too
         raise _unrepresentable(law, p, "is not finite")
     for u in factors:
         if not (np.diagonal(u, axis1=-2, axis2=-1) > 0).all():
@@ -158,7 +160,7 @@ def _cholesky_factor(law, p: ModelParams, rng, size, blocks):
         u = _triangular_inverse(b, law, p)
     elif law is Law.BETA2:
         ab = _bartlett_blocks((a_shapes, b_shapes), rng, size, blocks)
-        u = ab[:, 0] @ _triangular_inverse(ab[:, 1], law, p)
+        u = matcore._product(ab[:, 0], _triangular_inverse(ab[:, 1], law, p))
     else:
         raise DomainError(f"no triangular factor construction for law {law.value}")
     return _shaped(u, size, blocks)
@@ -183,27 +185,27 @@ def sample_factor(law, p: ModelParams, rng, size=None, kind=SplitKind.CHOLESKY, 
     return _checked(law, p, u, u)
 
 
-def _gram(u):
-    return matcore.symmetrize(matcore._gram(u))
+def _factor_and_gram(law, p, rng, size=None, blocks=None):
+    """sample_factor's Cholesky factor u of a draw and the draw u^T u, from one stream.
 
-
-def _gram_sample(law, p, rng, size, blocks):
+    The draw has the bits of ``sample(law, ...)`` on the same stream.
+    """
     with np.errstate(**_QUIET):
         u = _cholesky_factor(law, p, rng, size, blocks)
-        x = _gram(u)
-    return _checked(law, p, x, u)
+        x = matcore._gram(u)
+    return _checked(law, p, x, u), u
 
 
 def sample_wishart(p: ModelParams, rng, size=None, blocks=None):
-    return _gram_sample(Law.WISHART, p, rng, size, blocks)
+    return _factor_and_gram(Law.WISHART, p, rng, size, blocks)[0]
 
 
 def sample_inv_wishart(p: ModelParams, rng, size=None, blocks=None):
-    return _gram_sample(Law.INV_WISHART, p, rng, size, blocks)
+    return _factor_and_gram(Law.INV_WISHART, p, rng, size, blocks)[0]
 
 
 def sample_beta2(p: ModelParams, rng, size=None, blocks=None):
-    return _gram_sample(Law.BETA2, p, rng, size, blocks)
+    return _factor_and_gram(Law.BETA2, p, rng, size, blocks)[0]
 
 
 def sample_beta1(p: ModelParams, rng, size=None):
@@ -217,8 +219,8 @@ def sample_beta1(p: ModelParams, rng, size=None):
     with np.errstate(**_QUIET):
         u_a = _cholesky_factor(Law.WISHART, ModelParams(p.dim, p.alpha, p.alpha), rng, size, None)
         u_b = _cholesky_factor(Law.WISHART, ModelParams(p.dim, p.beta, p.beta), rng, size, None)
-        y_a = _gram(u_a)
-        total = y_a + _gram(u_b)
+        y_a = matcore._gram(u_a)
+        total = y_a + matcore._gram(u_b)
     # The sum is finite exactly when both Wishart draws are.
     total_inv = matcore.invert(_checked(Law.BETA1, p, total, u_a, u_b))
     return matcore.sym_product_alt(SplitKind.CHOLESKY, total_inv, y_a)

@@ -3,7 +3,8 @@
 The walk state R(n) moves by the symmetrised product with an independent
 beta II increment X(n). The recursive construction conjugates X(n) by the
 current state; the closed one, whose states the Dufresne series sums,
-accumulates the factors w(X(n))...w(X(1)) drawn by matdist.sample_factor.
+accumulates the factors w(X(n))...w(X(1)) drawn by matdist.sample_factor;
+at the Cholesky split its inverse Wishart start is drawn as a factor too.
 They are equal in law for every split kind, and for the Cholesky split they
 coincide path by path. Every walk's states come from one of two private
 builders, _recursive_states (repeated symmetrised products) and
@@ -97,6 +98,19 @@ def init_states(init, p: ModelParams, rng, n):
     return np.broadcast_to(init, (n, d, d)).copy()
 
 
+def _start(init, kind, p: ModelParams, rng, n):
+    """init_states' n start states and their split factors w(state).
+
+    At the Cholesky split the inverse Wishart start is drawn as its factor
+    (matdist.sample_factor's, on init_states' stream), so it is not split
+    again.
+    """
+    if isinstance(init, str) and init == "invwishart" and SplitKind(kind) is SplitKind.CHOLESKY:
+        return matdist._factor_and_gram(Law.INV_WISHART, p, rng, n)
+    state = init_states(init, p, rng, n)
+    return state, matcore.split_factor(kind, state)
+
+
 def _check_overflow(m, step):
     """Raise StepOverflow naming the step and first bad batch index unless |m| <= ENTRY_MAX."""
     if np.max(np.abs(m)) <= ENTRY_MAX:  # a NaN fails the comparison too
@@ -136,14 +150,13 @@ def _recursive_states(kind, state, increments, n):
     return r
 
 
-def _closed_states(kind, state, factors, n):
-    """States of the closed walk from state: Gram matrices of w(X(k))...w(X(1)) w(state)."""
+def _closed_states(state, v, factors, n):
+    """States of the closed walk from state = v^T v: Gram matrices of w(X(k))...w(X(1)) v."""
     r = _states(state, n)
-    v = matcore.split_factor(kind, state)
     for k, f in enumerate(factors, start=1):
         with np.errstate(over="ignore", invalid="ignore"):  # _check_overflow reports it
-            v = f @ v
-            r[..., k, :, :] = state = matcore.symmetrize(matcore._gram(v))
+            v = matcore._product(f, v)
+            r[..., k, :, :] = state = matcore._gram(v)
         _check_overflow(state, k)
     return r
 
@@ -157,12 +170,13 @@ def simulate_walks(cfg: WalkConfig, rng, n_traces):
     if n_traces < 1:
         raise DomainError(f"simulate_walks needs n_traces >= 1, got {n_traces}")
     p, kind, n = cfg.params, cfg.kind, cfg.steps
-    state = init_states(cfg.init, p, rng, n_traces)
     if cfg.construction is Construction.CLOSED:
+        state, v = _start(cfg.init, kind, p, rng, n_traces)
         factors = (
             matdist.sample_factor(Law.BETA2, p, rng, size=n_traces, kind=kind) for _ in range(n)
         )
-        return WalkTrace(_closed_states(kind, state, factors, n))
+        return WalkTrace(_closed_states(state, v, factors, n))
+    state = init_states(cfg.init, p, rng, n_traces)
     increments = (matdist.sample_beta2(p, rng, size=n_traces) for _ in range(n))
     return WalkTrace(_recursive_states(kind, state, increments, n))
 
@@ -185,7 +199,8 @@ def trace_from_increments(kind, init, increments, construction=Construction.RECU
     xs = (matcore.posdef(x, name=f"increment {k}") for k, x in enumerate(increments, start=1))
     if Construction(construction) is Construction.CLOSED:
         factors = (matcore.split_factor(kind, x) for x in xs)
-        return WalkTrace(_closed_states(kind, init, factors, len(increments)))
+        v = matcore.split_factor(kind, init)
+        return WalkTrace(_closed_states(init, v, factors, len(increments)))
     return WalkTrace(_recursive_states(kind, init, xs, len(increments)))
 
 
@@ -249,7 +264,8 @@ def dufresne_series(
     arrays carried to the next term hold the unfinished rows only: when rows
     finish, their sums go to the output and the carried arrays shrink. So the
     work per term follows the number of unfinished series, and the draws do
-    not depend on how the rows are stored.
+    not depend on how the rows are stored. A partial sum that is not finite
+    raises StepOverflow naming the term and the series' index in the output.
     """
     p.require_contracting()
     if not 0 < tail_tol < 1:
@@ -262,23 +278,28 @@ def dufresne_series(
         max_terms = 10 * math.ceil(math.log(1.0 / tail_tol) / abs(mu1))
     if max_terms < 1:
         raise DomainError(f"dufresne_series needs max_terms >= 1, got {max_terms}")
-    state0 = init_states(init, p, rng, n)
+    state0, v = _start(init, kind, p, rng, n)
     total = np.empty_like(state0)
     counts = np.full(n, 0)
     # Carried for the unfinished rows only: their original indices, factor
     # products, partial sums and last trace ratios.
     rows = np.arange(n)
-    v = matcore.split_factor(kind, state0)
     partial = state0.copy()
     for term_idx in range(1, max_terms + 1):
         if rows.size == 0:
             break
-        v = matdist.sample_factor(Law.BETA2, p, rng, size=rows.size, kind=kind) @ v
-        term = matcore._gram(v)
-        partial += term
-        term_trace = matcore.trace(term)
-        sum_trace = matcore.trace(partial)
-        ratio = term_trace / sum_trace
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that left the range is reported below
+            v = matcore._product(matdist.sample_factor(Law.BETA2, p, rng, size=rows.size, kind=kind), v)
+            term = matcore._gram(v)
+            partial += term
+            term_trace = matcore.trace(term)
+            sum_trace = matcore.trace(partial)
+            ratio = term_trace / sum_trace
+        if not np.all(sum_trace < np.inf):  # a NaN fails too
+            first = rows[np.argmin(sum_trace < np.inf)]
+            raise StepOverflow(
+                f"series partial sum left the representable range at term {term_idx}, batch index {first}"
+            )
         done = term_trace < tail_tol * sum_trace
         if done.any():
             # Gathers by index; a boolean mask costs several times more per row.
@@ -293,7 +314,6 @@ def dufresne_series(
             f"worst remaining trace ratio {np.max(ratio):.3e} "
             f"vs tail_tol {tail_tol:.1e}"
         )
-    total = matcore.symmetrize(total)
     result = total[0] if size is None else total
     if return_counts:
         return result, (counts[0] if size is None else counts)

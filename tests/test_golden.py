@@ -11,7 +11,10 @@ change, say which and why, and print the new table with
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -136,7 +139,9 @@ def _conditioned(d, n=64):
     c, s = np.cos(theta), np.sin(theta)
     q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     lam = np.stack([np.ones(n), np.logspace(0.0, -12.0, n)], -1)
-    return matcore.symmetrize((q * (scale[:, None] * lam)[:, None, :]) @ np.swapaxes(q, -1, -2))
+    m = q * (scale[:, None] * lam)[:, None, :]
+    # x_ij = m_i0 q_j0 + m_i1 q_j1, elementwise: gemm's bits would depend on the host's BLAS.
+    return matcore.symmetrize(m[:, :, None, 0] * q[:, None, :, 0] + m[:, :, None, 1] * q[:, None, :, 1])
 
 
 def _kernel(fn, d):
@@ -287,81 +292,81 @@ def _compute(name):
 
 GOLDEN = {
     'walks-recursive-sqrt-identity-d1': 'e80b5925fc0985a90e1abbf715fdbe1488db3bd455fb647fbc8fb6e021c828fd',
-    'walks-recursive-sqrt-identity-d2': '67666ba695bf3348e38100d658dcb90528b0d1b739b9c89cad60e02a6991c0c9',
+    'walks-recursive-sqrt-identity-d2': 'be4d10e05e5953c0fdf47537bdf9ab7033f1cc3537e1bd7ce185c6e3dc681763',
     'walks-recursive-sqrt-identity-d3': '2555595dbde6d1cdfb04d8ea381f0c95c05a84f19b20380f84796b3332f35fa2',
     'walks-recursive-sqrt-invwishart-d1': '42cad3ec35286451d88f54f002bbc7ce5ea6d9f0e74ed504ecff19811c1d72d1',
-    'walks-recursive-sqrt-invwishart-d2': 'da5fa6884691588de1689c4a67849936ca1a6bcc8519cd0e58b3dcc05710b39e',
+    'walks-recursive-sqrt-invwishart-d2': '89bc791d75a5844cc585780bd88de10b5f85a625d765d6d540550c6ac6849332',
     'walks-recursive-sqrt-invwishart-d3': 'e69fc317a550e68c7f84a7bda510fefa96e7d018005d3306c4a6029fec829da5',
     'walks-recursive-sqrt-fixed-d1': '837db29c5ca13f2e17ddad0be0c4fcceda0f233987b5d1d3317026603ee8aabe',
-    'walks-recursive-sqrt-fixed-d2': '17308e127d8462bf8aaa2e18fe7da1c28eabc283640339217fc6a7c302c805f5',
+    'walks-recursive-sqrt-fixed-d2': '518b9416a525bd2150cc97f9a557fb6edb9b996afa0b3cfe2c99792cd84589ab',
     'walks-recursive-sqrt-fixed-d3': '6e04d23796205d88028c8942da469ee47f508a5c502c2c8c25575156a5faf351',
     'walks-recursive-cholesky-identity-d1': 'e80b5925fc0985a90e1abbf715fdbe1488db3bd455fb647fbc8fb6e021c828fd',
-    'walks-recursive-cholesky-identity-d2': '76b5367c074c21bf3002c23220a8bb1d690145226e55a67b573ef5675d4f5c8f',
+    'walks-recursive-cholesky-identity-d2': '7616744aabf516415cda00aa5e70f9e1b9ca14cbfde6ed070b0b0ecd34fd57e2',
     'walks-recursive-cholesky-identity-d3': '18daef30e3abe31908d83a268591ff08bfd43270ed702a709ef47c8afbad2846',
     'walks-recursive-cholesky-invwishart-d1': '42cad3ec35286451d88f54f002bbc7ce5ea6d9f0e74ed504ecff19811c1d72d1',
-    'walks-recursive-cholesky-invwishart-d2': 'f0460a6f3ad969f14161c64d5847141396289251e5ee7ee1faa6d88c534feea2',
+    'walks-recursive-cholesky-invwishart-d2': '0fb372d9b9835a4984aa445bc0a1fe2889c5a582177641432922101f972b0914',
     'walks-recursive-cholesky-invwishart-d3': '8ce5968ac3920899b2b61a414754aeac35cc77ed19b80e9bc55964169616b7ba',
     'walks-recursive-cholesky-fixed-d1': '837db29c5ca13f2e17ddad0be0c4fcceda0f233987b5d1d3317026603ee8aabe',
-    'walks-recursive-cholesky-fixed-d2': '0d8f4919f8505cb943762cd282ff0a8c73acd0896d6a4ab8d53ba49e401998dd',
+    'walks-recursive-cholesky-fixed-d2': 'fe9398fd4a44141e211dc2bec4e663bbed005646017620d0a8722ae763cd931b',
     'walks-recursive-cholesky-fixed-d3': 'c13a640bff2d5ddb3e2ce639bdbbc9aac1e593f25b2e01a37193c1b378022897',
     'walks-closed-sqrt-identity-d1': 'e022350761f3a5921e54532bf02943e71e4d9f3ef0ac8c000774da7f2cf464d0',
-    'walks-closed-sqrt-identity-d2': '7aef5ee6a59acf0e50f6acb10aee1b8a3bdc250a974889614b435cf197aeabb5',
+    'walks-closed-sqrt-identity-d2': '9e5e337bbd36b495d61bc35e6e0a58b9002c21d521147315a4c752623b103bad',
     'walks-closed-sqrt-identity-d3': 'a30f641c0b22f1ea62aa087f1758e52a775a77ffe3d13e36b27b839ca9a5f0cf',
     'walks-closed-sqrt-invwishart-d1': 'c4fdab1b4ff90ae5954719a4e89303c87e0959e3134853a612bcf42b698a30c1',
-    'walks-closed-sqrt-invwishart-d2': '81ff371330912631ab7ab7ceb7f479f0391d53702edcebb8b866d1c5be223202',
+    'walks-closed-sqrt-invwishart-d2': '194d7729434de20c9dd9790a9e3185f82234b78378f73bab30d12472214609b9',
     'walks-closed-sqrt-invwishart-d3': '5540ba389ee52da62b7e90ece872ca79cfb4317d5cc9a548047d05eabd6c7d76',
     'walks-closed-sqrt-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
-    'walks-closed-sqrt-fixed-d2': 'bfad47245106375104afa578034fd45d0c8af0b366bd09f55cb2bcc188d1d9d8',
+    'walks-closed-sqrt-fixed-d2': 'd8d9e6ec588f20e133e0d41e62a670b96de3795fb81d104d588093c83fbb82f2',
     'walks-closed-sqrt-fixed-d3': '51dac51667877ae62b2a96b1a476390c78e45170b9950852710da101dcc92309',
     'walks-closed-cholesky-identity-d1': 'e022350761f3a5921e54532bf02943e71e4d9f3ef0ac8c000774da7f2cf464d0',
-    'walks-closed-cholesky-identity-d2': '0f5cda5eda6ef8d24609a7b8838bf918250f51b1c88f981b4e0a35aa0acad2b9',
+    'walks-closed-cholesky-identity-d2': '4846c6750aac8dfae19c49cb7d8de255ce7846ce0560e085b25db4f19b502b45',
     'walks-closed-cholesky-identity-d3': '111ec00bb982de091ebad718e4bddc17bcfe45030da7a5b9ce372917dcd6bc84',
     'walks-closed-cholesky-invwishart-d1': 'c4fdab1b4ff90ae5954719a4e89303c87e0959e3134853a612bcf42b698a30c1',
-    'walks-closed-cholesky-invwishart-d2': '519addeccdd12d1792f153c799b67ff7a7c06dc1643ef9f42f6b31e7915c7522',
-    'walks-closed-cholesky-invwishart-d3': '37267e880d13b5f838ca760cfcf8bd708a55271fb2ee6de76410f2f06cedda81',
+    'walks-closed-cholesky-invwishart-d2': '77b565ea1f0f8ae983fdd924fa34ec0acd1a81712897e1cae1168498844de49e',
+    'walks-closed-cholesky-invwishart-d3': '628934b0b69148f7cd798448cb463675b20a7c634ff88dd0279c4b5db7368e67',
     'walks-closed-cholesky-fixed-d1': '100a8f9ddf87697e2c909942f2cffd52804bb2311dce0fea41a11935342395ba',
-    'walks-closed-cholesky-fixed-d2': '3881756624a003b232532079abdfc094c068bcc59fb98dad6f22fa102ec11d82',
+    'walks-closed-cholesky-fixed-d2': 'fe50aeccfc5c634a7fe998db129c8069d84b487655ba1b704cec9ac3a2dfa5fa',
     'walks-closed-cholesky-fixed-d3': '07cde24f40e6dd6d90da435ff41120e9223cd8921e0c14ca4657296942774894',
-    'trace-sqrt': '5089d2ca3045c1432e1b3956a7c38f02d530bb20e524384f2aaae93f124fd5fe',
-    'closed-sqrt': 'cc31c8ef4901fec3e0092253cd760e7bb57cfcdfae31848a5d06b4c9d967f4a7',
+    'trace-sqrt': '5d8bbe9251f5fca456046c7a74864e397421ecaa30def823ea1d4a39aa69ce72',
+    'closed-sqrt': '349e336c5ce3ade32a767bfc39ad0af01dc2cca6fdece4310474205fe4bf8082',
     'dufresne-sqrt-d1': '0bfd711fac0f25a019ad235a3ef967b0109358edc6ebdfdd4cf482ee870efee2',
-    'dufresne-sqrt-d2': '7cd914b79baa8a43fdaa6f24eb988de62c0d5e1babff3787718485690d7755e2',
-    'dufresne-sqrt-identity': 'c83e86880bbd41e49764495a859b150ce722f082a9f75f8bf0668fb697a1750b',
-    'dufresne-sqrt-fixed': '1a0365a634cbae7c547c17440262ccdf303eb0ca91e10f6ad1c2239902225107',
-    'eigen-wishart-sqrt': '60bd2d34b5fdfdfd172f94441c3b228e2f346acb5bb818a88276ac3b642d3a9b',
-    'eigen-invwishart-sqrt': 'e8dae70ac40978afcec2b1438400a1c4aca9a42cb3996066fbf42a6d0f519719',
-    'eigen-beta2-sqrt': 'b144ee43125524a4a81de6ae86488ab18d0bd83097a4450506a9ba423c9bc3c4',
-    'kesten-sqrt-prime0': '7a29611f4f56e867114f739c07293a96fc4cfb552c817e4335b36b87fb41e1fd',
-    'kesten-sqrt-prime1': 'd1ef3bbc163f07808b51e3e7f3935f6ce6a89acd3a4c215fa81ecef179cf891d',
-    'trace-cholesky': 'e3b5c8e1ed5e8a28a6835cbdaf6c6ce69ab565d5e20b7889b47bb9d9aeb242b0',
-    'closed-cholesky': '751d6e54c03cef9ff92140b04b42ea37647b84d204a8c752ea9da27250676778',
+    'dufresne-sqrt-d2': '6143eea1df8535f7e47e3313e0fab0736bfbb0ba6b65b0e31a5df231b624b9ce',
+    'dufresne-sqrt-identity': 'a95a91996964ae61a1899fa2480b623b9718a1023e1f325e87a57279d73dee23',
+    'dufresne-sqrt-fixed': 'e2f91bd7ffed1d2c468e478373a1c0187041d93a3363409cb436c65d1467a723',
+    'eigen-wishart-sqrt': '20b1a00dc7569c76ec8eedbb8b816881f33188a12a4329ebc88f61411f32a066',
+    'eigen-invwishart-sqrt': '76b0882eb990af6389adb5345346bdb1d0079425515de2b28d51c55c00aae5f1',
+    'eigen-beta2-sqrt': '3446e1aa55fdf41fab1c729907d10c4211c9592b1a00e265043bf2ee3cc5ba73',
+    'kesten-sqrt-prime0': '922460ba16d62d0921cb4d194c7d137fbfb76f97f5076d81737816b1027f3e5f',
+    'kesten-sqrt-prime1': 'f7505e0e68acb26674b38f626a1728584fa079352a681ed01eca1a02719d8442',
+    'trace-cholesky': '2a6258cf69dbab75c69719590357b24e60a8ce2e1712f0461a3c9a080bd8740a',
+    'closed-cholesky': '28d67c80fc85ce5e4029c585b99cd95cfda4c2cb36ab1f2e347ed27578e59e49',
     'dufresne-cholesky-d1': '0bfd711fac0f25a019ad235a3ef967b0109358edc6ebdfdd4cf482ee870efee2',
-    'dufresne-cholesky-d2': 'd6cd3aedd29bafab553dd5d70306f8d3d4d912fb1e3f34c622ba5d01a9cfb5a9',
-    'dufresne-cholesky-identity': '695189d2e108883874451d0e00eb53d02894cf9207a3c6ae187bf7eef39767d5',
-    'dufresne-cholesky-fixed': '936495888ae59fa0c1b8ed8e46c6222e0499988b298d1e6b124a2a29a615b7ec',
+    'dufresne-cholesky-d2': 'be11f92245e4a91c6d397d92da874879eced7d2a4b9d07ce23587c10c2cae023',
+    'dufresne-cholesky-identity': '309e64675f811e3cc921e724aaf8f12f59c83568995c9b17ab3a258c7fc0ed54',
+    'dufresne-cholesky-fixed': '75db7b10879cf71efd3c94f9d184642e4446465a96e957e30f9bb2184e972cb8',
     'eigen-wishart-cholesky': 'f67eabf3d924c183650eed437aaa36e288b64f184b62c79c830357b6e65154b3',
     'eigen-invwishart-cholesky': '78d106a3f8051583d96ff6f83fba12dfb6c5884174da229ec844fb71ac729938',
     'eigen-beta2-cholesky': 'c74c0a00ce997baefa39378e7e3e0548d831165503b811fae604938dc242c1ae',
-    'kesten-cholesky-prime0': '860debd294e97cac48c8c56a9a2f1d4a9424f3bc7789a26935eb5379eca51895',
-    'kesten-cholesky-prime1': 'fceb1b4becb4b129a228fb63891e516a442954c0b4c63edfbc2d019fa64acc62',
+    'kesten-cholesky-prime0': '8231a8f7c2340067093343b65791a27e2c4072e912c81e258e0ddde7db84ac8d',
+    'kesten-cholesky-prime1': '728d1b2ad72b826ccc91ad5fe780e8e168297600fbeb09fdf5e5cd4b078a397a',
     'cholesky-wishart': 'fdf2cc09e24e05dc78f12b517d5c5257aded43ce4a9368380d28bb3119de6c2a',
     'cholesky-invwishart': '411f1122470dcba54d4c2d592c23a57789ce7d4694e88a122f3fb3eadd5ee4f0',
     'cholesky-beta2': '5bba0827364c4b7d156eb61e7d25b7229d0c69ac05ddebe5f7c373b4f03d3300',
-    'cli-walk-steps-invwishart': 'df89e54f40bbe190e75570d2639e1c6cbeab7031976acb2941e1197be12fdd9b',
-    'cli-walk-increments-invwishart': '3a3a6adfa7af2b6573cb37eb38199b3e05fbea60f435957daef13fc74abf936a',
-    'cli-walk-steps-identity': '09927e4a94d316a447734999f8872b381ec211017d5a582cafcd95eece3f5575',
+    'cli-walk-steps-invwishart': 'ea85ecd6d50886ab2f086fe56931cb666ff561bb954d040b8c1423bfdfe44c38',
+    'cli-walk-increments-invwishart': 'b0ed0e4803754b6c596cf07468b7a501365f13e0f1427db37f3607654bc0425b',
+    'cli-walk-steps-identity': '3df69d48ce75b1c10b311fd9a066c5cf16a4d3bbdba4b1a31fd7e3329c6700ee',
     'cli-walk-increments-identity': '737e4568b08ae7498b351fdda9910617881455b9f63d5ae30146210e345bd8ca',
-    'cli-walk-steps-fixed:2': 'a28e54dbc2597ff275eb388a58c75278d820aa9b6812595371c12a0ab66bb174',
+    'cli-walk-steps-fixed:2': '1b7ecc5e0fa495836b9b970ab2a38837f5970c45b9cd8140ebca36364bcb92bd',
     'cli-walk-increments-fixed:2': 'f4ac54bdf5d18897e12ccbc232eba2bf1d360397b5c95b36a7503b9c388d8f6a',
-    'cli-dufresne': '72fbce2d9193c48a58014ae48de2facc1bf63d43c05202c0ced90e0b10227072',
-    'cli-lyapunov-sqrt': 'e2c48c950d8eba647fe20b2ce435ebfa74d476f76db4a066d47944bf8af8ff35',
+    'cli-dufresne': '02cd80feddb311cf68d3e32f21c1785679e2cd9752511c3e0f730b76bf425c03',
+    'cli-lyapunov-sqrt': 'ba44baf5be07c3a2370ab6bacb7c56d6886167b105bee1e7b6e76f5f3543226b',
     'cli-sample-full': '0e60abf7f8fcdc1898e67832591adf5889a5675e6ac0bd3cec66da24e42321ad',
     'cli-sample-json': '5073df5cf417c265f2aa2e556cd2dacd74b0bde780a830a80a95e107ce78de55',
     'cli-lyapunov-cholesky-csv': '27347be116b97fb0c62c8225d8d37fb4b01754c72b6d91fb1287647e67eba33f',
-    'cli-config-sample': '8043076b8afa2bf257ce923a766d1aedc84746f4a42b1e4062e9c47d4e4d0bf0',
-    'cli-config-walk-steps': 'f6f0dd477ab83eef87c1a66043d919c11ccf42d989c250966b8b535797648c45',
-    'cli-config-dufresne': '1a1f719a2e84a8cd0baa5c9aa892ed84088191dc7838916888bbf08b304a7bcb',
-    'cli-env-seed': '0ed08eb22aa5b7d4c6a6a52e95170729560f9abe8cb721f2143fb9db0465d84d',
+    'cli-config-sample': '03dd6d75584a253c35ac6a914b2649993a7e8ca091266d68a7fbd21b0ad6eac9',
+    'cli-config-walk-steps': '73456da4a2e401d2b7cfdb6294d5bc90219c98e741d7f66e0528abbafdbff122',
+    'cli-config-dufresne': '5b4f65ca711e8c1e8224acb033a1d1eecc54549372f1086ed959b5bdfc6c9c97',
+    'cli-env-seed': '99bb5be27dd78f2e238f305830f28e450a986f4bfe53318b5da8ad727ee1f76b',
     'cli-verify-lukacs-meta': '940b21ab2388b31f519d44a91b74ffb2d7f719204159aef4de17ba1dcaad3846',
     'kesten-ragged-sqrt-prime0-d1': '3d2acbbf4a9a26578f92dbc8ae95de316f226727c05868578ff8df28c3901f1f',
     'kesten-ragged-sqrt-prime0-d3': 'ae8250a85265b30ce5f5c1e162207008d45c17cc884e8f6e0b7d668fa2577a03',
@@ -380,19 +385,19 @@ GOLDEN = {
     'kernel-factor-invwishart-edge-d1': '761578202e6c936a18fad2d8b976769b21b6dfc54a606bb13a1af1bdaebfac19',
     'kernel-factor-beta2-d1': 'bbbf6af1a90abc65df6ca943947dd4be20f6f537a5b0bcee2830cf37e2797b02',
     'kernel-factor-beta2-edge-d1': 'a815bdbbe37b35d09435ac92c7b974ac51eb3f488acec8c8e497b6b7204ad732',
-    'kernel-cholesky-d2': '17f3a4683c0f07c89ea9b014888192ff9f3e09d1040cb3a37642757a271b4027',
-    'kernel-invert-d2': '294dbf4152e4effde2b2fd63a667575e59aea4daf3686794389510cc043e094f',
+    'kernel-cholesky-d2': '9b6cb63fdc0c9e868cb60b960e0b86ad3476a1f983cf503435d8fe3c966cb5f8',
+    'kernel-invert-d2': '388230ec31a5b4e2c7fd2e9f7953e056f7ad3c82210f99f426609187d5ac47a2',
     'kernel-factor-invwishart-d2': '493f95e3d6c2be93835ba6aea10b2ac530df4ed602f9d6c0fbce35b3dbeef005',
     'kernel-factor-invwishart-edge-d2': '65e4c887719ae3cd6ddba75e94f115e3291ae1a42e8f23ade961f1a723d2e962',
-    'kernel-factor-beta2-d2': '199225212329787eceff9e2d12763402d5d74d3aea19bb82aba6d1bdc502937b',
-    'kernel-factor-beta2-edge-d2': '444c01188f5f7bc4f6fdd40cf2b5b583ec5c11ef2440ebe98755cbc9f4d6d4ee',
+    'kernel-factor-beta2-d2': '742d89d6fae5a458091ed82f4557bd3cb53fa6334b0708b5d80a5d899b432b1b',
+    'kernel-factor-beta2-edge-d2': '270a178f0cbea539b3eb7436eb49638f970745aec48f24ad93ef5b46b84cad65',
     'dufresne-ragged-sqrt-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',
-    'dufresne-ragged-sqrt-d2': '67d1475b7f93d78954d38d3a4715ba64c0ef63c0a195d7cf4e969b3555ad30a6',
+    'dufresne-ragged-sqrt-d2': 'e1100b3f71f74890d248303e45a3899e3bde3f3162ad631ea05f0634103bda18',
     'dufresne-ragged-sqrt-d3': 'c9e21758bc6ca6dd2150ab036ef2f23ba74a3b1f5085ab9a3f9f1e4ffeac1d88',
     'dufresne-truncation-sqrt': 'ec05e6a8b3844af2acdf8b365e1f4b2575cf11f8ba6b66d7033d3f2588a16f21',
     'dufresne-ragged-cholesky-d1': '5106730a236480d71f3affd2e4e6250ac90f1479231c9f913e5eca29a357d612',
-    'dufresne-ragged-cholesky-d2': 'cd8b7d2b29710e0e11d3de93392242fa67d90996f594a788c26ad18337c1bb49',
-    'dufresne-ragged-cholesky-d3': 'd5b115880872c2449abb0573f70872f7563e9ca526bdbd9d74896eaca234e751',
+    'dufresne-ragged-cholesky-d2': 'da26e46e230a9b5bf588f1b514ab68176551bc8091a40d21fbde879bb36c7522',
+    'dufresne-ragged-cholesky-d3': 'ce670bb7835fd8e8c747aad372fac39f93b958ef94d3184f83831ef16e9e681c',
     'dufresne-truncation-cholesky': '724c212e885ec89a19b9b87126366e4abd6af5c6463c9ed55c2447346eb07c20',
     'intertwining-d1-s1': '2cd655364937e186497b02cfcbc1ae13c74e0ac8763e227b8547484fbd781d44',
     'intertwining-d1-full': 'ca3b1d5bf9bfa4afa18305ff800f8570a8dca387afdbcdec5d7e2a0862119b38',
@@ -418,6 +423,32 @@ def test_d3_factor_draws_never_call_lapack_inverse(law, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", refuse)
     name = f"eigen-d3-{law.value}-sqrt"
     assert _compute(name) == GOLDEN[name]
+
+
+# The d <= 2 cases whose products are all matcore's closed forms: no
+# LAPACK, no quadrature, no gemm. Only the d = 3 cases, the Lyapunov
+# estimators (LAPACK's QR), the d = 1 quadrature and the CLI runs of those or
+# of spectral functionals are left out.
+HOST_FREE = [
+    name
+    for name in CASES
+    if name.startswith(("walks-", "trace-", "closed-", "dufresne-", "kesten-", "kernel-", "cli-walk-",
+                        "cli-dufresne", "cli-config-walk-steps", "cli-config-dufresne", "cli-sample-json"))
+    and not name.endswith("-d3")
+]
+
+
+def test_host_free_digests_do_not_depend_on_the_blas_kernels():
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels when it loads; Sandybridge's
+    # fuse no multiply-add, and a gemm product on them rounds differently.
+    # numpy's `@` cannot be monkeypatched, so a child process with that
+    # kernel recomputes the cases; a host without OpenBLAS ignores it.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
+    here = os.path.dirname(os.path.abspath(__file__))
+    env["PYTHONPATH"] = os.pathsep.join([here, os.path.join(os.path.dirname(here), "src")])
+    code = "import json, sys, test_golden as g; print(json.dumps({n: g._compute(n) for n in g.HOST_FREE}))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(child.stdout.splitlines()[-1]) == {name: _compute(name) for name in HOST_FREE}
 
 
 def test_golden_table_covers_every_case():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,26 @@ def test_non_finite_draw_names_the_parameter(law, p, named):
         blocks = 2 if law in _GRAM_LAWS else None
         with pytest.raises(DomainError, match="not finite"):
             sample_factor(law, p, make_stream(44), size=4, kind=SplitKind.SQUARE_ROOT, blocks=blocks)
+
+
+@pytest.mark.parametrize("draw", ["sample_beta2", "sample_factor"])
+def test_d2_beta2_product_overflow_is_a_typed_error_without_a_warning(draw, monkeypatch):
+    # A scaled by 1e200 and B by 1e-200: the closed-form product A B^-1 has
+    # entries near 1e400, which overflow to inf inside the draw.
+    bartlett = matdist._bartlett_blocks
+
+    def scaled(shapes, rng, size, blocks):
+        u = bartlett(shapes, rng, size, blocks)
+        u[:, 0] *= 1e200
+        u[:, 1] *= 1e-200
+        return u
+
+    monkeypatch.setattr(matdist, "_bartlett_blocks", scaled)
+    args = (Law.BETA2,) if draw == "sample_factor" else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape("beta2 draw is not finite at alpha=2.0, beta=5.0")):
+            getattr(matdist, draw)(*args, ModelParams(2, 2.0, 5.0), make_stream(45), size=4)
 
 
 _EDGE_WISHART = ModelParams(1, 0.00390625, 1.0)

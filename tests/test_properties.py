@@ -10,10 +10,14 @@ bound of exact rational arithmetic. The d <= 2 symmetric root, eigenvalues
 and log determinant are closed forms held within stated bounds of 50-digit
 mpmath; they raise where eigh and slogdet, called one matrix at a time,
 find an eigenvalue or determinant that is not > 0, naming the same matrix.
-Gram products take BLAS gemm where numpy would take syrk, and must keep
-syrk's bits; traces, summed in order, must keep np.trace's. The Bartlett draw kernel, which draws its variates in
-place, must give the bits and leave the stream where one variate call per
-diagonal entry and per upper triangle does. The samplers, at parameters
+Gram products take BLAS gemm where numpy would take syrk at d >= 3, and
+must keep syrk's bits. At d <= 2 the Gram, stacked and sandwich products are
+closed forms: at d = 2 each entry is held within the rounding bound of its
+two-term sums against exact rational arithmetic, and is exactly symmetric
+where the product is; at d = 1 they keep the bits of numpy's 1 x 1 matmul.
+Traces, summed in order, must keep np.trace's. The Bartlett draw kernel,
+which draws its variates in place, must give the bits and leave the stream
+where one variate call per diagonal entry and per upper triangle does. The samplers, at parameters
 just inside (d-1)/2, give nonsingular draws or raise. The profile is
 derandomized with a bounded example count, so every run draws the same
 examples.
@@ -415,29 +419,112 @@ def test_split_kinds_share_spectrum(xy):
         np.testing.assert_allclose(matcore.eigenvalues(z), want, rtol=0, atol=tol)
 
 
-@st.composite
-def _stacks(draw, dims):
-    """A stack (n, d, d) or (m, n, d, d) of normal entries, d from ``dims``.
+def _scaled_normals(rng, shape, e=150):
+    """Normal entries (..., d, d); each matrix has a scale 10^k, k in [-e, e], each entry a further factor in [1e-3, 1e3]."""
+    scale = 10.0 ** rng.uniform(-e, e, shape[:-2] + (1, 1))
+    return rng.standard_normal(shape) * scale * _log_uniform(rng, -3, 3, shape)
 
-    Each matrix has a scale 10^k, k in [-150, 150], and each entry a further
-    factor in [1e-3, 1e3]; values come from a drawn seed.
+
+@st.composite
+def _stacks(draw, dims, exponents=None):
+    """A stack (n, d, d) or (m, n, d, d) of _scaled_normals, d from ``dims``.
+
+    With ``exponents``, a tuple of such stacks of one shape, the k-th with
+    scales 10^-e to 10^e for e = exponents[k]. Values come from a drawn seed.
     """
     d = draw(dims)
     shape = draw(st.one_of(st.tuples(st.integers(1, 64)), st.tuples(st.integers(1, 4), st.integers(1, 32))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** rng.uniform(-150, 150, shape + (1, 1))
-    return rng.standard_normal(shape + (d, d)) * scale * _log_uniform(rng, -3, 3, shape + (d, d))
+    if exponents is None:
+        return _scaled_normals(rng, shape + (d, d))
+    return tuple(_scaled_normals(rng, shape + (d, d), e) for e in exponents)
 
 
 @PROFILE
-@given(_stacks(st.integers(1, 6)))
+@given(_stacks(st.sampled_from([1, 3, 4, 5, 6])))
 def test_gram_is_numpy_syrk_bit_for_bit(v):
     # numpy sends a buffer times its own transpose to BLAS syrk; _gram copies
-    # one operand to take gemm. If a BLAS ever rounds the two differently,
-    # this fails, and _gram's bits would move every Gram-law draw.
+    # one operand to take gemm at d >= 3. If a BLAS ever rounds the two
+    # differently, this fails, and _gram's bits would move every d >= 3
+    # Gram-law draw. At d = 1 the product is v * v; d = 2 is a closed form
+    # (test_d2_closed_products_against_exact_arithmetic).
     vt = np.swapaxes(v, -1, -2)
     _assert_same_bits(matcore._gram(v), vt @ v)
     _assert_same_bits(matcore._gram(vt), v @ vt)
+
+
+# Unit roundoff, gamma_2 = 2u/(1 - 2u) of a two-term dot product, and the
+# largest absolute error of one rounding in the subnormal range.
+_U = Fraction(1, 2**53)
+_GAMMA2 = 2 * _U / (1 - 2 * _U)
+_GAMMA3 = 3 * _U / (1 - 3 * _U)
+_ETA = Fraction(1, 2**1075)
+
+
+def _exact(m):
+    return np.vectorize(Fraction, otypes=[object])(m)
+
+
+def _dot2_errors(got, x, y):
+    """|got - x y| entrywise at d = 2 and the two-term bound gamma_2 sum_k |x_ik y_kj| (+ underflow)."""
+    exact = x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
+    size = abs(x[..., :, :1] * y[..., :1, :]) + abs(x[..., :, 1:] * y[..., 1:, :])
+    return abs(_exact(got) - exact), _GAMMA2 * size + 3 * _ETA
+
+
+@PROFILE
+@given(_stacks(st.just(2), exponents=(150, 150)))
+def test_d2_closed_products_against_exact_arithmetic(ab):
+    # Each entry of _product and _gram is one correctly rounded two-term dot
+    # product, |fl(s) - s| <= gamma_2 sum |terms|; the Gram matrix is exactly
+    # symmetric, its off-diagonal entry formed once.
+    a, b = ab
+    x, y = _exact(a), _exact(b)
+    for got, (xs, ys) in ((matcore._product(a, b), (x, y)), (matcore._gram(a), (np.swapaxes(x, -1, -2), x))):
+        err, bound = _dot2_errors(got, xs, ys)
+        assert (err <= bound).all()
+    g = matcore._gram(a)
+    _assert_same_bits(g[..., 0, 1], g[..., 1, 0])
+
+
+@PROFILE
+@given(_stacks(st.just(2), exponents=(50, 150)))
+def test_d2_sandwich_against_exact_arithmetic(wx):
+    """_sandwich(w, x) within a two-stage bound of w^T sym(x) w, exactly symmetric, for any x.
+
+    Scales of w stay within 1e-50 to 1e50 so that w^T x w stays in range.
+    Stage 1, t = sym(x) w: one more rounding in b = (x01 + x10)/2 gives
+    |t^ - t| <= E = gamma_3 sum_l |sym(x)_kl w_lj| (+ underflow). Stage 2,
+    s = w^T t^: |s^ - s| <= gamma_2 sum_k |w_ki| (|t_kj| + E_kj) + sum_k |w_ki| E_kj.
+    """
+    w, x = wx
+    we, xe = _exact(w), _exact(x)
+    b = (xe[..., 0, 1] + xe[..., 1, 0]) / 2
+    sym = np.stack([np.stack([xe[..., 0, 0], b], -1), np.stack([b, xe[..., 1, 1]], -1)], -2)
+    size1 = abs(sym[..., :, :1] * we[..., :1, :]) + abs(sym[..., :, 1:] * we[..., 1:, :])
+    t = sym[..., :, :1] * we[..., :1, :] + sym[..., :, 1:] * we[..., 1:, :]
+    e1 = _GAMMA3 * size1 + (3 + abs(we[..., :1, :]) + abs(we[..., 1:, :])) * _ETA
+    wt = np.swapaxes(we, -1, -2)
+    exact = wt[..., :, :1] * t[..., :1, :] + wt[..., :, 1:] * t[..., 1:, :]
+    carried = abs(wt[..., :, :1]) * e1[..., :1, :] + abs(wt[..., :, 1:]) * e1[..., 1:, :]
+    size2 = abs(wt[..., :, :1]) * (abs(t[..., :1, :]) + e1[..., :1, :]) + abs(wt[..., :, 1:]) * (
+        abs(t[..., 1:, :]) + e1[..., 1:, :]
+    )
+    got = matcore._sandwich(w, x)
+    assert (abs(_exact(got) - exact) <= _GAMMA2 * size2 + carried + 3 * _ETA).all()
+    _assert_same_bits(got[..., 0, 1], got[..., 1, 0])
+
+
+@PROFILE
+@given(_stacks(st.just(1), exponents=(50, 150)))
+def test_d1_closed_products_are_numpy_matmul_bit_for_bit(wx):
+    # At d = 1 the product, the Gram matrix and the sandwich keep the bits of
+    # the 1 x 1 matmuls they replace, symmetrize included.
+    w, x = wx
+    _assert_same_bits(matcore._product(w, x), w @ x)
+    _assert_same_bits(matcore._product(x, w), x @ w)
+    _assert_same_bits(matcore._gram(x), x @ x)
+    _assert_same_bits(matcore._sandwich(w, x), matcore.symmetrize(w @ x @ w))
 
 
 @PROFILE
@@ -483,7 +570,9 @@ def test_draws_just_inside_the_bound_are_nonsingular_or_raise(d, law, log2_da, l
     except DomainError:
         return
     assert u is not None
-    _assert_same_bits(x, matcore.symmetrize(np.swapaxes(u, -1, -2) @ u))
+    # At d = 2 the Gram matrix is matcore's closed form, not gemm's.
+    gram = matcore._gram(u) if d == 2 else matcore.symmetrize(np.swapaxes(u, -1, -2) @ u)
+    _assert_same_bits(x, gram)
     if d == 1:
         assert matcore.is_posdef(x)
 

@@ -639,7 +639,7 @@ REDUCED_REPORT_SHA256 = {
     "dufresne_d2": "12232319078dd74241c1db8daced96d2dec4e95107412c39f9eff9dbd78fd4b3",
     "my_markov_d1": "40921fb3d067aa7808cbb046a1f09b020ca49281244697669cb28d86da9da083",
     "fixed_point": "3b9afa018b4716912f5850e2f7f63bca48f6798950a0f3eb63db5285f1f63c8b",
-    "construction_equivalence": "d527b82752844e9e3314ca9fd56cd5549130e1a144d2b948fd74121ed8a81bcc",
+    "construction_equivalence": "7653f6c8cfe7ef18cd990e2c9422a2cdc6f54d20cd86837e3ac88afe8c5cbc14",
     "lukacs": "f87421d4287f094ba4103d539debf51c5954164ffdf0baac5126943829dfd6af",
     "beta_gamma": "6210026d5336e860dc46a5dbac18e77f3700112e47d73dc0a87c2f9691ef1a99",
 }
@@ -724,14 +724,23 @@ def test_d3_beta_gamma_never_calls_lapack_inverse(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, factored, lapack, inverted",
-    [("fixed_point", 72_960, 0, 0), ("lukacs", 40_000, 0, 1), ("beta_gamma", 60_000, 20_000, 9)],
+    [
+        ("fixed_point", 72_960, 0, 0),
+        ("lukacs", 40_000, 0, 1),
+        ("beta_gamma", 60_000, 20_000, 9),
+        ("dufresne_d1", 0, 0, 0),
+        ("dufresne_d2", 0, 0, 0),
+        ("construction_equivalence", 24_276, 0, 0),
+    ],
 )
 def test_reduced_checks_factor_no_matrix_twice(name, factored, lapack, inverted, monkeypatch):
     # Matrices passed through matcore.cholesky, the d = 3 ones LAPACK
     # factors, and invert calls in one reduced run. fixed_point's push and
     # beta_gamma's combos draw their increments' factors (sample_factor), not
     # Gram matrices to factor again; lukacs inverts and factors X + Y once.
-    # The reduced report keeps its pinned bytes.
+    # The series and the closed Cholesky walk draw their inverse Wishart
+    # start as its factor, so dufresne factors nothing. The reduced report
+    # keeps its pinned bytes.
     counts = collections.Counter()
 
     def counted(module, fn, key, per_matrix=True):

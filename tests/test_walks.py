@@ -226,6 +226,45 @@ def test_overflow_to_inf_raises_step_overflow_without_a_warning(kind):
             walk_closed(kind, np.eye(2), [x, x, x])
 
 
+@pytest.mark.parametrize("construction", list(Construction), ids=lambda c: c.value)
+@pytest.mark.parametrize("kind", list(SplitKind), ids=lambda k: k.value)
+def test_d2_step_overflow_names_step_and_batch_index_without_a_warning(kind, construction):
+    # Entries near 1e200 after one step in batch element 1: the second step's
+    # closed-form products reach 1e400 there; numpy's overflow warning must
+    # not escape before the error.
+    big = 1e200 * np.eye(2) + 1e199
+    x = np.stack([np.eye(2), big, 2.0 * np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepOverflow, match=r"at step 2, batch index 1$"):
+            trace_from_increments(kind, np.broadcast_to(np.eye(2), (3, 2, 2)), [x, x], construction)
+
+
+def test_series_overflow_names_term_and_original_row_without_a_warning(monkeypatch):
+    # The second term's factor of one unfinished series is scaled by 1e200,
+    # so its Gram product overflows to inf. Rows finished at the first term
+    # have left the carried arrays, and the error names the row's index in
+    # the output, not in those arrays.
+    p = ModelParams(2, 2.0, 5.0)
+    _, counts = dufresne_series(p, make_stream(5), size=12, tail_tol=0.3, return_counts=True)
+    alive = np.flatnonzero(counts >= 2)
+    assert 0 < alive.size and alive[-1] != alive.size - 1
+    draw, calls = matdist.sample_factor, []
+
+    def scaled(*args, **kwargs):
+        f = draw(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            f[alive.size - 1] *= 1e200
+        return f
+
+    monkeypatch.setattr(matdist, "sample_factor", scaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepOverflow, match=rf"at term 2, batch index {alive[-1]}$"):
+            dufresne_series(p, make_stream(5), size=12, tail_tol=0.3)
+
+
 def _eager_sums(r):
     """Running sums and ratios of the states r, computed as soon as the walk ends."""
     a = np.cumsum(r, axis=-3)
